@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .monoid_core import Report, ai_presentation, chain_ci_matrix, random_rewrite
 from .rewrite_a import a_equal, a_reduce
-from .words import Word, descending_run, random_word, validate_word
+from .words import Word, descending_run, nabla, random_word, validate_word
 
 
 @dataclass(frozen=True)
@@ -22,16 +22,6 @@ class GarsideData:
     n: int
     nabla: Word
     y_word: Word  # nabla with the leading x1 removed
-
-
-def nabla(n: int) -> Word:
-    """x1 (x2,x1] (x3,x1] ... (x_{n+1},x1], of length n(n+1)/2."""
-    if n < 1:
-        raise ValueError("rank must be positive")
-    out = []
-    for a in range(2, n + 2):
-        out.extend(descending_run(a, 1))
-    return tuple(out)
 
 
 def garside_data(n: int) -> GarsideData:

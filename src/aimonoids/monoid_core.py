@@ -178,6 +178,50 @@ def _byte_relations(p: Presentation):
     return subs
 
 
+def _sites(w: bytes, subs) -> list:
+    """Every (position, lhs, rhs) with lhs occurring in w at position.
+
+    Ordered by relation, then by position; the search order, witness
+    chains and random choices all follow this order.
+    """
+    sites = []
+    for lhs, rhs in subs:
+        i = w.find(lhs)
+        while i != -1:
+            sites.append((i, lhs, rhs))
+            i = w.find(lhs, i + 1)
+    return sites
+
+
+def _search(p: Presentation, start: bytes, max_len: int, max_states: int,
+            target: bytes | None = None):
+    """Breadth-first closure of `start` under relation replacement.
+
+    Returns (parent, complete, hit).  parent maps every word reached to the
+    word it was first reached from (start to None).  complete is False when
+    a neighbour was discarded for exceeding max_len or the state cap was
+    hit.  hit says whether the search stopped on reaching `target`.
+    """
+    subs = _byte_relations(p)
+    parent = {start: None}
+    queue = deque([start])
+    complete = True
+    while queue:
+        w = queue.popleft()
+        for i, lhs, rhs in _sites(w, subs):
+            nw = w[:i] + rhs + w[i + len(lhs):]
+            if len(nw) > max_len:
+                complete = False
+            elif nw not in parent:
+                if len(parent) >= max_states:
+                    return parent, False, False
+                parent[nw] = w
+                if nw == target:
+                    return parent, complete, True
+                queue.append(nw)
+    return parent, complete, False
+
+
 def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 10**6):
     """All words reachable from `start` by relation replacement within bounds.
 
@@ -189,25 +233,8 @@ def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 1
     w0 = bytes(validate_word(start, p.generators))
     if max_len < len(w0):
         raise ValueError("max_len below the start word length")
-    subs = _byte_relations(p)
-    seen = {w0}
-    queue = deque([w0])
-    complete = True
-    while queue:
-        w = queue.popleft()
-        for lhs, rhs in subs:
-            i = w.find(lhs)
-            while i != -1:
-                nw = w[:i] + rhs + w[i + len(lhs):]
-                if len(nw) > max_len:
-                    complete = False
-                elif nw not in seen:
-                    if len(seen) >= max_states:
-                        return frozenset(tuple(x) for x in seen), False
-                    seen.add(nw)
-                    queue.append(nw)
-                i = w.find(lhs, i + 1)
-    return frozenset(tuple(x) for x in seen), complete
+    parent, complete, _ = _search(p, w0, max_len, max_states)
+    return frozenset(tuple(x) for x in parent), complete
 
 
 def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
@@ -232,45 +259,22 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
     bu, bv = bytes(u), bytes(v)
     if bu == bv:
         return OracleVerdict(EQUAL, (u,))
-    subs = _byte_relations(p)
-    parent = {bu: None}
-    queue = deque([bu])
-    pruned = False
-    while queue:
-        w = queue.popleft()
-        for lhs, rhs in subs:
-            i = w.find(lhs)
-            while i != -1:
-                nw = w[:i] + rhs + w[i + len(lhs):]
-                if len(nw) > max_len:
-                    pruned = True
-                elif nw not in parent:
-                    if len(parent) >= max_states:
-                        return OracleVerdict(INCONCLUSIVE)
-                    parent[nw] = w
-                    if nw == bv:
-                        chain = []
-                        cur = nw
-                        while cur is not None:
-                            chain.append(tuple(cur))
-                            cur = parent[cur]
-                        return OracleVerdict(EQUAL, tuple(reversed(chain)))
-                    queue.append(nw)
-                i = w.find(lhs, i + 1)
-    status = DISTINCT_WITHIN_BOUND if not pruned else INCONCLUSIVE
-    return OracleVerdict(status)
+    parent, complete, hit = _search(p, bu, max_len, max_states, target=bv)
+    if hit:
+        chain = []
+        cur = bv
+        while cur is not None:
+            chain.append(tuple(cur))
+            cur = parent[cur]
+        return OracleVerdict(EQUAL, tuple(reversed(chain)))
+    return OracleVerdict(DISTINCT_WITHIN_BOUND if complete else INCONCLUSIVE)
 
 
 def one_step_related(p: Presentation, u, v) -> bool:
     """Whether v arises from u by one relation replacement (either direction)."""
     bu, bv = bytes(validate_word(u)), bytes(validate_word(v))
-    for lhs, rhs in _byte_relations(p):
-        i = bu.find(lhs)
-        while i != -1:
-            if bu[:i] + rhs + bu[i + len(lhs):] == bv:
-                return True
-            i = bu.find(lhs, i + 1)
-    return False
+    return any(bu[:i] + rhs + bu[i + len(lhs):] == bv
+               for i, lhs, rhs in _sites(bu, _byte_relations(p)))
 
 
 def random_rewrite(p: Presentation, word, rng, steps: int,
@@ -281,13 +285,8 @@ def random_rewrite(p: Presentation, word, rng, steps: int,
         max_len = len(w) + 2 * steps + 4
     subs = _byte_relations(p)
     for _ in range(steps):
-        sites = []
-        for lhs, rhs in subs:
-            i = w.find(lhs)
-            while i != -1:
-                if len(w) - len(lhs) + len(rhs) <= max_len:
-                    sites.append((i, lhs, rhs))
-                i = w.find(lhs, i + 1)
+        sites = [(i, lhs, rhs) for i, lhs, rhs in _sites(w, subs)
+                 if len(w) - len(lhs) + len(rhs) <= max_len]
         if not sites:
             break
         i, lhs, rhs = rng.choice(sites)

@@ -18,17 +18,20 @@ position: the letter following w[i] decides the shape (two or more below
 w[i]: commutation; equal or one below: block deletion; anything else:
 nothing), and within block deletion the exponents and the run start are
 forced by maximality.
+
+The matchers and the rule shapes live here; applying, normalizing and the
+confluence audit are the shared driver in ``rewrite``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 
-from .words import Word, commute_sort, descending_run, random_word, validate_word
+from . import rewrite
+from .rewrite import COMMUTATION, ConfluenceReport, CriticalTriple
+from .words import Word, descending_run
 
-COMMUTATION = "commutation"
 FAMILY = "family"
 
 
@@ -47,6 +50,11 @@ class AStandardMatch:
     a: int
     b: int
     exponents: tuple | None = None
+
+    @property
+    def deleted(self) -> tuple:
+        """The [lo, hi) span a family rule removes: its leading block."""
+        return self.start, self.start + self.exponents[0]
 
 
 def _family_match_at(w, i):
@@ -89,64 +97,21 @@ def a_match_at(w, i) -> AStandardMatch | None:
 
 def a_matches(w) -> list:
     """All rule occurrences, in increasing start order (one per start at most)."""
-    w = tuple(w)
-    out = []
-    for i in range(len(w)):
-        m = a_match_at(w, i)
-        if m is not None:
-            out.append(m)
-    return out
+    return rewrite.matches(a_match_at, w)
 
 
 def a_apply(w, match: AStandardMatch) -> Word:
-    w = tuple(w)
-    if a_match_at(w, match.start) != match:
-        raise ValueError(f"match {match} does not occur in {w}")
-    if match.kind == COMMUTATION:
-        i = match.start
-        return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-    return w[:match.start] + w[match.start + match.exponents[0]:]
+    return rewrite.apply(a_match_at, w, match)
 
 
 def a_step(w) -> Word | None:
     """Apply the leftmost rule occurrence; None iff w is reduced."""
-    w = tuple(w)
-    for i in range(len(w)):
-        m = a_match_at(w, i)
-        if m is not None:
-            return a_apply(w, m)
-    return None
-
-
-def _family_sweep(w: list) -> int:
-    """Greedy left-to-right block deletions in place; returns the count.
-
-    A clean sweep on a word with no commutation occurrences certifies the
-    normal form.  Deletions may uncover occurrences to the left; those are
-    picked up by the caller's next round.
-    """
-    applied = 0
-    i = 0
-    while i < len(w):
-        m = _family_match_at(w, i)
-        if m is None:
-            i += 1
-        else:
-            del w[i:i + m.exponents[0]]
-            applied += 1
-    return applied
+    return rewrite.step(a_match_at, a_apply, w)
 
 
 def a_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    w = list(validate_word(word))
-    steps = 0
-    while True:
-        steps += commute_sort(w)
-        deleted = _family_sweep(w)
-        steps += deleted
-        if not deleted:
-            return tuple(w), steps
+    return rewrite.reduce_steps(_family_match_at, word)
 
 
 def a_reduce(word) -> Word:
@@ -155,19 +120,8 @@ def a_reduce(word) -> Word:
 
 
 def a_reduce_random(word, rng) -> tuple:
-    """Normalize by uniformly random rule choices; (normal form, steps).
-
-    Confluence says the result agrees with a_reduce whatever the strategy;
-    the step count exercises the termination bound.
-    """
-    w = tuple(validate_word(word))
-    steps = 0
-    while True:
-        ms = a_matches(w)
-        if not ms:
-            return w, steps
-        w = a_apply(w, rng.choice(ms))
-        steps += 1
+    """Normalize by uniformly random rule choices; (normal form, steps)."""
+    return rewrite.reduce_random(a_matches, a_apply, word, rng)
 
 
 def a_equal(u, v) -> bool:
@@ -177,34 +131,6 @@ def a_equal(u, v) -> bool:
 
 # ---------------------------------------------------------------------------
 # overlap analysis
-
-
-@dataclass(frozen=True)
-class CriticalTriple:
-    """Nontrivial words with q*r and r*s both full rule left-hand sides."""
-
-    family: str
-    q: Word
-    r: Word
-    s: Word
-
-
-@dataclass
-class ConfluenceReport:
-    pairs_checked: int
-    failures: list  # (overlap word, left reduct, right reduct)
-    by_family: dict
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _full_span_match(w) -> AStandardMatch:
-    for m in a_matches(w):
-        if m.start == 0 and m.end == len(w):
-            return m
-    raise ValueError(f"not a rule left-hand side: {w}")
 
 
 def _blocks(top: int, bottom: int, exps) -> Word:
@@ -265,10 +191,7 @@ def a_critical_pairs(n: int, max_exponent: int = 2) -> list:
         for b in range(3, a - 1):
             for c in range(1, b - 1):
                 out.append(CriticalTriple("d", (a,), (b,), (c,)))
-    for t in out:
-        _full_span_match(t.q + t.r)
-        _full_span_match(t.r + t.s)
-    return out
+    return rewrite.checked_triples(a_match_at, out)
 
 
 def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
@@ -278,30 +201,6 @@ def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
     `reducer` defaults to a_reduce; tests inject a crippled one as a negative
     control.
     """
-    reduce_fn = a_reduce if reducer is None else reducer
-    failures = []
-    by_family = {}
-    checked = 0
-    for t in a_critical_pairs(n, max_exponent):
-        u = t.q + t.r + t.s
-        qr, rs = t.q + t.r, t.r + t.s
-        v = a_apply(qr, _full_span_match(qr)) + t.s
-        w = t.q + a_apply(rs, _full_span_match(rs))
-        checked += 1
-        by_family[t.family] = by_family.get(t.family, 0) + 1
-        if reduce_fn(v) != reduce_fn(w):
-            failures.append((u, v, w))
-    rng = random.Random(seed)
-    for _ in range(random_words):
-        w0 = random_word(rng, n, 12, 2)
-        ms = a_matches(w0)
-        for x in range(len(ms)):
-            for y in range(x + 1, len(ms)):
-                if ms[x].end <= ms[y].start:
-                    v = a_apply(w0, ms[x])
-                    w = a_apply(w0, ms[y])
-                    checked += 1
-                    by_family["disjoint"] = by_family.get("disjoint", 0) + 1
-                    if reduce_fn(v) != reduce_fn(w):
-                        failures.append((w0, v, w))
-    return ConfluenceReport(checked, failures, by_family)
+    return rewrite.confluence_audit(
+        a_critical_pairs(n, max_exponent), a_match_at, a_matches, a_apply,
+        a_reduce if reducer is None else reducer, n, random_words, seed)

@@ -19,6 +19,9 @@ commutation; equal or lower by one: square run; higher: staircase), and
 each parse is forced, so again at most one rule occurrence per start
 position.  x_a x_a arises as both a degenerate square run and a
 degenerate staircase; it is reported once, as a square run.
+
+The matchers and the rule shapes live here; applying, normalizing and the
+confluence audit are the shared driver in ``rewrite``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .garside import nabla
-from .rewrite_a import ConfluenceReport, CriticalTriple
-from .words import Word, commute_sort, descending_run, random_word, validate_word
+from . import rewrite
+from .rewrite import COMMUTATION, ConfluenceReport, CriticalTriple
+from .words import Word, descending_run, nabla, random_word
 
-COMMUTATION = "commutation"
 SQUARE_RUN = "square-run"
 STAIRCASE = "staircase"
 
@@ -53,6 +55,13 @@ class MStandardMatch:
     b: int
     y_spans: tuple = ()
     z_spans: tuple = ()
+
+    @property
+    def deleted(self) -> tuple:
+        """The [lo, hi) span removed: a square run's first letter, a staircase's last."""
+        if self.kind == SQUARE_RUN:
+            return self.start, self.start + 1
+        return self.end - 1, self.end
 
 
 def _square_run_at(w, i):
@@ -100,85 +109,42 @@ def _staircase_at(w, i):
         return None
 
 
-def m_match_at(w, i) -> MStandardMatch | None:
-    """The unique rule occurrence starting at position i, if any."""
+def _deletion_at(w, i):
+    """The square run or staircase starting at position i, if any."""
     if i + 1 >= len(w):
         return None
     d = w[i + 1] - w[i]
-    if d <= -2:
-        return MStandardMatch(COMMUTATION, i, i + 2, w[i], w[i + 1])
     if d >= 1:
         return _staircase_at(w, i)
-    return _square_run_at(w, i)
+    if d >= -1:
+        return _square_run_at(w, i)
+    return None
+
+
+def m_match_at(w, i) -> MStandardMatch | None:
+    """The unique rule occurrence starting at position i, if any."""
+    if i + 1 < len(w) and w[i] - w[i + 1] >= 2:
+        return MStandardMatch(COMMUTATION, i, i + 2, w[i], w[i + 1])
+    return _deletion_at(w, i)
 
 
 def m_matches(w) -> list:
     """All rule occurrences, in increasing start order (one per start at most)."""
-    w = tuple(w)
-    out = []
-    for i in range(len(w)):
-        m = m_match_at(w, i)
-        if m is not None:
-            out.append(m)
-    return out
+    return rewrite.matches(m_match_at, w)
 
 
 def m_apply(w, match: MStandardMatch) -> Word:
-    w = tuple(w)
-    if m_match_at(w, match.start) != match:
-        raise ValueError(f"match {match} does not occur in {w}")
-    i = match.start
-    if match.kind == COMMUTATION:
-        return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-    if match.kind == SQUARE_RUN:
-        return w[:i] + w[i + 1:]
-    return w[:match.end - 1] + w[match.end:]
+    return rewrite.apply(m_match_at, w, match)
 
 
 def m_step(w) -> Word | None:
     """Apply the leftmost rule occurrence; None iff w is reduced."""
-    w = tuple(w)
-    for i in range(len(w)):
-        m = m_match_at(w, i)
-        if m is not None:
-            return m_apply(w, m)
-    return None
-
-
-def _m_sweep(w: list) -> int:
-    """Greedy left-to-right deletions in place; returns the count."""
-    applied = 0
-    i = 0
-    while i < len(w):
-        if i + 1 >= len(w):
-            break
-        d = w[i + 1] - w[i]
-        m = None
-        if d in (-1, 0):
-            m = _square_run_at(w, i)
-        elif d >= 1:
-            m = _staircase_at(w, i)
-        if m is None:
-            i += 1
-        elif m.kind == SQUARE_RUN:
-            del w[i]
-            applied += 1
-        else:
-            del w[m.end - 1]
-            applied += 1
-    return applied
+    return rewrite.step(m_match_at, m_apply, w)
 
 
 def m_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    w = list(validate_word(word))
-    steps = 0
-    while True:
-        steps += commute_sort(w)
-        deleted = _m_sweep(w)
-        steps += deleted
-        if not deleted:
-            return tuple(w), steps
+    return rewrite.reduce_steps(_deletion_at, word)
 
 
 def m_reduce(word) -> Word:
@@ -188,14 +154,7 @@ def m_reduce(word) -> Word:
 
 def m_reduce_random(word, rng) -> tuple:
     """Normalize by uniformly random rule choices; (normal form, steps)."""
-    w = tuple(validate_word(word))
-    steps = 0
-    while True:
-        ms = m_matches(w)
-        if not ms:
-            return w, steps
-        w = m_apply(w, rng.choice(ms))
-        steps += 1
+    return rewrite.reduce_random(m_matches, m_apply, word, rng)
 
 
 def m_equal(u, v) -> bool:
@@ -239,13 +198,6 @@ def _stair_segments(lo: int, hi: int, assign) -> Word:
         y, z = assign[i]
         out.extend(_segment(i, y, z))
     return tuple(out)
-
-
-def _full_span_m(w) -> MStandardMatch:
-    for m in m_matches(w):
-        if m.start == 0 and m.end == len(w):
-            return m
-    raise ValueError(f"not a rule left-hand side: {w}")
 
 
 def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
@@ -332,42 +284,15 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
                     s = ((b - 1,) + tuple(zb)
                          + _stair_segments(b + 1, c, assign) + (c,))
                     out.append(CriticalTriple("j", q, (b - 1, b), s))
-    for t in out:
-        _full_span_m(t.q + t.r)
-        _full_span_m(t.r + t.s)
-    return out
+    return rewrite.checked_triples(m_match_at, out)
 
 
 def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
                        seed: int = 0, reducer=None) -> ConfluenceReport:
     """Join both one-step reducts of every overlap, plus random disjoint pairs."""
-    reduce_fn = m_reduce if reducer is None else reducer
-    failures = []
-    by_family = {}
-    checked = 0
-    for t in m_critical_pairs(n, max_interleave):
-        u = t.q + t.r + t.s
-        qr, rs = t.q + t.r, t.r + t.s
-        v = m_apply(qr, _full_span_m(qr)) + t.s
-        w = t.q + m_apply(rs, _full_span_m(rs))
-        checked += 1
-        by_family[t.family] = by_family.get(t.family, 0) + 1
-        if reduce_fn(v) != reduce_fn(w):
-            failures.append((u, v, w))
-    rng = random.Random(seed)
-    for _ in range(random_words):
-        w0 = random_word(rng, n, 12, 2)
-        ms = m_matches(w0)
-        for x in range(len(ms)):
-            for y in range(x + 1, len(ms)):
-                if ms[x].end <= ms[y].start:
-                    v = m_apply(w0, ms[x])
-                    w = m_apply(w0, ms[y])
-                    checked += 1
-                    by_family["disjoint"] = by_family.get("disjoint", 0) + 1
-                    if reduce_fn(v) != reduce_fn(w):
-                        failures.append((w0, v, w))
-    return ConfluenceReport(checked, failures, by_family)
+    return rewrite.confluence_audit(
+        m_critical_pairs(n, max_interleave), m_match_at, m_matches, m_apply,
+        m_reduce if reducer is None else reducer, n, random_words, seed)
 
 
 # ---------------------------------------------------------------------------

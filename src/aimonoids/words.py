@@ -26,13 +26,12 @@ def validate_word(word, rank: int | None = None) -> Word:
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
-    """Parse a whitespace-separated word; the empty string is the identity."""
-    parts = text.split()
-    try:
-        letters = [int(p) for p in parts]
-    except ValueError:
-        bad = next(p for p in parts if not p.lstrip("-").isdigit())
-        raise ValueError(f"not a letter: {bad!r}") from None
+    """Parse a whitespace-separated word of ASCII numerals; "" is the identity."""
+    letters = []
+    for p in text.split():
+        if not (p.isascii() and p.isdigit()):
+            raise ValueError(f"not a letter: {p!r}")
+        letters.append(int(p))
     return validate_word(letters, rank)
 
 
@@ -49,6 +48,16 @@ def descending_run(a: int, b: int) -> Word:
     if not (a >= b >= 1):
         raise ValueError(f"need a >= b >= 1, got ({a}, {b})")
     return tuple(range(a - 1, b - 1, -1))
+
+
+def nabla(n: int) -> Word:
+    """The Garside word x1 (x2,x1] (x3,x1] ... (x_{n+1},x1], of length n(n+1)/2."""
+    if n < 1:
+        raise ValueError("rank must be positive")
+    out = []
+    for a in range(2, n + 2):
+        out.extend(descending_run(a, 1))
+    return tuple(out)
 
 
 def alternating(a: int, b: int, k: int) -> Word:

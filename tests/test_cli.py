@@ -134,3 +134,13 @@ def test_seed_reproducibility(capsys):
         runs.append(json.loads(out))
     for key in ("params", "checks_run", "failures"):
         assert runs[0][key] == runs[1][key]
+
+
+def test_malformed_letters_exit_2(capsys):
+    for text in ("1 --5", "1 ²", "1_0", "+2", "١"):
+        code, out, err = run(capsys, "reduce", "--system", "A", "--rank", "3",
+                             text)
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run(capsys, "equal", "--system", "M", "--rank", "3",
+                             "1 2", text)
+        assert code == 2 and out == "" and err.startswith("error:")

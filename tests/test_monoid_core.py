@@ -253,3 +253,22 @@ def test_tuple_action_respects_m_congruence():
     act2 = pair_collapse_action(2, 1)
     for t in [(0, 1), (1, 0), (1, 1)]:
         assert tuple_action(act2, (1, 1), t) == tuple_action(act2, (1,), t)
+
+
+def test_oracle_core_semantics_pinned():
+    a2 = ai_presentation(chain_ci_matrix(2))
+    m3 = ci_presentation(chain_ci_matrix(3))
+    assert bfs_equal(a2, (1,), (2,)).status == DISTINCT_WITHIN_BOUND
+    # the closure of 121 is exhausted, but a neighbour was pruned
+    assert bfs_equal(a2, (1, 2, 1), (1, 1), max_len=3).status == INCONCLUSIVE
+    assert bfs_equal(a2, (1, 2, 1), (2, 1, 2, 1, 2, 1), max_len=8,
+                     max_states=2).status == INCONCLUSIVE
+    assert congruence_closure(a2, (1, 2, 1), 3) == (frozenset({(1, 2, 1)}), False)
+    words, complete = congruence_closure(m3, (1, 2, 1), 12, max_states=50)
+    assert len(words) == 50 and not complete
+    rng = random.Random(3)
+    assert [random_rewrite(m3, (1, 2, 3, 2, 1), rng, 4) for _ in range(3)] == [
+        (1, 2, 3, 2, 3, 1, 1, 1, 1),
+        (1, 2, 3, 3, 3, 2, 2, 1, 1),
+        (1, 1, 3, 3, 2, 2, 3, 2, 1),
+    ]

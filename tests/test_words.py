@@ -166,3 +166,9 @@ def test_random_word_respects_bounds():
         w = random_word(rng, 4, 6, min_len=2)
         assert 2 <= len(w) <= 6
         assert all(1 <= x <= 4 for x in w)
+
+
+def test_parse_word_accepts_only_ascii_numerals():
+    for text in ("1 --5", "1 ²", "1_0", "+2", "١"):
+        with pytest.raises(ValueError):
+            parse_word(text)
