@@ -25,8 +25,8 @@ from .cube import (REVERSAL_BUDGET_EXCEEDED, cube_condition_check,
                    cube_presentation, upper_bound_census)
 from .garside import check_lambda_identity, left_cancel_harness, verify_garside
 from .linrep import verify_representation
-from .monoid_core import (EQUAL, chain_ci_matrix, hasse_dot, is_lattice,
-                          left_division_order, load_ci_matrix,
+from .monoid_core import (EQUAL, Report, chain_ci_matrix, hasse_dot,
+                          is_lattice, left_division_order, load_ci_matrix,
                           pair_collapse_action, rank2_monoid,
                           tuple_action_failures)
 from .rewrite_a import a_confluence_audit, a_equal, a_reduce
@@ -35,8 +35,18 @@ from .words import format_word, parse_word
 
 
 def _letters(word) -> str:
-    # the three-generator counterexample is traditionally written in a, b, c
+    # the three-generator counterexample is traditionally written in a, b, c;
+    # a reversal cut off by its step budget has no word
+    if word is None:
+        return "(incomplete)"
     return " ".join("abc"[x - 1] for x in word)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be positive: %s" % text)
+    return value
 
 
 def _cmd_reduce(args) -> int:
@@ -62,48 +72,44 @@ def _family_line(by_family: dict) -> str:
     return "family counts: " + " ".join(parts)
 
 
+# Each adapter calls its harness by the module-global name at call time, so
+# rebinding that name (tracing, tests) takes effect.  It returns the JSON
+# params, the Report and any extra text lines.
+
 def _verify_confluence_a(args):
-    n = 5 if args.rank is None else args.rank
-    samples = 200 if args.samples is None else args.samples
-    rep = a_confluence_audit(n, args.max_exp, samples, args.seed)
-    params = {"rank": n, "max_exponent": args.max_exp,
-              "random_words": samples, "seed": args.seed}
-    return params, rep.pairs_checked, rep.failures, [_family_line(rep.by_family)]
+    rep = a_confluence_audit(args.rank, args.max_exp, args.samples, args.seed)
+    params = {"rank": args.rank, "max_exponent": args.max_exp,
+              "random_words": args.samples, "seed": args.seed}
+    return params, rep, [_family_line(rep.by_family)]
 
 
 def _verify_confluence_m(args):
-    n = 5 if args.rank is None else args.rank
-    samples = 200 if args.samples is None else args.samples
-    rep = m_confluence_audit(n, args.max_interleave, samples, args.seed)
-    params = {"rank": n, "max_interleave": args.max_interleave,
-              "random_words": samples, "seed": args.seed}
-    return params, rep.pairs_checked, rep.failures, [_family_line(rep.by_family)]
+    rep = m_confluence_audit(args.rank, args.max_interleave, args.samples,
+                             args.seed)
+    params = {"rank": args.rank, "max_interleave": args.max_interleave,
+              "random_words": args.samples, "seed": args.seed}
+    return params, rep, [_family_line(rep.by_family)]
 
 
 def _verify_sink(args):
-    n = 3 if args.rank is None else args.rank
-    trials = 500 if args.samples is None else args.samples
-    rep = verify_sink(n, trials, args.seed)
-    params = {"rank": n, "trials": trials, "seed": args.seed}
-    return params, rep.trials, rep.failures, []
+    rep = verify_sink(args.rank, args.samples, args.seed)
+    params = {"rank": args.rank, "trials": args.samples, "seed": args.seed}
+    return params, rep, []
 
 
 def _verify_garside(args):
-    n = 3 if args.rank is None else args.rank
-    samples = 200 if args.samples is None else args.samples
-    first = verify_garside(n, samples, args.seed)
-    second = check_lambda_identity(n, samples, args.seed)
-    params = {"rank": n, "samples": samples, "seed": args.seed}
-    checks = first.checks_run + second.checks_run
-    return params, checks, first.failures + second.failures, []
+    first = verify_garside(args.rank, args.samples, args.seed)
+    second = check_lambda_identity(args.rank, args.samples, args.seed)
+    rep = Report(first.checks_run + second.checks_run,
+                 first.failures + second.failures)
+    params = {"rank": args.rank, "samples": args.samples, "seed": args.seed}
+    return params, rep, []
 
 
 def _verify_cancel(args):
-    n = 3 if args.rank is None else args.rank
-    samples = 1000 if args.samples is None else args.samples
-    rep = left_cancel_harness(n, samples, args.seed)
-    params = {"rank": n, "samples": samples, "seed": args.seed}
-    return params, rep.checks_run, rep.failures, []
+    rep = left_cancel_harness(args.rank, args.samples, args.seed)
+    params = {"rank": args.rank, "samples": args.samples, "seed": args.seed}
+    return params, rep, []
 
 
 def _verify_linrep(args):
@@ -112,11 +118,9 @@ def _verify_linrep(args):
             matrix = load_ci_matrix(handle.read())
         params = {"matrix": args.matrix}
     else:
-        n = 3 if args.rank is None else args.rank
-        matrix = chain_ci_matrix(n)
-        params = {"rank": n}
-    rep = verify_representation(matrix)
-    return params, rep.checks_run, rep.failures, []
+        matrix = chain_ci_matrix(args.rank)
+        params = {"rank": args.rank}
+    return params, verify_representation(matrix), []
 
 
 def _verify_cube(args):
@@ -136,7 +140,7 @@ def _verify_cube(args):
         "census classes: %d and %d words within length %d" % (
             len(census.first_class), len(census.second_class), census.max_len),
     ]
-    return params, 1 + census.checks_run, failures, lines
+    return params, Report(1 + census.checks_run, failures), lines
 
 
 def _verify_rank2(args):
@@ -155,44 +159,47 @@ def _verify_rank2(args):
         with open(args.dot, "w") as handle:
             handle.write(hasse_dot(order, monoid))
         lines.append("DOT written to %s" % args.dot)
-    params = {"k": args.k, "l": args.l}
-    return params, 2, failures, lines
+    return {"k": args.k, "l": args.l}, Report(2, failures), lines
 
 
 def _verify_action(args):
-    n = 3 if args.rank is None else args.rank
-    act = pair_collapse_action(args.carrier, n)
-    failures = tuple_action_failures(act)
+    act = pair_collapse_action(args.carrier, args.rank)
     # one idempotence check per pair, two braid comparisons per triple
     checks = args.carrier ** 2 + 2 * args.carrier ** 3
-    params = {"rank": n, "carrier": args.carrier}
-    return params, checks, failures, []
+    rep = Report(checks, tuple_action_failures(act))
+    return {"rank": args.rank, "carrier": args.carrier}, rep, []
 
 
+#: harness name -> (adapter, default --rank, default --samples)
 _HARNESSES = {
-    "confluence-a": _verify_confluence_a,
-    "confluence-m": _verify_confluence_m,
-    "sink": _verify_sink,
-    "garside": _verify_garside,
-    "cancel": _verify_cancel,
-    "linrep": _verify_linrep,
-    "cube": _verify_cube,
-    "rank2": _verify_rank2,
-    "action": _verify_action,
+    "confluence-a": (_verify_confluence_a, 5, 200),
+    "confluence-m": (_verify_confluence_m, 5, 200),
+    "sink": (_verify_sink, 3, 500),
+    "garside": (_verify_garside, 3, 200),
+    "cancel": (_verify_cancel, 3, 1000),
+    "linrep": (_verify_linrep, 3, None),
+    "cube": (_verify_cube, None, None),
+    "rank2": (_verify_rank2, None, None),
+    "action": (_verify_action, 3, None),
 }
 
 
 def _cmd_verify(args) -> int:
+    adapter, rank, samples = _HARNESSES[args.harness]
+    if args.rank is None:
+        args.rank = rank
+    if args.samples is None:
+        args.samples = samples
     start = time.monotonic()
-    params, checks_run, failures, lines = _HARNESSES[args.harness](args)
+    params, rep, lines = adapter(args)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     command = "verify %s" % args.harness
     if args.json:
         print(json.dumps({
             "command": command,
             "params": params,
-            "checks_run": checks_run,
-            "failures": list(failures),
+            "checks_run": rep.checks_run,
+            "failures": list(rep.failures),
             "elapsed_ms": elapsed_ms,
         }))
     else:
@@ -200,12 +207,12 @@ def _cmd_verify(args) -> int:
             command, " ".join("%s=%s" % kv for kv in sorted(params.items()))))
         for line in lines:
             print(line)
-        print("checks run: %d" % checks_run)
-        print("failures: %d" % len(failures))
-        for failure in list(failures)[:10]:
+        print("checks run: %d" % rep.checks_run)
+        print("failures: %d" % len(rep.failures))
+        for failure in list(rep.failures)[:10]:
             print("  %s" % (failure,))
         print("elapsed: %d ms" % elapsed_ms)
-    return 0 if not failures else 1
+    return 0 if rep.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,22 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     reduce_p = sub.add_parser("reduce", help="print the normal form of a word")
     reduce_p.add_argument("--system", choices=("A", "M"), required=True)
-    reduce_p.add_argument("--rank", type=int, required=True)
+    reduce_p.add_argument("--rank", type=_positive, required=True)
     reduce_p.add_argument("word", help="word text, letters separated by spaces")
     reduce_p.set_defaults(func=_cmd_reduce)
 
     equal_p = sub.add_parser("equal", help="decide whether two words are equal")
     equal_p.add_argument("--system", choices=("A", "M"), required=True)
-    equal_p.add_argument("--rank", type=int, required=True)
+    equal_p.add_argument("--rank", type=_positive, required=True)
     equal_p.add_argument("u")
     equal_p.add_argument("v")
     equal_p.set_defaults(func=_cmd_equal)
 
     verify_p = sub.add_parser("verify", help="run a verification harness")
     verify_p.add_argument("harness", choices=sorted(_HARNESSES))
-    verify_p.add_argument("--rank", type=int, default=None,
+    verify_p.add_argument("--rank", type=_positive, default=None,
                           help="letter cap (default depends on the harness)")
-    verify_p.add_argument("--samples", type=int, default=None,
+    verify_p.add_argument("--samples", type=_positive, default=None,
                           help="random sample count (default per harness)")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--max-exp", type=int, default=2,
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cube: reversing step budget")
     verify_p.add_argument("--max-len", type=int, default=9,
                           help="cube: census length bound")
-    verify_p.add_argument("--carrier", type=int, default=4,
+    verify_p.add_argument("--carrier", type=_positive, default=4,
                           help="action: carrier set size")
     verify_p.add_argument("--json", action="store_true",
                           help="print the report as one JSON object")

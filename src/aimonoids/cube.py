@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid_core import Presentation, bfs_equal, congruence_closure
+from .monoid_core import Presentation, Report, bfs_equal, congruence_closure
 
 COMPLETE = "complete"
 STEP_BUDGET_EXCEEDED = "step-budget-exceeded"
@@ -169,23 +169,10 @@ def cube_condition_check(p: Presentation, x: int, y: int, z: int,
                       verdict.status, verdict.witness)
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    max_len: int
-    first_class: frozenset
-    second_class: frozenset
-    checks_run: int
-    failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def upper_bound_census(p: Presentation,
                        targets=((2, 3, 2), (3, 1, 2, 3, 2, 1, 2)),
                        max_len: int = 9,
-                       max_states: int = 10**6) -> CensusReport:
+                       max_states: int = 10**6) -> Report:
     """Enumerate two upper-bound classes of {[b], [c]} and check their shapes.
 
     The defaults are the words b c b and c a b c b a b.  Within the length
@@ -193,7 +180,8 @@ def upper_bound_census(p: Presentation,
     the second class may start with b c b (so the second element does not
     sit above the first), and the classes must be disjoint.  This is the
     bounded content of the no-join argument; the classes are infinite, so
-    the closures are deliberately truncated at max_len.
+    the closures are deliberately truncated at max_len.  The report's
+    details are `max_len`, `first_class` and `second_class`.
     """
     if len(targets) != 2:
         raise ValueError("census expects exactly two target words")
@@ -220,5 +208,6 @@ def upper_bound_census(p: Presentation,
     checks += 1
     for w in sorted(first_class & second_class):
         failures.append(("overlap", w))
-    return CensusReport(max_len, first_class, second_class, checks,
-                        tuple(failures))
+    return Report(checks, failures, {"max_len": max_len,
+                                     "first_class": first_class,
+                                     "second_class": second_class})

@@ -70,12 +70,7 @@ def check_lambda_identity(n: int, samples: int = 100, seed: int = 0) -> Report:
         checks += 1
         if not a_equal(lambda_n(x, n), lambda_n(u, n)):
             failures.append(("well-defined", x, u))
-    return Report(
-        name="lambda-identity",
-        params={"n": n, "samples": samples, "seed": seed},
-        checks_run=checks,
-        failures=failures,
-    )
+    return Report(checks, failures)
 
 
 def garside_cofactor(x, n: int) -> tuple:
@@ -112,12 +107,7 @@ def verify_garside(n: int, samples: int = 200, seed: int = 0) -> Report:
         checks += 1
         if not a_equal(x + nab, nab + lambda_n(x, n)):
             failures.append(("endomorphism", x))
-    return Report(
-        name="garside-element",
-        params={"n": n, "samples": samples, "seed": seed},
-        checks_run=checks,
-        failures=failures,
-    )
+    return Report(checks, failures)
 
 
 def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
@@ -127,6 +117,8 @@ def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
     Equal pairs double as a congruence sanity check (x y = x z must hold
     when y = z).
     """
+    if n < 1:
+        raise ValueError("rank must be positive")
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
@@ -139,10 +131,4 @@ def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
         same = a_equal(y, z)
         if a_equal(x + y, x + z) != same:
             failures.append((x, y, z, same))
-    return Report(
-        name="left-cancellativity",
-        params={"n": n, "samples": samples, "seed": seed,
-                "max_word_len": max_word_len},
-        checks_run=samples,
-        failures=failures,
-    )
+    return Report(samples, failures)

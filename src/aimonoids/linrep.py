@@ -143,10 +143,6 @@ def alternating_coeff(a: int, b: int, k: int, matrix: CIMatrix) -> dict:
 # the module and the action
 
 
-def vec_zero() -> dict:
-    return {}
-
-
 def basis_vector(s: int) -> dict:
     return {s: ring_one()}
 
@@ -303,12 +299,7 @@ def verify_representation(matrix: CIMatrix) -> Report:
                 checks += 1
                 if not check_mixed_difference(matrix, a, b, c, n):
                     failures.append(("mixed-difference", a, b, c, n))
-    return Report(
-        name="linear-representation",
-        params={"size": matrix.size},
-        checks_run=checks,
-        failures=failures,
-    )
+    return Report(checks, failures)
 
 
 def random_ci_matrix(rng: random.Random, max_size: int = 3,

@@ -296,16 +296,27 @@ def random_rewrite(p: Presentation, word, rng, steps: int,
 
 @dataclass
 class Report:
-    """Outcome of a verification harness: what ran and what failed."""
+    """Outcome of a verification harness: what ran and what failed.
 
-    name: str
-    params: dict
+    Harness-specific results go in `details`; each entry can also be read
+    as an attribute (`rep.by_family` for `rep.details["by_family"]`).
+    """
+
     checks_run: int
     failures: list = field(default_factory=list)
+    details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def __getattr__(self, name):
+        # through __dict__: copy and pickle probe attributes before
+        # `details` is restored
+        try:
+            return self.__dict__["details"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +479,7 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
                             max_len=len(u) + len(v) + 8, max_states=200_000)
         if verdict.status != EQUAL:
             failures.append((u, v, verdict.status))
-    return Report(
-        name="reversal-respects-congruence",
-        params={"size": matrix.size, "samples": samples, "seed": seed},
-        checks_run=samples,
-        failures=failures,
-    )
+    return Report(samples, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .monoid_core import Report
 from .words import Word, commute_sort, random_word, validate_word
 
 COMMUTATION = "commutation"
@@ -112,17 +113,6 @@ class CriticalTriple:
     s: Word
 
 
-@dataclass
-class ConfluenceReport:
-    pairs_checked: int
-    failures: list  # (overlap word, left reduct, right reduct)
-    by_family: dict
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def full_span(match_at, w):
     """The occurrence covering all of w (the only one that can start at 0)."""
     m = match_at(w, 0)
@@ -140,8 +130,12 @@ def checked_triples(match_at, triples: list) -> list:
 
 
 def confluence_audit(triples, match_at, matches_fn, apply_fn, reduce_fn,
-                     n: int, random_words: int, seed: int) -> ConfluenceReport:
-    """Join both one-step reducts of every overlap, plus random disjoint pairs."""
+                     n: int, random_words: int, seed: int) -> Report:
+    """Join both one-step reducts of every overlap, plus random disjoint pairs.
+
+    Failures are (overlap word, left reduct, right reduct); the details are
+    `pairs_checked` and the per-family counts `by_family`.
+    """
     failures = []
     by_family = {}
     checked = 0
@@ -166,4 +160,5 @@ def confluence_audit(triples, match_at, matches_fn, apply_fn, reduce_fn,
                     by_family["disjoint"] = by_family.get("disjoint", 0) + 1
                     if reduce_fn(v) != reduce_fn(w):
                         failures.append((w0, v, w))
-    return ConfluenceReport(checked, failures, by_family)
+    return Report(checked, failures,
+                  {"pairs_checked": checked, "by_family": by_family})

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import rewrite
-from .rewrite import COMMUTATION, ConfluenceReport, CriticalTriple
+from .monoid_core import Report
+from .rewrite import COMMUTATION, CriticalTriple
 from .words import Word, descending_run
 
 FAMILY = "family"
@@ -195,7 +196,7 @@ def a_critical_pairs(n: int, max_exponent: int = 2) -> list:
 
 
 def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
-                       seed: int = 0, reducer=None) -> ConfluenceReport:
+                       seed: int = 0, reducer=None) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
     `reducer` defaults to a_reduce; tests inject a crippled one as a negative

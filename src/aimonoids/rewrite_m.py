@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import rewrite
-from .rewrite import COMMUTATION, ConfluenceReport, CriticalTriple
+from .monoid_core import Report
+from .rewrite import COMMUTATION, CriticalTriple
 from .words import Word, descending_run, nabla, random_word
 
 SQUARE_RUN = "square-run"
@@ -288,7 +289,7 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
 
 
 def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
-                       seed: int = 0, reducer=None) -> ConfluenceReport:
+                       seed: int = 0, reducer=None) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs."""
     return rewrite.confluence_audit(
         m_critical_pairs(n, max_interleave), m_match_at, m_matches, m_apply,
@@ -299,18 +300,12 @@ def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
 # global structure witnesses
 
 
-@dataclass
-class SinkReport:
-    n: int
-    trials: int
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+def SinkReport(n: int, trials: int, failures: list) -> Report:
+    """The sink harness's report: one check per trial, details n and trials."""
+    return Report(trials, failures, {"n": n, "trials": trials})
 
 
-def verify_sink(n: int, trials: int = 500, seed: int = 0) -> SinkReport:
+def verify_sink(n: int, trials: int = 500, seed: int = 0) -> Report:
     """The image of the Garside word absorbs everything: x nabla y = nabla.
 
     Checks the one-sided generator identities exactly, then random two-sided

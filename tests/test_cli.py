@@ -1,4 +1,5 @@
 import json
+import re
 
 from aimonoids import cli
 from aimonoids.rewrite_m import SinkReport
@@ -144,3 +145,68 @@ def test_malformed_letters_exit_2(capsys):
         code, out, err = run(capsys, "equal", "--system", "M", "--rank", "3",
                              "1 2", text)
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_nonpositive_counts_exit_2(capsys):
+    for argv in (["verify", "sink", "--samples", "-2", "--json"],
+                 ["verify", "action", "--carrier", "0"],
+                 ["verify", "garside", "--samples", "-3"],
+                 ["verify", "cancel", "--rank", "0"],
+                 ["reduce", "--system", "A", "--rank", "0", "1"],
+                 ["equal", "--system", "M", "--rank", "-1", "1", "1"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+
+
+def test_verify_cube_budget_exceeded(capsys):
+    for budget in ("1", "2", "3", "4", "5"):
+        code, out, err = run(capsys, "verify", "cube", "--budget", budget)
+        assert code == 1 and err == ""
+        assert "verdict: reversal-budget-exceeded\n" in out
+        code, out, err = run(capsys, "verify", "cube", "--budget", budget,
+                             "--json")
+        rep = json.loads(out)
+        assert code == 1 and err == ""
+        assert rep["failures"] == [["reversal-budget-exceeded"]]
+        assert rep["checks_run"] == 66
+
+
+def _without_elapsed(out):
+    return re.sub(r"elapsed: \d+ ms|\"elapsed_ms\": \d+", "elapsed", out)
+
+
+def test_verify_output_pinned(capsys):
+    pinned = [
+        (("confluence-a", "--rank", "4", "--samples", "30"),
+         "verify confluence-a: max_exponent=2 random_words=30 rank=4 seed=0\n"
+         "family counts: a=204 b=4 c=4 disjoint=12\n"
+         "checks run: 224\nfailures: 0\nelapsed\n",
+         '{"command": "verify confluence-a", "params": {"rank": 4, '
+         '"max_exponent": 2, "random_words": 30, "seed": 0}, '
+         '"checks_run": 224, "failures": [], elapsed}\n'),
+        (("confluence-m", "--rank", "4", "--samples", "30"),
+         "verify confluence-m: max_interleave=1 random_words=30 rank=4 seed=0\n"
+         "family counts: b=4 c=4 d=118 disjoint=82 e=118 f=35 g=258 h=258 "
+         "i=96 j=166\n"
+         "checks run: 1139\nfailures: 0\nelapsed\n",
+         '{"command": "verify confluence-m", "params": {"rank": 4, '
+         '"max_interleave": 1, "random_words": 30, "seed": 0}, '
+         '"checks_run": 1139, "failures": [], elapsed}\n'),
+        (("sink",),
+         "verify sink: rank=3 seed=0 trials=500\n"
+         "checks run: 500\nfailures: 0\nelapsed\n",
+         '{"command": "verify sink", "params": {"rank": 3, "trials": 500, '
+         '"seed": 0}, "checks_run": 500, "failures": [], elapsed}\n'),
+        (("action",),
+         "verify action: carrier=4 rank=3\n"
+         "checks run: 144\nfailures: 0\nelapsed\n",
+         '{"command": "verify action", "params": {"rank": 3, "carrier": 4}, '
+         '"checks_run": 144, "failures": [], elapsed}\n'),
+    ]
+    for argv, text, as_json in pinned:
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and _without_elapsed(out) == text
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code == 0 and _without_elapsed(out) == as_json

@@ -146,3 +146,9 @@ def test_left_cancel_harness():
     assert rep.ok and rep.checks_run >= 500
     assert a_equal((1, 2, 1), (2, 1, 2, 1))
     assert a_equal((2, 1, 2, 1), (2, 2, 1, 2, 1))
+
+
+def test_left_cancel_rejects_nonpositive_rank():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            left_cancel_harness(n)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    hasse_dot, is_lattice, left_division_order,
                                    load_ci_matrix, make_ci_matrix,
                                    one_step_related, pair_collapse_action,
+                                   Report,
                                    random_rewrite, rank2_monoid,
                                    reversal_respects_congruence, TupleAction,
                                    tuple_action, tuple_action_failures,
@@ -272,3 +275,37 @@ def test_oracle_core_semantics_pinned():
         (1, 2, 3, 3, 3, 2, 2, 1, 1),
         (1, 1, 3, 3, 2, 2, 3, 2, 1),
     ]
+
+
+def test_report_details_survive_copy_and_pickle():
+    rep = Report(3, [("x",)], {"by_family": {"a": 2}, "n": 4})
+    assert rep.by_family == {"a": 2} and rep.n == 4 and not rep.ok
+    assert not hasattr(rep, "missing")
+    for clone in (copy.copy(rep), copy.deepcopy(rep),
+                  pickle.loads(pickle.dumps(rep))):
+        assert clone == rep and clone.by_family == {"a": 2}
+        assert not hasattr(clone, "missing")
+    assert Report(1).ok and Report(1).details == {}
+
+
+def test_harnesses_return_one_report_type():
+    from aimonoids.cube import cube_presentation, upper_bound_census
+    from aimonoids.garside import (check_lambda_identity, left_cancel_harness,
+                                   verify_garside)
+    from aimonoids.linrep import verify_representation
+    from aimonoids.rewrite_a import a_confluence_audit
+    from aimonoids.rewrite_m import SinkReport, m_confluence_audit, verify_sink
+
+    reports = [
+        a_confluence_audit(3, random_words=5),
+        m_confluence_audit(3, random_words=5),
+        verify_sink(2, 5),
+        SinkReport(n=1, trials=1, failures=[]),
+        upper_bound_census(cube_presentation(), max_len=7),
+        verify_garside(2, 5),
+        check_lambda_identity(2, 5),
+        left_cancel_harness(2, 5),
+        verify_representation(chain_ci_matrix(2)),
+        reversal_respects_congruence(chain_ci_matrix(2), samples=5),
+    ]
+    assert all(type(rep) is Report and rep.ok for rep in reports)
