@@ -8,7 +8,8 @@ Three commands:
 
 where <harness> is one of confluence-a, confluence-m, sink, garside,
 cancel, linrep, cube, rank2, action.  Exit codes: 0 for pass or "equal",
-1 for a property failure or "distinct", 2 for usage and parse errors.
+1 for a property failure or "distinct", 2 for usage and parse errors and
+for a harness that ran no checks.
 `--json` prints a verification report as a single object with the fields
 command, params, checks_run, failures and elapsed_ms; `--seed` makes the
 randomized harnesses reproducible.
@@ -114,7 +115,7 @@ def _verify_cancel(args):
 
 def _verify_linrep(args):
     if args.matrix is not None:
-        with open(args.matrix) as handle:
+        with open(args.matrix, encoding="utf-8") as handle:
             matrix = load_ci_matrix(handle.read())
         params = {"matrix": args.matrix}
     else:
@@ -194,6 +195,9 @@ def _cmd_verify(args) -> int:
     params, rep, lines = adapter(args)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     command = "verify %s" % args.harness
+    if rep.checks_run == 0:
+        raise ValueError("%s ran no checks, so it shows nothing; "
+                         "try a larger --rank or --samples" % command)
     if args.json:
         print(json.dumps({
             "command": command,

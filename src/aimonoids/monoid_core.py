@@ -18,7 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .words import Word, alternating, validate_word
+from .words import Word, alternating, is_numeral, validate_word
 
 INFINITY = math.inf
 
@@ -88,19 +88,21 @@ def validate_ci(matrix: CIMatrix) -> bool:
 def load_ci_matrix(text: str) -> CIMatrix:
     """Parse the matrix file format: a "rank N" line, then "a b m" lines.
 
-    m is an integer or the token "inf"; pairs not listed default to 2.
+    N, a, b and m are ASCII numerals, m may also be the token "inf"; pairs
+    not listed default to 2.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("rank"):
+    if not lines or lines[0].split()[0] != "rank":
         raise ValueError('matrix file must start with a "rank N" line')
-    try:
-        size = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ValueError(f"bad rank line: {lines[0]!r}") from None
+    head = lines[0].split()
+    if len(head) < 2 or not is_numeral(head[1]):
+        raise ValueError(f"bad rank line: {lines[0]!r}")
+    size = int(head[1])
     entries = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 3:
+        if len(parts) != 3 or not (is_numeral(parts[0]) and is_numeral(parts[1])
+                                   and (parts[2] == "inf" or is_numeral(parts[2]))):
             raise ValueError(f"bad matrix line: {ln!r}")
         a, b = int(parts[0]), int(parts[1])
         val = INFINITY if parts[2] == "inf" else int(parts[2])

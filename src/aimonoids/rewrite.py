@@ -3,8 +3,9 @@
 In both systems at most one rule occurrence starts at each position; rules
 are the commutation ``x_a x_b -> x_b x_a`` (a - b >= 2) and deletions, each
 removing the span ``match.deleted``.  Every function takes the system's own
-functions (matcher, apply, reducer) as arguments; rewrite_a and rewrite_m
-pass their module functions on every call, so rebinding one is seen here.
+functions (matcher, deletion scan, apply, reducer) as arguments; rewrite_a
+and rewrite_m pass their module functions on every call, so rebinding one
+is seen here.
 """
 
 from __future__ import annotations
@@ -51,19 +52,22 @@ def step(match_at, apply_fn, w) -> Word | None:
     return None
 
 
-def sweep(deletion_at, w: list) -> int:
+def sweep(scan, w: list) -> int:
     """Greedy left-to-right deletions in place; returns the count.
 
-    A clean sweep on a word with no commutation occurrences certifies the
-    normal form.  Deletions may uncover occurrences to the left; those are
-    picked up by the next round of reduce_steps.
+    scan(w, i) returns the deletion starting at i or, when there is none,
+    the next position where one can start; every position skipped provably
+    starts none, so the sweep deletes exactly what a scan at every position
+    would.  A clean sweep on a word with no commutation occurrences
+    certifies the normal form.  Deletions may uncover occurrences to the
+    left; those are picked up by the next round of reduce_steps.
     """
     applied = 0
     i = 0
     while i < len(w):
-        m = deletion_at(w, i)
-        if m is None:
-            i += 1
+        m = scan(w, i)
+        if m.__class__ is int:
+            i = m
         else:
             lo, hi = m.deleted
             del w[lo:hi]
@@ -71,13 +75,13 @@ def sweep(deletion_at, w: list) -> int:
     return applied
 
 
-def reduce_steps(deletion_at, word) -> tuple:
+def reduce_steps(scan, word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
     w = list(validate_word(word))
     steps = 0
     while True:
         steps += commute_sort(w)
-        deleted = sweep(deletion_at, w)
+        deleted = sweep(scan, w)
         steps += deleted
         if not deleted:
             return tuple(w), steps

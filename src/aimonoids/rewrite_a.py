@@ -58,11 +58,22 @@ class AStandardMatch:
         return self.start, self.start + self.exponents[0]
 
 
-def _family_match_at(w, i):
+def _family_scan(w, i):
+    """The family occurrence starting at i, else the next start that may have one.
+
+    A failed scan has read the block chain x_h^{c(1)} ... x_cur^{c(k)} up to
+    position j.  A later start inside the chain reads the rest of the same
+    chain and the same w[j], so it can match only if w[j] is its own first
+    letter and it reads two blocks or more: only in the block of letter
+    w[j], and only when cur < w[j] < h; the block's first position is the
+    leftmost such start.  Otherwise nothing starts before j.
+    """
     n = len(w)
     h = w[i]
-    if h < 2 or i + 4 > n:  # shortest instance is x_{a-1} x_{a-2} x_{a-1} x_{a-2}
-        return None
+    if h < 2:
+        return i + 1
+    if i + 4 > n:  # shortest instance is x_{a-1} x_{a-2} x_{a-1} x_{a-2}
+        return n
     exps = []
     cur = h
     j = i
@@ -73,20 +84,29 @@ def _family_match_at(w, i):
             j += 1
         exps.append(c)
         if j >= n:
-            return None
+            return n
         v = w[j]
         if v == cur - 1 and cur >= 2:
             cur -= 1
             continue
-        if v == h and len(exps) >= 2:
-            run_len = h - cur + 1
-            if j + run_len > n:
-                return None
+        break
+    if v == h and len(exps) >= 2:
+        run_len = h - cur + 1
+        if j + run_len <= n:
             for t in range(run_len):
                 if w[j + t] != h - t:
-                    return None
-            return AStandardMatch(FAMILY, i, j + run_len, h + 1, run_len, tuple(exps))
-        return None
+                    break
+            else:
+                return AStandardMatch(FAMILY, i, j + run_len, h + 1, run_len, tuple(exps))
+    if cur < v < h:
+        return i + sum(exps[:h - v])
+    return j
+
+
+def _family_match_at(w, i):
+    """The family occurrence starting at position i, if any."""
+    m = _family_scan(w, i)
+    return None if m.__class__ is int else m
 
 
 def a_match_at(w, i) -> AStandardMatch | None:
@@ -112,7 +132,7 @@ def a_step(w) -> Word | None:
 
 def a_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    return rewrite.reduce_steps(_family_match_at, word)
+    return rewrite.reduce_steps(_family_scan, word)
 
 
 def a_reduce(word) -> Word:

@@ -65,18 +65,29 @@ class MStandardMatch:
         return self.end - 1, self.end
 
 
-def _square_run_at(w, i):
+def _square_run_scan(w, i):
+    """The square run starting at i, else the next start that may have one.
+
+    A later start p inside the descending run w[i:j] reads the suffix
+    w[p:j] of the same run and must find it again at j, so w[p] must equal
+    w[j]; the last run letter w[j-1] can also begin a staircase.  A run
+    that reaches the end of the word leaves nothing to match.
+    """
     n = len(w)
     run = 1
     while i + run < n and w[i + run] == w[i] - run:
         run += 1
     j = i + run
-    if j + run > n or w[i] - run < 0:
-        return None
-    for t in range(run):
-        if w[j + t] != w[i] - t:
-            return None
-    return MStandardMatch(SQUARE_RUN, i, j + run, w[i] + 1, w[i] + 1 - run)
+    if j >= n:
+        return n
+    if j + run <= n and w[i] - run >= 0:
+        for t in range(run):
+            if w[j + t] != w[i] - t:
+                break
+        else:
+            return MStandardMatch(SQUARE_RUN, i, j + run, w[i] + 1, w[i] + 1 - run)
+    p = i + w[i] - w[j]
+    return p if i < p < j - 1 else j - 1
 
 
 def _staircase_at(w, i):
@@ -110,16 +121,24 @@ def _staircase_at(w, i):
         return None
 
 
-def _deletion_at(w, i):
-    """The square run or staircase starting at position i, if any."""
+def _deletion_scan(w, i):
+    """The square run or staircase starting at i, else the next start that may
+    have one (i + 1 after a failed staircase)."""
     if i + 1 >= len(w):
-        return None
+        return len(w)
     d = w[i + 1] - w[i]
     if d >= 1:
-        return _staircase_at(w, i)
+        m = _staircase_at(w, i)
+        return i + 1 if m is None else m
     if d >= -1:
-        return _square_run_at(w, i)
-    return None
+        return _square_run_scan(w, i)
+    return i + 1
+
+
+def _deletion_at(w, i):
+    """The square run or staircase starting at position i, if any."""
+    m = _deletion_scan(w, i)
+    return None if m.__class__ is int else m
 
 
 def m_match_at(w, i) -> MStandardMatch | None:
@@ -145,7 +164,7 @@ def m_step(w) -> Word | None:
 
 def m_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    return rewrite.reduce_steps(_deletion_at, word)
+    return rewrite.reduce_steps(_deletion_scan, word)
 
 
 def m_reduce(word) -> Word:

@@ -25,11 +25,16 @@ def validate_word(word, rank: int | None = None) -> Word:
     return w
 
 
+def is_numeral(token: str) -> bool:
+    """Whether the token is an ASCII numeral: digits 0-9 only, no sign or "_"."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_word(text: str, rank: int | None = None) -> Word:
     """Parse a whitespace-separated word of ASCII numerals; "" is the identity."""
     letters = []
     for p in text.split():
-        if not (p.isascii() and p.isdigit()):
+        if not is_numeral(p):
             raise ValueError(f"not a letter: {p!r}")
         letters.append(int(p))
     return validate_word(letters, rank)

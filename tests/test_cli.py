@@ -119,6 +119,36 @@ def test_verify_linrep_matrix_file(capsys, tmp_path):
     assert json.loads(out)["failures"] == []
 
 
+def test_verify_linrep_matrix_non_ascii_label_exit_2(capsys, tmp_path):
+    path = tmp_path / "m.ci"
+    for label in ("\u0664", "0_4"):
+        path.write_text("rank 2\n1 2 3\n2 1 %s\n" % label, encoding="utf-8")
+        code, out, err = run(capsys, "verify", "linrep", "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: bad matrix line: %r\n" % ("2 1 " + label)
+
+
+def test_verify_linrep_matrix_bad_label_names_line(capsys, tmp_path):
+    path = tmp_path / "m.ci"
+    path.write_text("rank 2\n1 2 x\n")
+    code, out, err = run(capsys, "verify", "linrep", "--matrix", str(path),
+                         "--json")
+    assert code == 2 and out == ""
+    assert err == "error: bad matrix line: '1 2 x'\n"
+
+
+def test_verify_without_checks_exits_2(capsys):
+    for mode in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", "confluence-a", "--rank", "1",
+                             *mode)
+        assert code == 2 and out == ""
+        assert err.startswith("error: verify confluence-a ran no checks")
+    code, out, err = run(capsys, "verify", "confluence-a", "--rank", "2",
+                         "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["checks_run"] > 0
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     broken = SinkReport(n=1, trials=1, failures=[((1,), (2,))])
     monkeypatch.setattr(cli, "verify_sink", lambda *a, **k: broken)

@@ -1,20 +1,27 @@
-"""Seeded differential tests at ranks 4-6.
+"""Seeded differential tests.
 
 The fast normalizers (commutation sort plus deletion sweeps) must give
 exactly what the slow reference gives, iterated leftmost single steps, and
-what uniformly random rule choices give.  Words are drawn letter by letter
-and as concatenated descending runs, which exercise the long rule shapes.
+what uniformly random rule choices give (ranks 4-6).  The skip-ahead sweep
+must take exactly the steps and rounds of a sweep that scans every
+position (ranks 4-20 and the descending-run words up to length 400).
+Words are drawn letter by letter and as concatenated descending runs,
+which exercise the long rule shapes.
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimonoids.rewrite_a import a_reduce, a_reduce_random, a_reduce_steps, a_step
-from aimonoids.rewrite_m import m_reduce, m_reduce_random, m_reduce_steps, m_step
-from aimonoids.words import descending_run
+from aimonoids import rewrite
+from aimonoids.rewrite_a import (_family_match_at, a_reduce, a_reduce_random,
+                                 a_reduce_steps, a_step)
+from aimonoids.rewrite_m import (_deletion_at, m_reduce, m_reduce_random,
+                                 m_reduce_steps, m_step)
+from aimonoids.words import commute_sort, descending_run
 
 SYSTEMS = {
     "A": (a_reduce, a_reduce_steps, a_reduce_random, a_step),
@@ -55,3 +62,86 @@ def test_fast_normalizer_matches_references(system, case, seed):
     nf_steps, steps = reduce_steps(w)
     assert nf_steps == nf
     assert steps <= budget
+
+
+# ---------------------------------------------------------------------------
+# the skip-ahead deletion sweep against a scan at every position
+
+
+def descending_word(length, period=50):
+    """The adversarial descending-run word ((L - i) mod period) + 1, i < L."""
+    return tuple((length - i) % period + 1 for i in range(length))
+
+
+def per_position_reduce(deletion_at, word):
+    """(normal form, steps, rounds) of commute_sort plus a deletion sweep that
+    tries the matcher at every position, one round per commute_sort call."""
+    w = list(word)
+    steps = rounds = 0
+    while True:
+        rounds += 1
+        steps += commute_sort(w)
+        deleted = 0
+        i = 0
+        while i < len(w):
+            m = deletion_at(w, i)
+            if m is None:
+                i += 1
+            else:
+                lo, hi = m.deleted
+                del w[lo:hi]
+                deleted += 1
+        steps += deleted
+        if not deleted:
+            return tuple(w), steps, rounds
+
+
+def counted_reduce(reduce_steps, word):
+    """(normal form, steps, rounds), counting the driver's commute_sort calls."""
+    calls = []
+
+    def counting(w):
+        calls.append(None)
+        return commute_sort(w)
+
+    with mock.patch.object(rewrite, "commute_sort", counting):
+        nf, steps = reduce_steps(word)
+    return nf, steps, len(calls)
+
+
+SWEEP_SYSTEMS = {
+    "A": (a_reduce_steps, _family_match_at),
+    "M": (m_reduce_steps, _deletion_at),
+}
+
+
+@st.composite
+def sweep_words(draw):
+    n = draw(st.integers(4, 20))
+    letters = st.lists(st.integers(1, n), max_size=80).map(tuple)
+    runs = st.lists(st.tuples(st.integers(1, n + 1), st.integers(1, n + 1),
+                              st.integers(1, 3)),
+                    max_size=12).map(
+        lambda parts: sum((descending_run(max(a, b), min(a, b)) * k
+                           for a, b, k in parts), ()))
+    descending = st.builds(descending_word, st.integers(0, 400),
+                           st.sampled_from([n, 49, 50]))
+    return draw(st.one_of(letters, runs, descending))
+
+
+@pytest.mark.parametrize("system", sorted(SWEEP_SYSTEMS))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(w=sweep_words())
+@example(w=descending_word(400))
+@example(w=descending_word(397, 49))
+def test_skip_ahead_sweep_matches_per_position_sweep(system, w):
+    reduce_steps, deletion_at = SWEEP_SYSTEMS[system]
+    assert counted_reduce(reduce_steps, w) == per_position_reduce(deletion_at, w)
+
+
+@pytest.mark.parametrize("system", sorted(SWEEP_SYSTEMS))
+def test_descending_word_rounds_pinned(system):
+    reduce_steps, _ = SWEEP_SYSTEMS[system]
+    rounds = {length: counted_reduce(reduce_steps, descending_word(length))[2]
+              for length in (200, 400, 800)}
+    assert rounds == {200: 3, 400: 7, 800: 15}

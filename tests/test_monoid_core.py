@@ -105,6 +105,19 @@ def test_load_ci_matrix_rejects_garbage():
         load_ci_matrix("rank 2\n1 2 bananas\n")
 
 
+def test_load_ci_matrix_accepts_only_ascii_numerals():
+    for bad in ("rank 2\n1 2 3\n2 1 \u0664\n", "rank 2\n1 2 3\n2 1 0_4\n",
+                "rank 2\n1 2 x\n", "rank 2\n\u0661 2 3\n2 1 4\n",
+                "rank 2\n1 +2 3\n2 1 4\n", "rank \u0662\n1 2 3\n2 1 4\n"):
+        with pytest.raises(ValueError, match="^bad (matrix|rank) line: "):
+            load_ci_matrix(bad)
+    with pytest.raises(ValueError, match="^bad matrix line: '1 2 x'$"):
+        load_ci_matrix("rank 2\n1 2 x\n")
+    with pytest.raises(ValueError, match='must start with a "rank N" line'):
+        load_ci_matrix("ranks 2\n1 2 3\n2 1 4\n")
+    assert load_ci_matrix("rank 2\n1 2 inf\n2 1 inf\n").m[(1, 2)] == INFINITY
+
+
 def test_rank2_monoid_sizes():
     assert len(rank2_monoid(3, 4).elements) == 7
     assert len(rank2_monoid(2, 2).elements) == 4
