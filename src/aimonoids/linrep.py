@@ -22,12 +22,18 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from .monoid_core import CIMatrix, INFINITY, Report, ci_presentation, validate_ci
+from .monoid_core import (CIMatrix, INFINITY, Report, ci_presentation,
+                          make_ci_matrix, validate_ci)
 from .words import alternating, validate_word
 
 # A ring monomial is a tuple of ordered pairs (a, b); a ring element maps
 # normal monomials to nonzero integers; a module vector maps basis indices
 # to nonzero ring elements.
+
+
+def _require_ci(matrix: CIMatrix) -> None:
+    if not validate_ci(matrix):
+        raise ValueError("not a valid CI matrix")
 
 
 def forbidden_factors(matrix: CIMatrix) -> list:
@@ -38,8 +44,7 @@ def forbidden_factors(matrix: CIMatrix) -> list:
     check on every matrix with an asymmetric pair (see the tests); the two
     orientations agree whenever m is symmetric.
     """
-    if not validate_ci(matrix):
-        raise ValueError("not a valid CI matrix")
+    _require_ci(matrix)
     out = []
     for a in range(1, matrix.size + 1):
         for b in range(1, matrix.size + 1):
@@ -50,31 +55,29 @@ def forbidden_factors(matrix: CIMatrix) -> list:
     return out
 
 
-def _contains_factor(mono, factors) -> bool:
-    for f in factors:
-        k = len(f)
-        if k == 0:
-            return True
-        for i in range(len(mono) - k + 1):
-            if mono[i:i + k] == f:
-                return True
-    return False
+def _vanishes(mono, matrix: CIMatrix) -> bool:
+    """Whether the monomial contains one of the forbidden factors.
 
-
-def _junction_hit(mono, cut: int, factors) -> bool:
-    """Whether a forbidden factor straddles position `cut` of the monomial.
-
-    Sound for products of normal monomials: any new factor must cross the
-    junction.
+    Read right to left, `run` is the length of the alternating stretch
+    x_ab x_ba x_ab ... starting at the current letter x_ab; the factor of
+    the pair (b, a) is that stretch cut at length m(b, a) - 1.  A letter
+    outside the matrix, like an infinite label, never vanishes.
     """
-    for f in factors:
-        k = len(f)
-        lo = max(0, cut - k + 1)
-        hi = min(cut, len(mono) - k)
-        for i in range(lo, hi + 1):
-            if mono[i:i + k] == f:
-                return True
+    run, after = 0, None
+    for a, b in reversed(mono):
+        run = run + 1 if after == (b, a) else 1
+        after = (a, b)
+        if run >= matrix.m.get((b, a), INFINITY) - 1:
+            return True
     return False
+
+
+def _put(out: dict, key, value) -> None:
+    """Store a coefficient, keeping only the nonzero ones."""
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
 def ring_zero() -> dict:
@@ -91,20 +94,15 @@ def generator(a: int, b: int, matrix: CIMatrix) -> dict:
         raise ValueError("ring generators need distinct indices")
     if not (1 <= a <= matrix.size and 1 <= b <= matrix.size):
         raise ValueError(f"pair ({a}, {b}) out of range")
+    _require_ci(matrix)
     mono = ((a, b),)
-    if _contains_factor(mono, forbidden_factors(matrix)):
-        return {}
-    return {mono: 1}
+    return {} if _vanishes(mono, matrix) else {mono: 1}
 
 
 def ring_add(p: dict, q: dict) -> dict:
     out = dict(p)
     for mono, c in q.items():
-        c2 = out.get(mono, 0) + c
-        if c2:
-            out[mono] = c2
-        else:
-            out.pop(mono, None)
+        _put(out, mono, out.get(mono, 0) + c)
     return out
 
 
@@ -115,28 +113,22 @@ def ring_scale(c: int, p: dict) -> dict:
 
 
 def ring_mul(p: dict, q: dict, matrix: CIMatrix) -> dict:
-    """Bilinear product; new forbidden factors can only straddle the seam."""
-    factors = forbidden_factors(matrix)
+    """Bilinear product, dropping every product monomial that vanishes."""
+    _require_ci(matrix)
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             mono = m1 + m2
-            if _junction_hit(mono, len(m1), factors):
-                continue
-            c = out.get(mono, 0) + c1 * c2
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
+            if not _vanishes(mono, matrix):
+                _put(out, mono, out.get(mono, 0) + c1 * c2)
     return out
 
 
 def alternating_coeff(a: int, b: int, k: int, matrix: CIMatrix) -> dict:
     """The ring element [x_ab, x_ba; k], normalized (possibly zero)."""
+    _require_ci(matrix)
     mono = tuple((a, b) if i % 2 == 0 else (b, a) for i in range(k))
-    if _contains_factor(mono, forbidden_factors(matrix)):
-        return {}
-    return {mono: 1}
+    return {} if _vanishes(mono, matrix) else {mono: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +142,7 @@ def basis_vector(s: int) -> dict:
 def vec_add(u: dict, v: dict) -> dict:
     out = dict(u)
     for s, coef in v.items():
-        c = ring_add(out.get(s, {}), coef)
-        if c:
-            out[s] = c
-        else:
-            out.pop(s, None)
+        _put(out, s, ring_add(out.get(s, {}), coef))
     return out
 
 
@@ -170,9 +158,7 @@ def vec_scale(r: dict, v: dict, matrix: CIMatrix) -> dict:
     """Left-multiply every coefficient by the ring element r."""
     out = {}
     for s, coef in v.items():
-        c = ring_mul(r, coef, matrix)
-        if c:
-            out[s] = c
+        _put(out, s, ring_mul(r, coef, matrix))
     return out
 
 
@@ -180,22 +166,11 @@ def act_letter(v: dict, a: int, matrix: CIMatrix) -> dict:
     """Right action of one generator: e_a dies, e_b gains x_ba e_a."""
     if not (1 <= a <= matrix.size):
         raise ValueError(f"generator {a} out of range")
-    out = {}
+    bump = {}
     for s, coef in v.items():
-        if s == a:
-            continue
-        c = ring_add(out.get(s, {}), coef)
-        if c:
-            out[s] = c
-        else:
-            out.pop(s, None)
-        bump = ring_mul(coef, generator(s, a, matrix), matrix)
-        c = ring_add(out.get(a, {}), bump)
-        if c:
-            out[a] = c
-        else:
-            out.pop(a, None)
-    return out
+        if s != a:
+            bump = ring_add(bump, ring_mul(coef, generator(s, a, matrix), matrix))
+    return vec_add({s: coef for s, coef in v.items() if s != a}, {a: bump})
 
 
 def act_word(v: dict, word, matrix: CIMatrix) -> dict:
@@ -210,6 +185,12 @@ def act_word(v: dict, word, matrix: CIMatrix) -> dict:
 
 def _parity_pair(a: int, b: int, n: int) -> tuple:
     return (a, b) if n % 2 == 0 else (b, a)
+
+
+def _difference(e: dict, a: int, b: int, n: int, matrix: CIMatrix) -> dict:
+    """The vector e ([T_a,T_b;n] - [T_b,T_a;n])."""
+    return vec_sub(act_word(e, alternating(a, b, n), matrix),
+                   act_word(e, alternating(b, a, n), matrix))
 
 
 def check_alternating_action(matrix: CIMatrix, a: int, b: int, n: int) -> bool:
@@ -229,14 +210,8 @@ def check_difference_recursion(matrix: CIMatrix, a: int, b: int, p: int) -> bool
     checked on every basis vector."""
     for s in range(1, matrix.size + 1):
         e = basis_vector(s)
-        lhs = vec_sub(
-            act_word(e, alternating(a, b, p + 1), matrix),
-            act_word(e, alternating(b, a, p + 1), matrix),
-        )
-        d = vec_sub(
-            act_word(e, alternating(a, b, p), matrix),
-            act_word(e, alternating(b, a, p), matrix),
-        )
+        lhs = _difference(e, a, b, p + 1, matrix)
+        d = _difference(e, a, b, p, matrix)
         rhs = vec_sub(
             vec_add(act_letter(d, a, matrix), act_letter(d, b, matrix)), d)
         if lhs != rhs:
@@ -247,11 +222,7 @@ def check_difference_recursion(matrix: CIMatrix, a: int, b: int, p: int) -> bool
 def check_mixed_difference(matrix: CIMatrix, a: int, b: int, c: int, n: int) -> bool:
     """e_c ([T_a,T_b;n] - [T_b,T_a;n]) expands to
     x_ca [x_ab,x_ba;n-1] e_{b(n)} - x_cb [x_ba,x_ab;n-1] e_{a(n)}."""
-    e = basis_vector(c)
-    lhs = vec_sub(
-        act_word(e, alternating(a, b, n), matrix),
-        act_word(e, alternating(b, a, n), matrix),
-    )
+    lhs = _difference(basis_vector(c), a, b, n, matrix)
     an, bn = _parity_pair(a, b, n)
     rhs = vec_sub(
         vec_scale(ring_mul(generator(c, a, matrix),
@@ -270,8 +241,7 @@ def verify_representation(matrix: CIMatrix) -> Report:
 
     Pairs with an infinite label contribute no relations and are skipped.
     """
-    if not validate_ci(matrix):
-        raise ValueError("not a valid CI matrix")
+    _require_ci(matrix)
     failures = []
     checks = 0
     pres = ci_presentation(matrix)
@@ -315,12 +285,7 @@ def random_ci_matrix(rng: random.Random, max_size: int = 3,
                 continue
             k = rng.randint(2, max_label)
             entries[(a, b)] = k
-            entries[(b, a)] = min(max_label, k + rng.choice((-1, 0, 0, 1)))
-            if entries[(b, a)] < 2:
-                entries[(b, a)] = 2
-    m = CIMatrix(size, {
-        (a, b): entries.get((a, b), 2)
-        for a in range(1, size + 1) for b in range(1, size + 1) if a != b
-    })
-    assert validate_ci(m)
-    return m
+            entries[(b, a)] = max(2, min(max_label, k + rng.choice((-1, 0, 0, 1))))
+    matrix = make_ci_matrix(size, entries)
+    _require_ci(matrix)
+    return matrix

@@ -95,7 +95,7 @@ def load_ci_matrix(text: str) -> CIMatrix:
     if not lines or lines[0].split()[0] != "rank":
         raise ValueError('matrix file must start with a "rank N" line')
     head = lines[0].split()
-    if len(head) < 2 or not is_numeral(head[1]):
+    if len(head) != 2 or not is_numeral(head[1]):
         raise ValueError(f"bad rank line: {lines[0]!r}")
     size = int(head[1])
     entries = {}
@@ -394,14 +394,19 @@ def left_division_order(monoid: FiniteMonoid) -> DivisibilityOrder:
     return DivisibilityOrder(monoid.elements, leq)
 
 
+def _antisymmetric(order: DivisibilityOrder) -> bool:
+    leq = order.leq
+    size = len(order.elements)
+    return not any(i != j and leq[i][j] and leq[j][i]
+                   for i in range(size) for j in range(size))
+
+
 def is_lattice(order: DivisibilityOrder) -> bool:
     """Antisymmetry plus existence of binary meets and joins."""
     leq = order.leq
     size = len(order.elements)
-    for i in range(size):
-        for j in range(size):
-            if i != j and leq[i][j] and leq[j][i]:
-                return False
+    if not _antisymmetric(order):
+        return False
 
     def has_extremum(bounds, pick_greatest):
         for g in bounds:
@@ -426,12 +431,9 @@ def _node_name(word) -> str:
 
 def hasse_dot(order: DivisibilityOrder, monoid: FiniteMonoid) -> str:
     """DOT digraph with an edge x -> x*s for each generator s that moves x."""
-    leq = order.leq
+    if not _antisymmetric(order):
+        raise ValueError("left division is not antisymmetric; no diagram")
     size = len(monoid.elements)
-    for i in range(size):
-        for j in range(size):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise ValueError("left division is not antisymmetric; no diagram")
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for w in monoid.elements:
         lines.append(f'  "{_node_name(w)}";')

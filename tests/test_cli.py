@@ -137,6 +137,16 @@ def test_verify_linrep_matrix_bad_label_names_line(capsys, tmp_path):
     assert err == "error: bad matrix line: '1 2 x'\n"
 
 
+def test_verify_linrep_matrix_rank_line_trailing_text_exit_2(capsys, tmp_path):
+    path = tmp_path / "m.ci"
+    path.write_text("rank 2 junk\n1 2 3\n2 1 4\n")
+    for mode in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", "linrep", "--matrix", str(path),
+                             *mode)
+        assert code == 2 and out == ""
+        assert err == "error: bad rank line: 'rank 2 junk'\n"
+
+
 def test_verify_without_checks_exits_2(capsys):
     for mode in ((), ("--json",)):
         code, out, err = run(capsys, "verify", "confluence-a", "--rank", "1",

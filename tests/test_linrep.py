@@ -1,6 +1,9 @@
+import json
 import random
+import re
 from itertools import permutations
 
+from aimonoids import cli, linrep
 from aimonoids.linrep import (act_letter, act_word, alternating_coeff,
                               basis_vector, check_alternating_action,
                               check_difference_recursion,
@@ -196,3 +199,78 @@ def test_vector_helpers():
     assert vec_add(e1, vec_sub(basis_vector(2), basis_vector(2))) == e1
     doubled = vec_scale({(): 2}, e1, SYM3)
     assert doubled == {1: {(): 2}}
+
+
+def test_ring_mul_against_scan_oracle_on_random_matrices():
+    # whole-product scan over the published factor list, on matrices with
+    # asymmetric, degenerate and infinite pairs; factors may sit inside
+    # either operand as well as across the seam
+    rng = random.Random(44)
+    for _ in range(150):
+        matrix = random_ci_matrix(rng, max_size=4, max_label=6)
+        factors = forbidden_factors(matrix)
+        pairs = list(permutations(range(1, matrix.size + 1), 2))
+        if not pairs:
+            continue
+
+        def monomial():
+            if rng.random() < 0.5:
+                a, b = rng.choice(pairs)
+                return tuple((a, b) if i % 2 == 0 else (b, a)
+                             for i in range(rng.randint(0, 5)))
+            return tuple(rng.choice(pairs) for _ in range(rng.randint(0, 3)))
+
+        for _ in range(40):
+            mp, mq = monomial(), monomial()
+            mono = mp + mq
+            dead = any(mono[i:i + len(f)] == f for f in factors
+                       for i in range(len(mono) - len(f) + 1))
+            got = ring_mul({mp: 1}, {mq: 1}, matrix)
+            assert got == ({} if dead else {mono: 1}), (matrix, mp, mq)
+
+
+def test_wrong_orientation_fails_the_harness(monkeypatch):
+    # negative control: factors starting with x_ab instead of x_ba must
+    # break the representation of a matrix with an asymmetric pair
+    def wrong_vanishes(mono, matrix):
+        for (a, b), k in matrix.m.items():
+            if k == INFINITY:
+                continue
+            f = tuple((a, b) if i % 2 == 0 else (b, a) for i in range(k - 1))
+            if any(mono[i:i + len(f)] == f
+                   for i in range(len(mono) - len(f) + 1)):
+                return True
+        return False
+
+    assert verify_representation(ASYM2).ok
+    monkeypatch.setattr(linrep, "_vanishes", wrong_vanishes)
+    rep = verify_representation(ASYM2)
+    assert rep.checks_run == 26
+    assert rep.failures == [("relation", (1, 2, 1), (2, 1, 2, 1), 2),
+                            ("relation", (1, 2, 1), (1, 2, 1, 2), 2)]
+    # the orientations agree on a symmetric matrix
+    assert verify_representation(SYM3).ok
+
+
+def _without_elapsed(out):
+    return re.sub(r"elapsed: \d+ ms|\"elapsed_ms\": \d+", "elapsed", out)
+
+
+def test_verify_linrep_output_pinned(capsys, tmp_path):
+    path = tmp_path / "asym.ci"
+    path.write_text("rank 3\n1 2 3\n2 1 4\n2 3 5\n3 2 5\n1 3 inf\n3 1 inf\n")
+    pinned = [
+        (("--rank", "3"), "rank=3", '"rank": 3', 99),
+        (("--rank", "4"), "rank=4", '"rank": 4', 244),
+        (("--matrix", str(path)), "matrix=%s" % path,
+         '"matrix": %s' % json.dumps(str(path)), 84),
+    ]
+    for argv, text_params, json_params, checks in pinned:
+        assert cli.main(["verify", "linrep", *argv]) == 0
+        assert _without_elapsed(capsys.readouterr().out) == (
+            "verify linrep: %s\nchecks run: %d\nfailures: 0\nelapsed\n"
+            % (text_params, checks))
+        assert cli.main(["verify", "linrep", *argv, "--json"]) == 0
+        assert _without_elapsed(capsys.readouterr().out) == (
+            '{"command": "verify linrep", "params": {%s}, "checks_run": %d, '
+            '"failures": [], elapsed}\n' % (json_params, checks))

@@ -118,6 +118,13 @@ def test_load_ci_matrix_accepts_only_ascii_numerals():
     assert load_ci_matrix("rank 2\n1 2 inf\n2 1 inf\n").m[(1, 2)] == INFINITY
 
 
+def test_load_ci_matrix_rank_line_is_exact():
+    for bad in ("rank 2 junk", "rank 2 3", "rank"):
+        with pytest.raises(ValueError, match="^bad rank line: %r$" % bad):
+            load_ci_matrix(bad + "\n1 2 3\n2 1 4\n")
+    assert load_ci_matrix("  rank   2  \n1 2 3\n2 1 4\n").size == 2
+
+
 def test_rank2_monoid_sizes():
     assert len(rank2_monoid(3, 4).elements) == 7
     assert len(rank2_monoid(2, 2).elements) == 4
