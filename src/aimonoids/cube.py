@@ -124,8 +124,8 @@ def reverse(u, v, table: ComplementTable, budget: int = 10000) -> ReversalOutcom
             return ReversalOutcome(STEP_BUDGET_EXCEEDED, steps=steps)
         steps += 1
         s, t = signed[spot][0], signed[spot + 1][0]
-        head = table.entries[(s, t)]
-        tail = table.entries[(t, s)]
+        head = table.complement(s, t)
+        tail = table.complement(t, s)
         patch = [(x, 1) for x in head]
         patch += [(x, -1) for x in reversed(tail)]
         signed[spot:spot + 2] = patch

@@ -22,18 +22,13 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from .monoid_core import (CIMatrix, INFINITY, Report, ci_presentation,
-                          make_ci_matrix, validate_ci)
+from .monoid_core import (CIMatrix, INFINITY, Report, _require_ci,
+                          ci_presentation, make_ci_matrix)
 from .words import alternating, validate_word
 
 # A ring monomial is a tuple of ordered pairs (a, b); a ring element maps
 # normal monomials to nonzero integers; a module vector maps basis indices
 # to nonzero ring elements.
-
-
-def _require_ci(matrix: CIMatrix) -> None:
-    if not validate_ci(matrix):
-        raise ValueError("not a valid CI matrix")
 
 
 def forbidden_factors(matrix: CIMatrix) -> list:
@@ -241,7 +236,6 @@ def verify_representation(matrix: CIMatrix) -> Report:
 
     Pairs with an infinite label contribute no relations and are skipped.
     """
-    _require_ci(matrix)
     failures = []
     checks = 0
     pres = ci_presentation(matrix)

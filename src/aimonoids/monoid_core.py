@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations, product
+from types import MappingProxyType
 
 from .words import Word, alternating, is_numeral, validate_word
 
@@ -30,10 +32,37 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class CIMatrix:
-    """Square matrix of m-values over generators 1..size, diagonal fixed at 1."""
+    """Square matrix of m-values over generators 1..size, diagonal fixed at 1;
+    read-only once built, and `valid` records the CI conditions checked then."""
 
     size: int
-    m: dict  # ordered pair (a, b), a != b  ->  int >= 2 or INFINITY
+    m: MappingProxyType  # ordered pair (a, b), a != b  ->  int >= 2 or INFINITY
+    valid: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", MappingProxyType(dict(self.m)))
+        object.__setattr__(self, "valid", _ci_conditions(self.size, self.m))
+
+    def __reduce__(self):
+        return CIMatrix, (self.size, dict(self.m))
+
+
+def _ci_conditions(n: int, m) -> bool:
+    """The three CI conditions; each is symmetric, so one visit per pair a < b."""
+    if n < 1:
+        return False
+    for a, b in combinations(range(1, n + 1), 2):
+        v = m.get((a, b))
+        w = m.get((b, a))
+        if v is None or w is None:
+            return False
+        for x in (v, w):
+            if x != INFINITY and (not isinstance(x, int) or x < 2):
+                return False
+        # |v - w| <= 1, and so an infinity only opposite an infinity
+        if v != w and abs(v - w) > 1:
+            return False
+    return True
 
 
 def make_ci_matrix(size: int, entries: dict | None = None, default: int = 2) -> CIMatrix:
@@ -62,27 +91,13 @@ def chain_ci_matrix(n: int) -> CIMatrix:
 
 
 def validate_ci(matrix: CIMatrix) -> bool:
-    """Check the three CI matrix conditions; never raises."""
-    n = matrix.size
-    if n < 1:
-        return False
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a == b:
-                continue
-            v = matrix.m.get((a, b))
-            w = matrix.m.get((b, a))
-            if v is None or w is None:
-                return False
-            for x in (v, w):
-                if x != INFINITY and (not isinstance(x, int) or x < 2):
-                    return False
-            # infinity only opposite infinity
-            if (v == INFINITY) != (w == INFINITY):
-                return False
-            if v != INFINITY and abs(v - w) > 1:
-                return False
-    return True
+    """Whether the matrix meets the three CI conditions; never raises."""
+    return matrix.valid
+
+
+def _require_ci(matrix: CIMatrix) -> None:
+    if not matrix.valid:
+        raise ValueError("not a valid CI matrix")
 
 
 def load_ci_matrix(text: str) -> CIMatrix:
@@ -132,24 +147,21 @@ def _pair_relations(matrix: CIMatrix, with_extension: bool):
     extension is a consequence and is left out.
     """
     rels = []
-    n = matrix.size
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            k, l = matrix.m[(a, b)], matrix.m[(b, a)]
-            if k == INFINITY:
-                continue
-            if k > l:
-                a, b, k, l = b, a, l, k
-            rels.append((alternating(a, b, k), alternating(b, a, l)))
-            if with_extension:
-                rels.append((alternating(a, b, k), alternating(a, b, k + 1)))
+    for a, b in combinations(range(1, matrix.size + 1), 2):
+        k, l = matrix.m[(a, b)], matrix.m[(b, a)]
+        if k == INFINITY:
+            continue
+        if k > l:
+            a, b, k, l = b, a, l, k
+        rels.append((alternating(a, b, k), alternating(b, a, l)))
+        if with_extension:
+            rels.append((alternating(a, b, k), alternating(a, b, k + 1)))
     return rels
 
 
 def ci_presentation(matrix: CIMatrix) -> Presentation:
     """Idempotent generators plus balance and extension relations."""
-    if not validate_ci(matrix):
-        raise ValueError("not a valid CI matrix")
+    _require_ci(matrix)
     rels = [((a, a), (a,)) for a in range(1, matrix.size + 1)]
     rels += _pair_relations(matrix, with_extension=True)
     return Presentation(matrix.size, tuple(rels))
@@ -157,8 +169,7 @@ def ci_presentation(matrix: CIMatrix) -> Presentation:
 
 def ai_presentation(matrix: CIMatrix) -> Presentation:
     """Balance relations only; generators are not idempotent."""
-    if not validate_ci(matrix):
-        raise ValueError("not a valid CI matrix")
+    _require_ci(matrix)
     return Presentation(matrix.size, tuple(_pair_relations(matrix, with_extension=False)))
 
 
@@ -166,6 +177,14 @@ def ai_presentation(matrix: CIMatrix) -> Presentation:
 class OracleVerdict:
     status: str  # EQUAL, DISTINCT_WITHIN_BOUND or INCONCLUSIVE
     witness: tuple | None = None  # chain of words for EQUAL
+
+
+def _oracle_words(p: Presentation, *words) -> list:
+    """The words, checked against p's generators, as the oracle's bytes."""
+    checked = [validate_word(w, p.generators) for w in words]
+    if p.generators > 255:
+        raise ValueError("oracle supports at most 255 generators")
+    return [bytes(w) for w in checked]
 
 
 def _byte_relations(p: Presentation):
@@ -232,7 +251,7 @@ def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 1
     Bounded reachability is symmetric and transitive, so the returned set
     depends only on the class of `start` within the bound.
     """
-    w0 = bytes(validate_word(start, p.generators))
+    w0, = _oracle_words(p, start)
     if max_len < len(w0):
         raise ValueError("max_len below the start word length")
     parent, complete, _ = _search(p, w0, max_len, max_states)
@@ -248,19 +267,15 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
     when the closure of u was exhausted with nothing discarded, so it really
     is a proof relative to the bound.  Anything else is INCONCLUSIVE.
     """
-    u = validate_word(u, p.generators)
-    v = validate_word(v, p.generators)
-    if p.generators > 255:
-        raise ValueError("oracle supports at most 255 generators")
+    bu, bv = _oracle_words(p, u, v)
     if max_len is None:
-        max_len = len(u) + len(v) + 4
-    if max_len < max(len(u), len(v)):
+        max_len = len(bu) + len(bv) + 4
+    if max_len < max(len(bu), len(bv)):
         raise ValueError("max_len smaller than an input word")
     if max_states < 1:
         raise ValueError("max_states must be positive")
-    bu, bv = bytes(u), bytes(v)
     if bu == bv:
-        return OracleVerdict(EQUAL, (u,))
+        return OracleVerdict(EQUAL, (tuple(bu),))
     parent, complete, hit = _search(p, bu, max_len, max_states, target=bv)
     if hit:
         chain = []
@@ -274,7 +289,7 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
 
 def one_step_related(p: Presentation, u, v) -> bool:
     """Whether v arises from u by one relation replacement (either direction)."""
-    bu, bv = bytes(validate_word(u)), bytes(validate_word(v))
+    bu, bv = _oracle_words(p, u, v)
     return any(bu[:i] + rhs + bu[i + len(lhs):] == bv
                for i, lhs, rhs in _sites(bu, _byte_relations(p)))
 
@@ -282,7 +297,7 @@ def one_step_related(p: Presentation, u, v) -> bool:
 def random_rewrite(p: Presentation, word, rng, steps: int,
                    max_len: int | None = None) -> Word:
     """Apply up to `steps` random relation replacements, either direction."""
-    w = bytes(validate_word(word, p.generators))
+    w, = _oracle_words(p, word)
     if max_len is None:
         max_len = len(w) + 2 * steps + 4
     subs = _byte_relations(p)
@@ -462,16 +477,14 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
     """
     import random as _random
 
-    if not validate_ci(matrix):
-        raise ValueError("not a valid CI matrix")
-    for a in range(1, matrix.size + 1):
-        for b in range(a + 1, matrix.size + 1):
-            k, l = matrix.m[(a, b)], matrix.m[(b, a)]
-            if k != INFINITY and (k + l) % 4 == 1:
-                raise ValueError(
-                    f"pair ({a}, {b}) has m(a,b) + m(b,a) = {k + l} in 1 + 4Z; "
-                    "reversal does not descend to this monoid"
-                )
+    _require_ci(matrix)
+    for a, b in combinations(range(1, matrix.size + 1), 2):
+        k, l = matrix.m[(a, b)], matrix.m[(b, a)]
+        if k != INFINITY and (k + l) % 4 == 1:
+            raise ValueError(
+                f"pair ({a}, {b}) has m(a,b) + m(b,a) = {k + l} in 1 + 4Z; "
+                "reversal does not descend to this monoid"
+            )
     p = ci_presentation(matrix)
     rng = _random.Random(seed)
     failures = []
@@ -492,11 +505,22 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
 
 @dataclass(frozen=True)
 class TupleAction:
-    """Letters act on an (n+1)-tuple; letter a applies f at coordinates (a, a+1)."""
+    """Letters act on an (n+1)-tuple; letter a applies f at coordinates (a, a+1);
+    read-only once built, and `failures` records the action check run then."""
 
     carrier: tuple
-    f: dict  # (x, y) -> (x, y)
+    f: MappingProxyType  # (x, y) -> (x, y)
     n: int
+    failures: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "carrier", tuple(self.carrier))
+        object.__setattr__(self, "f", MappingProxyType(dict(self.f)))
+        object.__setattr__(self, "failures",
+                           tuple(_action_failures(self.carrier, self.f)))
+
+    def __reduce__(self):
+        return TupleAction, (self.carrier, dict(self.f), self.n)
 
 
 def pair_collapse_action(x_size: int, n: int) -> TupleAction:
@@ -506,60 +530,50 @@ def pair_collapse_action(x_size: int, n: int) -> TupleAction:
     return TupleAction(carrier, f, n)
 
 
-def tuple_action_failures(act: TupleAction) -> list:
+def _apply_letters(f, t: tuple, letters) -> tuple:
+    """Apply f at coordinates (a, a+1) for each letter a, left to right."""
+    for a in letters:
+        x, y = f[(t[a - 1], t[a])]
+        t = t[:a - 1] + (x, y) + t[a + 1:]
+    return t
+
+
+def _action_failures(carrier: tuple, f) -> list:
     """Violations of idempotence or the two composite identities, if any."""
-    carrier = act.carrier
-    f = act.f
     failures = []
-    for x in carrier:
-        for y in carrier:
-            if (x, y) not in f:
-                failures.append(f"f undefined at {(x, y)}")
-                continue
-            img = f[(x, y)]
-            if img[0] not in carrier or img[1] not in carrier:
-                failures.append(f"f leaves the carrier at {(x, y)}")
-            elif f[img] != img:
-                failures.append(f"idempotence fails: f(f{(x, y)}) != f{(x, y)}")
+    for pair in product(carrier, repeat=2):
+        if pair not in f:
+            failures.append(f"f undefined at {pair}")
+            continue
+        img = f[pair]
+        if img[0] not in carrier or img[1] not in carrier:
+            failures.append(f"f leaves the carrier at {pair}")
+        elif f.get(img) != img:
+            failures.append(f"idempotence fails: f(f{pair}) != f{pair}")
     if failures:
         return failures
-
-    def apply_at(t, pos):
-        x, y = f[(t[pos], t[pos + 1])]
-        return t[:pos] + (x, y) + t[pos + 2:]
-
-    def chain(t, positions):
-        for pos in positions:
-            t = apply_at(t, pos)
-        return t
-
-    for x in carrier:
-        for y in carrier:
-            for z in carrier:
-                t = (x, y, z)
-                lhs = chain(t, (0, 1, 0))
-                if lhs != chain(t, (1, 0, 1, 0)):
-                    failures.append(
-                        f"braid identity f1 f2 f1 != f2 f1 f2 f1 at {t}")
-                if lhs != chain(t, (0, 1, 0, 1)):
-                    failures.append(
-                        f"braid identity f1 f2 f1 != f1 f2 f1 f2 at {t}")
+    for t in product(carrier, repeat=3):
+        lhs = _apply_letters(f, t, (1, 2, 1))
+        if lhs != _apply_letters(f, t, (2, 1, 2, 1)):
+            failures.append(f"braid identity f1 f2 f1 != f2 f1 f2 f1 at {t}")
+        if lhs != _apply_letters(f, t, (1, 2, 1, 2)):
+            failures.append(f"braid identity f1 f2 f1 != f1 f2 f1 f2 at {t}")
     return failures
+
+
+def tuple_action_failures(act: TupleAction) -> list:
+    """Violations of idempotence or the two composite identities, if any."""
+    return list(act.failures)
 
 
 def tuple_action(act: TupleAction, word, t) -> tuple:
     """Act with a word, letters applied left to right."""
-    bad = tuple_action_failures(act)
-    if bad:
-        raise ValueError(bad[0])
+    if act.failures:
+        raise ValueError(act.failures[0])
     t = tuple(t)
     if len(t) != act.n + 1:
         raise ValueError(f"need a tuple of length {act.n + 1}, got {len(t)}")
     for x in t:
         if x not in act.carrier:
             raise ValueError(f"tuple entry {x!r} outside the carrier")
-    w = validate_word(word, act.n)
-    for a in w:
-        x, y = act.f[(t[a - 1], t[a])]
-        t = t[:a - 1] + (x, y) + t[a + 1:]
-    return t
+    return _apply_letters(act.f, t, validate_word(word, act.n))

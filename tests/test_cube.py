@@ -143,3 +143,9 @@ def test_non_complemented_presentations():
 def test_complement_table_lookup_errors():
     with pytest.raises(ValueError):
         TABLE.complement(1, 4)
+
+
+def test_reverse_refuses_letters_outside_the_table():
+    for u, v in [((5,), (1,)), ((1,), (5,)), ((0,), (2,)), ((-1,), (3,))]:
+        with pytest.raises(ValueError, match="no complement entry for"):
+            reverse(u, v, TABLE)

@@ -6,10 +6,13 @@ what uniformly random rule choices give (ranks 4-6).  The skip-ahead sweep
 must take exactly the steps and rounds of a sweep that scans every
 position (ranks 4-20 and the descending-run words up to length 400).
 Words are drawn letter by letter and as concatenated descending runs,
-which exercise the long rule shapes.
+which exercise the long rule shapes.  At rank 4 both deciders must agree
+with the breadth-first oracle's class closures on every pair of short
+words.
 """
 
 import random
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -17,10 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimonoids import rewrite
-from aimonoids.rewrite_a import (_family_match_at, a_reduce, a_reduce_random,
-                                 a_reduce_steps, a_step)
-from aimonoids.rewrite_m import (_deletion_at, m_reduce, m_reduce_random,
-                                 m_reduce_steps, m_step)
+from aimonoids.monoid_core import (ai_presentation, chain_ci_matrix,
+                                   ci_presentation, congruence_closure)
+from aimonoids.rewrite_a import (_family_match_at, a_equal, a_reduce,
+                                 a_reduce_random, a_reduce_steps, a_step)
+from aimonoids.rewrite_m import (_deletion_at, m_equal, m_reduce,
+                                 m_reduce_random, m_reduce_steps, m_step)
 from aimonoids.words import commute_sort, descending_run
 
 SYSTEMS = {
@@ -145,3 +150,24 @@ def test_descending_word_rounds_pinned(system):
     rounds = {length: counted_reduce(reduce_steps, descending_word(length))[2]
               for length in (200, 400, 800)}
     assert rounds == {200: 3, 400: 7, 800: 15}
+
+
+@pytest.mark.parametrize("system", ["A", "M"])
+def test_deciders_agree_with_oracle_closures_at_rank_4(system):
+    # all 341 words of length <= 4 at rank 4 (57,970 pairs), one shared
+    # closure per class as in acceptance criterion 02; the closures are
+    # bounded at length 10, so "distinct" is evidence within that bound
+    matrix = chain_ci_matrix(4)
+    pres, equal = ((ai_presentation(matrix), a_equal) if system == "A"
+                   else (ci_presentation(matrix), m_equal))
+    words = [w for k in range(5) for w in product(range(1, 5), repeat=k)]
+    assert len(words) == 341
+    closures = []
+    for w in words:
+        if not any(w in cls for cls in closures):
+            cls, _ = congruence_closure(pres, w, max_len=10)
+            closures.append(cls)
+    class_of = {w: i for i, cls in enumerate(closures) for w in cls}
+    disagreements = [(u, v) for u, v in combinations(words, 2)
+                     if equal(u, v) != (class_of[u] == class_of[v])]
+    assert disagreements == []

@@ -3,7 +3,7 @@ import random
 import re
 from itertools import permutations
 
-from aimonoids import cli, linrep
+from aimonoids import cli, linrep, monoid_core
 from aimonoids.linrep import (act_letter, act_word, alternating_coeff,
                               basis_vector, check_alternating_action,
                               check_difference_recursion,
@@ -250,6 +250,25 @@ def test_wrong_orientation_fails_the_harness(monkeypatch):
                             ("relation", (1, 2, 1), (1, 2, 1, 2), 2)]
     # the orientations agree on a symmetric matrix
     assert verify_representation(SYM3).ok
+
+
+def test_matrix_is_checked_once(monkeypatch):
+    matrix = chain_ci_matrix(3)
+    calls = []
+    scan = monoid_core._ci_conditions
+    monkeypatch.setattr(monoid_core, "_ci_conditions",
+                        lambda *args: calls.append(args) or scan(*args))
+    assert verify_representation(matrix).ok
+    assert calls == []
+    bad = make_ci_matrix(2, {(1, 2): 3, (2, 1): 5})
+    assert len(calls) == 1
+    for call in (lambda: generator(1, 2, bad), lambda: ring_mul({}, {}, bad),
+                 lambda: alternating_coeff(1, 2, 2, bad),
+                 lambda: forbidden_factors(bad),
+                 lambda: verify_representation(bad)):
+        with pytest.raises(ValueError, match="^not a valid CI matrix$"):
+            call()
+    assert len(calls) == 1
 
 
 def _without_elapsed(out):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from aimonoids import monoid_core
 from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
-                                   INFINITY, FiniteMonoid, Presentation,
+                                   INFINITY, CIMatrix, FiniteMonoid,
+                                   Presentation,
                                    ai_presentation, bfs_equal, chain_ci_matrix,
                                    ci_presentation, congruence_closure,
                                    hasse_dot, is_lattice, left_division_order,
@@ -329,3 +331,111 @@ def test_harnesses_return_one_report_type():
         reversal_respects_congruence(chain_ci_matrix(2), samples=5),
     ]
     assert all(type(rep) is Report and rep.ok for rep in reports)
+
+
+INVALID_MATRICES = [make_ci_matrix(2, {(1, 2): 2, (2, 1): 4}),
+                    make_ci_matrix(2, {(1, 2): INFINITY, (2, 1): 3})]
+SWAP = TupleAction((0, 1), {(x, y): (y, x) for x in (0, 1) for y in (0, 1)}, 2)
+
+
+def test_label_matrix_and_action_are_read_only():
+    matrix = chain_ci_matrix(3)
+    with pytest.raises(TypeError):
+        matrix.m[(1, 2)] = 9
+    act = pair_collapse_action(2, 1)
+    with pytest.raises(TypeError):
+        act.f[(0, 1)] = (1, 1)
+    # the constructor copies its arguments
+    entries = {(1, 2): 3, (2, 1): 4}
+    built = CIMatrix(2, entries)
+    entries[(1, 2)] = 9
+    assert built.m[(1, 2)] == 3 and validate_ci(built)
+    carrier = [0, 1]
+    listed = TupleAction(carrier, dict(act.f), 1)
+    carrier.append(2)
+    assert listed.carrier == (0, 1) and listed == act
+
+
+def test_matrix_and_action_survive_copy_and_pickle():
+    for original in [chain_ci_matrix(3), *INVALID_MATRICES]:
+        for clone in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert clone == original
+            assert validate_ci(clone) == validate_ci(original)
+            with pytest.raises(TypeError):
+                clone.m[(1, 2)] = 9
+    assert not any(validate_ci(pickle.loads(pickle.dumps(m)))
+                   for m in INVALID_MATRICES)
+    for original in (pair_collapse_action(3, 2), SWAP):
+        for clone in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert clone == original
+            assert tuple_action_failures(clone) == tuple_action_failures(original)
+            with pytest.raises(TypeError):
+                clone.f[(0, 0)] = (1, 1)
+
+
+def test_tuple_action_failures_returns_a_fresh_list():
+    first = tuple_action_failures(SWAP)
+    first.clear()
+    assert tuple_action_failures(SWAP)
+
+
+def test_action_is_checked_once(monkeypatch):
+    act = pair_collapse_action(3, 3)
+    calls = []
+    scan = monoid_core._action_failures
+    monkeypatch.setattr(monoid_core, "_action_failures",
+                        lambda *args: calls.append(args) or scan(*args))
+    for t in [(0, 1, 2, 0), (2, 2, 1, 0)] * 50:
+        assert tuple_action(act, (1, 2, 1), t) == tuple_action(act, (2, 1, 2, 1), t)
+    assert tuple_action_failures(act) == []
+    assert calls == []
+    pair_collapse_action(2, 1)
+    assert len(calls) == 1
+
+
+def test_partial_action_reports_missing_images():
+    # f(0, 0) = (1, 1), but f is undefined at (1, 1)
+    partial = TupleAction((0, 1), {(0, 0): (1, 1), (0, 1): (0, 1),
+                                   (1, 0): (1, 0)}, 2)
+    assert tuple_action_failures(partial) == [
+        "idempotence fails: f(f(0, 0)) != f(0, 0)",
+        "f undefined at (1, 1)",
+    ]
+    with pytest.raises(ValueError, match=r"idempotence fails: f\(f\(0, 0\)\)"):
+        tuple_action(partial, (1,), (0, 0, 1))
+
+
+def test_oracle_entry_points_share_one_guard():
+    wide = Presentation(256, (((1, 2), (2, 1)),))
+    rng = random.Random(0)
+    calls = [lambda: bfs_equal(wide, (1, 2), (2, 1)),
+             lambda: bfs_equal(wide, (1,), (1,)),
+             lambda: congruence_closure(wide, (1, 2), 4),
+             lambda: random_rewrite(wide, (1, 2), rng, 3),
+             lambda: one_step_related(wide, (1, 2), (2, 1))]
+    for call in calls:
+        with pytest.raises(ValueError, match="at most 255 generators"):
+            call()
+    # words are checked against the presentation's generators
+    two = ai_presentation(chain_ci_matrix(2))
+    for call in (lambda: one_step_related(two, (9,), (1,)),
+                 lambda: one_step_related(two, (1,), (3,)),
+                 lambda: bfs_equal(two, (1,), (3,)),
+                 lambda: congruence_closure(two, (3,), 4),
+                 lambda: random_rewrite(two, (3,), rng, 1)):
+        with pytest.raises(ValueError, match="out of range for rank 2"):
+            call()
+    assert one_step_related(two, (1, 2, 1), (2, 1, 2, 1))
+
+
+def test_presentations_keep_every_pair_after_a_reoriented_one():
+    # m(1, 2) > m(2, 1) orients the first relation from generator 2; the
+    # pairs scanned after it keep their own generators
+    mtx = make_ci_matrix(3, {(1, 2): 4, (2, 1): 3})
+    assert ai_presentation(mtx).relations == (
+        ((2, 1, 2), (1, 2, 1, 2)), ((1, 3), (3, 1)), ((2, 3), (3, 2)))
+    ci = ci_presentation(mtx)
+    assert len(set(ci.relations)) == 3 + 2 * 3
+    assert bfs_equal(ci, (1, 3), (3, 1)).status == EQUAL
