@@ -106,8 +106,11 @@ def reverse(u, v, table: ComplementTable, budget: int = 10000) -> ReversalOutcom
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    u, v = tuple(u), tuple(v)
+    for x in u + v:
+        table.complement(x, x)  # raises for a letter outside the table
     # signed letter = (generator, sign)
-    signed = [(x, -1) for x in reversed(tuple(u))]
+    signed = [(x, -1) for x in reversed(u)]
     signed += [(y, 1) for y in v]
     steps = 0
     while True:

@@ -214,16 +214,15 @@ def _sites(w: bytes, subs) -> list:
     return sites
 
 
-def _search(p: Presentation, start: bytes, max_len: int, max_states: int,
+def _search(subs, start: bytes, max_len: int, max_states: int,
             target: bytes | None = None):
-    """Breadth-first closure of `start` under relation replacement.
+    """Breadth-first closure of `start` under the byte relations `subs`.
 
     Returns (parent, complete, hit).  parent maps every word reached to the
     word it was first reached from (start to None).  complete is False when
     a neighbour was discarded for exceeding max_len or the state cap was
     hit.  hit says whether the search stopped on reaching `target`.
     """
-    subs = _byte_relations(p)
     parent = {start: None}
     queue = deque([start])
     complete = True
@@ -254,7 +253,7 @@ def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 1
     w0, = _oracle_words(p, start)
     if max_len < len(w0):
         raise ValueError("max_len below the start word length")
-    parent, complete, _ = _search(p, w0, max_len, max_states)
+    parent, complete, _ = _search(_byte_relations(p), w0, max_len, max_states)
     return frozenset(tuple(x) for x in parent), complete
 
 
@@ -274,9 +273,10 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
         raise ValueError("max_len smaller than an input word")
     if max_states < 1:
         raise ValueError("max_states must be positive")
+    subs = _byte_relations(p)
     if bu == bv:
         return OracleVerdict(EQUAL, (tuple(bu),))
-    parent, complete, hit = _search(p, bu, max_len, max_states, target=bv)
+    parent, complete, hit = _search(subs, bu, max_len, max_states, target=bv)
     if hit:
         chain = []
         cur = bv
@@ -546,7 +546,8 @@ def _action_failures(carrier: tuple, f) -> list:
             failures.append(f"f undefined at {pair}")
             continue
         img = f[pair]
-        if img[0] not in carrier or img[1] not in carrier:
+        if not (isinstance(img, tuple) and len(img) == 2
+                and img[0] in carrier and img[1] in carrier):
             failures.append(f"f leaves the carrier at {pair}")
         elif f.get(img) != img:
             failures.append(f"idempotence fails: f(f{pair}) != f{pair}")

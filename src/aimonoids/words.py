@@ -91,17 +91,63 @@ def commute_sort(w: list[int]) -> int:
     Insertion sort restricted to legal swaps: a letter may slide left past a
     neighbour exceeding it by two or more.  Each shift is one commutation
     move, so the count feeds the step-budget checks.
+
+    The letter x after a sorted prefix p stops just after the last letter
+    of p that is <= x + 1, at ``stop`` (0 if there is none), and makes
+    ``len(p) - stop`` moves.  Sliding there one move per step is cheapest
+    on nearly sorted words.  Once the moves outnumber the letters seen
+    eightfold, long slides are the rule and the rest of the word finds each
+    stop through the strict suffix minima of p instead: the letters of p
+    smaller than everything after them, kept as a stack of (value,
+    position) with increasing values.  Same stop: the last letter p[k]
+    <= x + 1 is a strict suffix minimum, since everything after it is
+    >= x + 2; and no later suffix minimum is <= x + 1, since none lies
+    after k.  As values increase along the stack, p[k] is the last entry
+    <= x + 1, found by walking down from the top past the entries > x + 1.
+    Inserting x at stop shifts those entries one place right, drops the
+    entries below with value x or x + 1 (x now follows them), and makes x
+    an entry, as everything after it is >= x + 2.  The walk is at most
+    one step per distinct letter, and ``list.insert`` shifts in C.
     """
     moves = 0
     for i in range(1, len(w)):
         x = w[i]
-        j = i
-        while j > 0 and w[j - 1] - x >= 2:
-            w[j] = w[j - 1]
+        if w[i - 1] - x < 2:
+            continue
+        j = i - 1
+        while j and w[j - 1] - x >= 2:
+            w[j + 1] = w[j]
             j -= 1
-        if j != i:
-            w[j] = x
-            moves += i - j
+        w[j + 1] = w[j]
+        w[j] = x
+        moves += i - j
+        if moves > 8 * i:
+            break
+    else:
+        return moves
+    rest = w[i + 1:]
+    del w[i + 1:]
+    vals, poss = [w[i]], [i]
+    for k in range(i - 1, -1, -1):
+        if w[k] < vals[-1]:
+            vals.append(w[k])
+            poss.append(k)
+    vals.reverse()
+    poss.reverse()
+    for x in rest:
+        y = x + 1
+        top = len(vals)
+        while top and vals[top - 1] > y:
+            top -= 1
+            poss[top] += 1
+        stop = poss[top - 1] + 1 if top else 0
+        moves += len(w) - stop
+        w.insert(stop, x)
+        lo = top
+        while lo and vals[lo - 1] >= x:
+            lo -= 1
+        vals[lo:top] = (x,)
+        poss[lo:top] = (stop,)
     return moves
 
 

@@ -149,3 +149,10 @@ def test_reverse_refuses_letters_outside_the_table():
     for u, v in [((5,), (1,)), ((1,), (5,)), ((0,), (2,)), ((-1,), (3,))]:
         with pytest.raises(ValueError, match="no complement entry for"):
             reverse(u, v, TABLE)
+
+
+def test_reverse_checks_every_letter_before_it_starts():
+    # no reversal step meets these letters, yet they are still refused
+    for u, v in [((), (0,)), ((5,), ())]:
+        with pytest.raises(ValueError, match="no complement entry for"):
+            reverse(u, v, TABLE)

@@ -8,7 +8,8 @@ position (ranks 4-20 and the descending-run words up to length 400).
 Words are drawn letter by letter and as concatenated descending runs,
 which exercise the long rule shapes.  At rank 4 both deciders must agree
 with the breadth-first oracle's class closures on every pair of short
-words.
+words.  The commutation sort must give the list and move count of plain
+insertion sort on both sides of its switch to the suffix-minima stack.
 """
 
 import random
@@ -26,7 +27,8 @@ from aimonoids.rewrite_a import (_family_match_at, a_equal, a_reduce,
                                  a_reduce_random, a_reduce_steps, a_step)
 from aimonoids.rewrite_m import (_deletion_at, m_equal, m_reduce,
                                  m_reduce_random, m_reduce_steps, m_step)
-from aimonoids.words import commute_sort, descending_run
+from aimonoids.words import (b_reduced_form, commute_sort, descending_run,
+                             descent_inversions, nabla)
 
 SYSTEMS = {
     "A": (a_reduce, a_reduce_steps, a_reduce_random, a_step),
@@ -171,3 +173,81 @@ def test_deciders_agree_with_oracle_closures_at_rank_4(system):
     disagreements = [(u, v) for u, v in combinations(words, 2)
                      if equal(u, v) != (class_of[u] == class_of[v])]
     assert disagreements == []
+
+
+# ---------------------------------------------------------------------------
+# commute_sort against plain insertion sort
+
+
+def insertion_commute_sort(w):
+    """(move count, whether the run passed eight moves per letter seen):
+    the commutation insertion sort with one interpreter step per move."""
+    moves = 0
+    long_slides = False
+    for i in range(1, len(w)):
+        x = w[i]
+        j = i
+        while j > 0 and w[j - 1] - x >= 2:
+            w[j] = w[j - 1]
+            j -= 1
+        if j != i:
+            w[j] = x
+            moves += i - j
+            long_slides = long_slides or moves > 8 * i
+    return moves, long_slides
+
+
+def check_commute_sort(word):
+    """Compare with the reference; return whether the switch was reached."""
+    got, expected = list(word), list(word)
+    moves = commute_sort(got)
+    reference_moves, long_slides = insertion_commute_sort(expected)
+    assert (got, moves) == (expected, reference_moves)
+    assert sorted(got) == sorted(word)
+    assert moves == descent_inversions(word) - descent_inversions(got)
+    assert all(a - b < 2 for a, b in zip(got, got[1:]))
+    return long_slides
+
+
+def test_commute_sort_matches_insertion_sort_on_all_short_words():
+    words = [w for k in range(9) for w in product(range(1, 5), repeat=k)]
+    assert len(words) == 87381
+    for w in words:
+        check_commute_sort(w)
+
+
+def commute_sort_extremes():
+    """Block words (k+2)^m 1^m, descending-run words and reversed normal
+    forms, short and long."""
+    rng = random.Random(7)
+    blocks = [(k + 2,) * m + (1,) * m for k in (1, 5, 30) for m in (3, 9, 40, 200)]
+    descending = [descending_word(n, period) for n in (10, 100, 400)
+                  for period in (3, 20, 50)]
+    reversed_forms = [tuple(reversed(b_reduced_form(
+        [rng.randint(1, r) for _ in range(n)])))
+        for r in (3, 6, 20, 60) for n in (12, 60, 400)]
+    reversed_forms += [tuple(reversed(nabla(n))) for n in (3, 8, 20)]
+    return blocks + descending + reversed_forms
+
+
+def test_commute_sort_extremes_hit_both_sides_of_the_switch():
+    switched = [check_commute_sort(w) for w in commute_sort_extremes()]
+    assert any(switched) and not all(switched)
+
+
+@st.composite
+def sort_words(draw):
+    n = draw(st.integers(2, 60))
+    length = draw(st.integers(0, 400))
+    letters = st.lists(st.integers(1, n), min_size=length, max_size=length)
+    runs = st.lists(st.tuples(st.integers(1, n + 1), st.integers(1, n + 1)),
+                    max_size=40).map(
+        lambda pairs: [x for a, b in pairs
+                       for x in descending_run(max(a, b), min(a, b))])
+    return tuple(draw(st.one_of(letters, runs)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(w=sort_words())
+def test_commute_sort_matches_insertion_sort(w):
+    check_commute_sort(w)

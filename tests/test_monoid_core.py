@@ -439,3 +439,20 @@ def test_presentations_keep_every_pair_after_a_reoriented_one():
     ci = ci_presentation(mtx)
     assert len(set(ci.relations)) == 3 + 2 * 3
     assert bfs_equal(ci, (1, 3), (3, 1)).status == EQUAL
+
+
+def test_malformed_image_is_reported():
+    # images that are not pairs leave the carrier; the check does not crash
+    flat = TupleAction((0, 1), {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}, 1)
+    assert tuple_action_failures(flat) == [
+        f"f leaves the carrier at {pair}"
+        for pair in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+    with pytest.raises(ValueError, match="f leaves the carrier"):
+        tuple_action(flat, (1,), (0, 0))
+
+
+def test_bfs_equal_checks_the_presentation_before_identical_words():
+    empty_side = Presentation(2, (((1, 2), ()),))
+    for u, v in [((1,), (1,)), ((), ()), ((1,), (2,))]:
+        with pytest.raises(ValueError, match="relations with an empty side"):
+            bfs_equal(empty_side, u, v)

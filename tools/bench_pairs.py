@@ -1,0 +1,239 @@
+"""Alternating parent/change benchmark pairs, written as a BENCH_<topic>.json.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --topic NAME \\
+        --workload wordproblem=1701-1710 --workload verify=1711,1712 \\
+        [--trace-seed S] [--scale aimonoids.words:commute_sort] \\
+        [--note change=TEXT] [--note KEY=TEXT ...]
+
+DIR is a source checkout holding ``perfbench/run.py`` and ``src/``.  Each
+``--workload NAME=SEEDS`` gives one pair per seed (SEEDS is a list of
+seeds and ranges ``a-b``): ``perfbench/run.py --trace 0`` runs once in each
+checkout for the change's BENCHMARK.json ``run_seconds``, one process at a
+time, the parent first in odd pairs and the change first in even ones.
+The file keeps every pair and, for each end-to-end metric of
+BENCHMARK.json, the quartiles of each side, the ratio of the medians and
+the number of pairs in which the change was better.  It is written as
+BENCH_<NAME>.json in the current directory.
+
+``--trace-seed`` adds one traced ``wordproblem`` run per side with that
+seed: its p50 scaling table and per-layer metrics.  The traced runs are
+time-bounded, so the two sides cover different numbers of ops.
+``--scale MODULE:FUNC`` adds a table of the function's time on a fresh
+list of random letters at ranks 6, 20 and 50 and lengths 400 to 3200,
+before and after: per cell the median over words of the best of a few
+calls, then the lesser of two processes per side, run in the order
+parent, change, change, parent.  ``--note`` stores a line of text under
+its key; ``change`` describes the change.  Exits non-zero if a run fails
+or an op fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SCALE_RANKS = "6,20,50"
+SCALE_LENGTHS = "400,800,1600,3200"
+SCALING_LINE = re.compile(
+    r"scaling (\S+) (\S+)\s+len\s+(\d+)-(\d+)\s+p50\s+([\d.]+) ms\s+\(n=(\d+)\)")
+
+# Run in a fresh interpreter inside one checkout: argv is the source
+# directory, MODULE:FUNC, ranks, lengths, words per cell, calls per word.
+SCALE_PROBE = """
+import importlib, json, random, statistics, sys, time
+src, spec, ranks, lengths, words, calls = sys.argv[1:]
+sys.path.insert(0, src)
+module, name = spec.split(":")
+func = getattr(importlib.import_module(module), name)
+table = {}
+for rank in map(int, ranks.split(",")):
+    for length in map(int, lengths.split(",")):
+        rng = random.Random(rank * 100003 + length)
+        best = []
+        for _ in range(int(words)):
+            word = [rng.randint(1, rank) for _ in range(length)]
+            times = []
+            for _ in range(int(calls)):
+                w = list(word)
+                t0 = time.perf_counter()
+                func(w)
+                times.append(time.perf_counter() - t0)
+            best.append(min(times))
+        table["rank %d L %d" % (rank, length)] = statistics.median(best) * 1e3
+print(json.dumps(table))
+"""
+
+
+def parse_seeds(text: str) -> list:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple:
+    """(result dict, stdout) of one perfbench/run.py process in `checkout`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit("error: %s %s seed %d exited %d:\n%s"
+                 % (checkout, workload, seed, proc.returncode, proc.stderr))
+    return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stdout
+
+
+def values(result: dict) -> dict:
+    return {k: round(m["value"], 4) for k, m in result["metrics"].items()}
+
+
+def quartiles(xs: list) -> dict:
+    if len(xs) == 1:
+        q1 = med = q3 = xs[0]
+    else:
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"q1": round(q1, 4), "median": round(med, 4), "q3": round(q3, 4)}
+
+
+def summarize(pairs: list, declared: list) -> dict:
+    summary = {}
+    for metric in declared:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        sides = {side: [p[side][name] for p in pairs] for side in ("parent", "change")}
+        stats = {side: quartiles(xs) for side, xs in sides.items()}
+        base = stats["parent"]["median"]
+        better = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        summary[name] = {
+            "unit": metric["unit"],
+            **stats,
+            "change_over_parent": round(stats["change"]["median"] / base, 3) if base else None,
+            "change_better_in_pairs": "%d of %d" % (better, len(pairs)),
+        }
+    return summary
+
+
+def run_pairs(parent: Path, change: Path, workload: str, seeds: list,
+              seconds: float) -> list:
+    pairs = []
+    for k, seed in enumerate(seeds, 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        failed = {}
+        for side in order:
+            result, _ = run_bench(parent if side == "parent" else change,
+                                  workload, seed, seconds, 0)
+            pair[side] = values(result)
+            failed[side] = result["failed"]
+        pair["failed"] = [failed["parent"], failed["change"]]
+        pairs.append(pair)
+        print("%s seed %d: ops_per_s %s -> %s" % (
+            workload, seed, pair["parent"].get("ops_per_s"),
+            pair["change"].get("ops_per_s")), file=sys.stderr)
+    return pairs
+
+
+def traced(checkout: Path, seed: int, seconds: float) -> dict:
+    result, stdout = run_bench(checkout, "wordproblem", seed, seconds, 1)
+    table = {}
+    for group, family, lo, hi, p50, n in SCALING_LINE.findall(stdout):
+        table["%s %s %s-%s" % (group, family, lo, hi)] = {"p50_ms": float(p50), "n": int(n)}
+    return {"seed": seed, "failed": result["failed"], "scaling_p50": table,
+            "per_layer": values(result)}
+
+
+def scale(parent: Path, change: Path, spec: str) -> dict:
+    best = {}
+    for side in ("parent", "change", "change", "parent"):
+        checkout = parent if side == "parent" else change
+        proc = subprocess.run(
+            [sys.executable, "-c", SCALE_PROBE, str(checkout / "src"), spec,
+             SCALE_RANKS, SCALE_LENGTHS, "5", "3"],
+            capture_output=True, text=True, check=True)
+        for cell, ms in json.loads(proc.stdout).items():
+            entry = best.setdefault(cell, {})
+            entry[side] = min(entry.get(side, ms), ms)
+    return {cell: {"parent_ms": round(e["parent"], 3), "change_ms": round(e["change"], 3),
+                   "change_over_parent": round(e["change"] / e["parent"], 3)}
+            for cell, e in best.items()}
+
+
+def machine() -> str:
+    model = platform.machine()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        names = [line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
+                 if line.startswith("model name")]
+        model = names[0] if names else model
+    return "%d CPU %s, Python %s" % (os.cpu_count(), model, platform.python_version())
+
+
+def git_head(checkout: Path) -> str | None:
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--topic", required=True)
+    parser.add_argument("--workload", action="append", default=[],
+                        metavar="NAME=SEEDS")
+    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--scale", metavar="MODULE:FUNC")
+    parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT")
+    args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        if not (checkout / "perfbench" / "run.py").is_file():
+            parser.error("%s holds no perfbench/run.py" % checkout)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    benchmark = json.loads((change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+
+    out = {
+        "topic": args.topic,
+        "change": "",
+        "parent_commit": git_head(parent),
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds %g "
+                   "--trace T, run from a parent checkout and from the change "
+                   "checkout, one process at a time; pair k runs the parent "
+                   "first when k is odd" % seconds,
+        "machine": machine() + "; times are thread CPU time scaled by the "
+                   "benchmark's calibration task",
+        "workloads": {},
+    }
+    failed = 0
+    for entry in args.workload:
+        name, _, seeds = entry.partition("=")
+        pairs = run_pairs(parent, change, name, parse_seeds(seeds), seconds)
+        failed += sum(sum(p["failed"]) for p in pairs)
+        out["workloads"][name] = {"pairs": pairs, "summary": summarize(pairs, benchmark["end_to_end"])}
+    if args.trace_seed is not None:
+        out["traced_wordproblem"] = {
+            side: traced(checkout, args.trace_seed, seconds)
+            for side, checkout in (("parent", parent), ("change", change))}
+        failed += sum(t["failed"] for t in out["traced_wordproblem"].values())
+    if args.scale:
+        out["scaling"] = {"function": args.scale,
+                          "cells": scale(parent, change, args.scale)}
+    for note in args.note:
+        key, _, text = note.partition("=")
+        out[key] = text
+    path = Path("BENCH_%s.json" % args.topic)
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print("wrote %s" % path, file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
