@@ -61,7 +61,6 @@ def complement_table(p: Presentation) -> ComplementTable:
         entries[(s, s)] = ()
     seen = set()
     for lhs, rhs in p.relations:
-        lhs, rhs = tuple(lhs), tuple(rhs)
         if not lhs or not rhs:
             raise ValueError("not complemented: relation with an empty side")
         s, t = lhs[0], rhs[0]

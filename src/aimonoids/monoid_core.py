@@ -134,8 +134,29 @@ def load_ci_matrix(text: str) -> CIMatrix:
 
 @dataclass(frozen=True)
 class Presentation:
+    """Relations lhs = rhs over generators 1..generators, their letters
+    checked when built; `rewrites` records the oracle's byte rewrites then."""
+
     generators: int
     relations: tuple  # of (Word, Word) pairs
+    rewrites: tuple | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = self.generators
+        rels = tuple((validate_word(u, n), validate_word(v, n))
+                     for u, v in self.relations)
+        object.__setattr__(self, "relations", rels)
+        object.__setattr__(self, "rewrites", _byte_rewrites(n, rels))
+
+
+def _byte_rewrites(generators: int, relations: tuple):
+    """lhs -> rhs, then rhs -> lhs, for each relation with distinct sides, in
+    relation order; None when the oracle cannot take the presentation (more
+    than 255 generators, or a relation with an empty side)."""
+    if generators > 255 or not all(lhs and rhs for lhs, rhs in relations):
+        return None
+    pairs = [(bytes(lhs), bytes(rhs)) for lhs, rhs in relations if lhs != rhs]
+    return tuple(sub for pair in pairs for sub in (pair, pair[::-1]))
 
 
 def _pair_relations(matrix: CIMatrix, with_extension: bool):
@@ -182,41 +203,37 @@ class OracleVerdict:
 def _oracle_words(p: Presentation, *words) -> list:
     """The words, checked against p's generators, as the oracle's bytes."""
     checked = [validate_word(w, p.generators) for w in words]
-    if p.generators > 255:
-        raise ValueError("oracle supports at most 255 generators")
+    if p.rewrites is None:
+        raise ValueError("oracle supports at most 255 generators" if p.generators > 255
+                         else "relations with an empty side are not supported")
     return [bytes(w) for w in checked]
 
 
-def _byte_relations(p: Presentation):
-    subs = []
-    for lhs, rhs in p.relations:
-        bl, br = bytes(lhs), bytes(rhs)
-        if not bl or not br:
-            raise ValueError("relations with an empty side are not supported")
-        if bl != br:
-            subs.append((bl, br))
-            subs.append((br, bl))
-    return subs
-
-
-def _sites(w: bytes, subs) -> list:
-    """Every (position, lhs, rhs) with lhs occurring in w at position.
-
-    Ordered by relation, then by position; the search order, witness
-    chains and random choices all follow this order.
-    """
-    sites = []
+def _rewrites(w: bytes, subs, skip: int = 0):
+    """Every word one rewrite in `subs` away from w, by rewrite, then by
+    position, after passing over the first `skip` sites without building
+    them; the search order, witness chains and random choices follow it."""
     for lhs, rhs in subs:
         i = w.find(lhs)
         while i != -1:
-            sites.append((i, lhs, rhs))
+            if skip:
+                skip -= 1
+            else:
+                yield w[:i] + rhs + w[i + len(lhs):]
             i = w.find(lhs, i + 1)
-    return sites
+
+
+def _occurrences(w: bytes, lhs: bytes) -> int:
+    """How often lhs occurs in w, overlapping occurrences included."""
+    n, i = 0, w.find(lhs)
+    while i != -1:
+        n, i = n + 1, w.find(lhs, i + 1)
+    return n
 
 
 def _search(subs, start: bytes, max_len: int, max_states: int,
             target: bytes | None = None):
-    """Breadth-first closure of `start` under the byte relations `subs`.
+    """Breadth-first closure of `start` under the byte rewrites `subs`.
 
     Returns (parent, complete, hit).  parent maps every word reached to the
     word it was first reached from (start to None).  complete is False when
@@ -228,8 +245,7 @@ def _search(subs, start: bytes, max_len: int, max_states: int,
     complete = True
     while queue:
         w = queue.popleft()
-        for i, lhs, rhs in _sites(w, subs):
-            nw = w[:i] + rhs + w[i + len(lhs):]
+        for nw in _rewrites(w, subs):
             if len(nw) > max_len:
                 complete = False
             elif nw not in parent:
@@ -253,7 +269,9 @@ def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 1
     w0, = _oracle_words(p, start)
     if max_len < len(w0):
         raise ValueError("max_len below the start word length")
-    parent, complete, _ = _search(_byte_relations(p), w0, max_len, max_states)
+    if max_states < 1:
+        raise ValueError("max_states must be positive")
+    parent, complete, _ = _search(p.rewrites, w0, max_len, max_states)
     return frozenset(tuple(x) for x in parent), complete
 
 
@@ -273,10 +291,9 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
         raise ValueError("max_len smaller than an input word")
     if max_states < 1:
         raise ValueError("max_states must be positive")
-    subs = _byte_relations(p)
     if bu == bv:
         return OracleVerdict(EQUAL, (tuple(bu),))
-    parent, complete, hit = _search(subs, bu, max_len, max_states, target=bv)
+    parent, complete, hit = _search(p.rewrites, bu, max_len, max_states, target=bv)
     if hit:
         chain = []
         cur = bv
@@ -290,8 +307,7 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
 def one_step_related(p: Presentation, u, v) -> bool:
     """Whether v arises from u by one relation replacement (either direction)."""
     bu, bv = _oracle_words(p, u, v)
-    return any(bu[:i] + rhs + bu[i + len(lhs):] == bv
-               for i, lhs, rhs in _sites(bu, _byte_relations(p)))
+    return bv in _rewrites(bu, p.rewrites)
 
 
 def random_rewrite(p: Presentation, word, rng, steps: int,
@@ -300,14 +316,14 @@ def random_rewrite(p: Presentation, word, rng, steps: int,
     w, = _oracle_words(p, word)
     if max_len is None:
         max_len = len(w) + 2 * steps + 4
-    subs = _byte_relations(p)
     for _ in range(steps):
-        sites = [(i, lhs, rhs) for i, lhs, rhs in _sites(w, subs)
-                 if len(w) - len(lhs) + len(rhs) <= max_len]
-        if not sites:
+        room = max_len - len(w)
+        fits = [(lhs, rhs) for lhs, rhs in p.rewrites if len(rhs) - len(lhs) <= room]
+        count = sum(_occurrences(w, lhs) for lhs, _ in fits)
+        if not count:
             break
-        i, lhs, rhs = rng.choice(sites)
-        w = w[:i] + rhs + w[i + len(lhs):]
+        # randrange(count) is the draw rng.choice makes from `count` neighbours
+        w = next(_rewrites(w, fits, rng.randrange(count)))
     return tuple(w)
 
 

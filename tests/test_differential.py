@@ -10,6 +10,9 @@ which exercise the long rule shapes.  At rank 4 both deciders must agree
 with the breadth-first oracle's class closures on every pair of short
 words.  The commutation sort must give the list and move count of plain
 insertion sort on both sides of its switch to the suffix-minima stack.
+The oracle must visit neighbours in the order of a search that encodes
+the relations afresh on every call (relation, direction, position), so
+its statuses, witness chains, closures and random choices stay the same.
 """
 
 import random
@@ -21,8 +24,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimonoids import rewrite
-from aimonoids.monoid_core import (ai_presentation, chain_ci_matrix,
-                                   ci_presentation, congruence_closure)
+from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
+                                   Presentation, ai_presentation, bfs_equal,
+                                   chain_ci_matrix, ci_presentation,
+                                   congruence_closure, one_step_related,
+                                   random_rewrite)
 from aimonoids.rewrite_a import (_family_match_at, a_equal, a_reduce,
                                  a_reduce_random, a_reduce_steps, a_step)
 from aimonoids.rewrite_m import (_deletion_at, m_equal, m_reduce,
@@ -251,3 +257,112 @@ def sort_words(draw):
 @given(w=sort_words())
 def test_commute_sort_matches_insertion_sort(w):
     check_commute_sort(w)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's neighbour order against relations encoded on every call
+
+
+def reference_subs(p):
+    subs = []
+    for lhs, rhs in p.relations:
+        bl, br = bytes(lhs), bytes(rhs)
+        if bl != br:
+            subs += [(bl, br), (br, bl)]
+    return subs
+
+
+def reference_sites(w, subs):
+    sites = []
+    for lhs, rhs in subs:
+        i = w.find(lhs)
+        while i != -1:
+            sites.append((i, lhs, rhs))
+            i = w.find(lhs, i + 1)
+    return sites
+
+
+def reference_search(p, start, max_len, max_states, target=None):
+    subs = reference_subs(p)
+    parent = {start: None}
+    queue = [start]
+    complete = True
+    for w in queue:
+        for i, lhs, rhs in reference_sites(w, subs):
+            nw = w[:i] + rhs + w[i + len(lhs):]
+            if len(nw) > max_len:
+                complete = False
+            elif nw not in parent:
+                if len(parent) >= max_states:
+                    return parent, False, False
+                parent[nw] = w
+                if nw == target:
+                    return parent, complete, True
+                queue.append(nw)
+    return parent, complete, False
+
+
+def reference_bfs_equal(p, u, v, max_len, max_states):
+    bu, bv = bytes(u), bytes(v)
+    if bu == bv:
+        return EQUAL, (u,)
+    parent, complete, hit = reference_search(p, bu, max_len, max_states, bv)
+    if not hit:
+        return (DISTINCT_WITHIN_BOUND if complete else INCONCLUSIVE), None
+    chain = []
+    while bv is not None:
+        chain.append(tuple(bv))
+        bv = parent[bv]
+    return EQUAL, tuple(reversed(chain))
+
+
+def reference_random_rewrite(p, word, rng, steps, max_len):
+    w, subs = bytes(word), reference_subs(p)
+    for _ in range(steps):
+        sites = [(i, lhs, rhs) for i, lhs, rhs in reference_sites(w, subs)
+                 if len(w) - len(lhs) + len(rhs) <= max_len]
+        if not sites:
+            break
+        i, lhs, rhs = rng.choice(sites)
+        w = w[:i] + rhs + w[i + len(lhs):]
+    return tuple(w)
+
+
+def random_presentation(rng):
+    """2-5 generators, sides of length 1-4, some sides identical and some
+    relations repeated."""
+    n = rng.randint(2, 5)
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        lhs = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 4)))
+        rhs = lhs if rng.random() < 0.2 else tuple(
+            rng.randint(1, n) for _ in range(rng.randint(1, 4)))
+        rels += [(lhs, rhs)] * (2 if rng.random() < 0.2 else 1)
+    return Presentation(n, tuple(rels))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_neighbour_order_matches_per_call_encoding(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        p = random_presentation(rng)
+        for _ in range(3):
+            u = tuple(rng.randint(1, p.generators) for _ in range(rng.randint(0, 6)))
+            steps, max_len = rng.randint(0, 5), len(u) + rng.randint(0, 3)
+            walk = rng.randrange(2**32)
+            v = random_rewrite(p, u, random.Random(walk), steps, max_len)
+            assert v == reference_random_rewrite(p, u, random.Random(walk), steps, max_len)
+            cap = rng.choice([5, 40, 2000])
+            other = tuple(rng.randint(1, p.generators) for _ in range(rng.randint(0, 6)))
+            for w in (v, other):
+                bound = len(u) + len(w) + 2
+                verdict = bfs_equal(p, u, w, bound, cap)
+                assert (verdict.status, verdict.witness) == reference_bfs_equal(
+                    p, u, w, bound, cap)
+            words, complete = congruence_closure(p, u, len(u) + 2, cap)
+            parent, ref_complete, _ = reference_search(p, bytes(u), len(u) + 2, cap)
+            assert (words, complete) == (frozenset(map(tuple, parent)), ref_complete)
+            for x in list(words)[:8]:
+                assert one_step_related(p, u, x) == any(
+                    u[:i] + tuple(rhs) + u[i + len(lhs):] == x
+                    for i, lhs, rhs in reference_sites(bytes(u), reference_subs(p)))

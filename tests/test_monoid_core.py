@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -456,3 +457,79 @@ def test_bfs_equal_checks_the_presentation_before_identical_words():
     for u, v in [((1,), (1,)), ((), ()), ((1,), (2,))]:
         with pytest.raises(ValueError, match="relations with an empty side"):
             bfs_equal(empty_side, u, v)
+
+
+def test_presentation_refuses_bad_relation_letters():
+    for rel in [((1, 2), (3,)), ((0,), (1,)), ((True,), (1,)), ((2.0,), (1,)),
+                ((1,), (300,))]:
+        with pytest.raises(ValueError, match="letter"):
+            Presentation(2, (rel,))
+
+
+def test_presentation_stores_relations_as_tuples():
+    p = Presentation(2, [([1, 2], [2, 1]), ([1, 1], (1,))])
+    assert p.relations == (((1, 2), (2, 1)), ((1, 1), (1,)))
+    assert p == Presentation(2, (((1, 2), (2, 1)), ((1, 1), (1,))))
+    assert len({p, Presentation(2, p.relations)}) == 1
+
+
+def test_presentation_records_rewrites_in_relation_order():
+    # lhs -> rhs then rhs -> lhs; identical sides skipped, duplicates kept
+    p = Presentation(3, (((1, 2), (2, 1)), ((3,), (3,)), ((2, 3), (3,)),
+                         ((1, 2), (2, 1))))
+    assert p.rewrites == ((b"\1\2", b"\2\1"), (b"\2\1", b"\1\2"),
+                          (b"\2\3", b"\3"), (b"\3", b"\2\3"),
+                          (b"\1\2", b"\2\1"), (b"\2\1", b"\1\2"))
+    # built, but refused by the oracle
+    assert Presentation(2, (((1, 2), ()),)).rewrites is None
+    assert Presentation(256, (((1, 2), (2, 1)),)).rewrites is None
+
+
+def test_presentation_copy_and_pickle_keep_the_rewrites():
+    p = ci_presentation(chain_ci_matrix(3))
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p
+        assert q.rewrites == p.rewrites
+        assert congruence_closure(q, (1, 2, 1), 6) == congruence_closure(p, (1, 2, 1), 6)
+
+
+def test_presentation_is_encoded_once(monkeypatch):
+    p = ci_presentation(chain_ci_matrix(3))
+    calls = []
+    encode = monoid_core._byte_rewrites
+    monkeypatch.setattr(monoid_core, "_byte_rewrites",
+                        lambda *args: calls.append(args) or encode(*args))
+    rng = random.Random(0)
+    for _ in range(50):
+        u = random_word(rng, 3, 5, 1)
+        v = random_rewrite(p, u, rng, 2)
+        assert one_step_related(p, u, random_rewrite(p, u, rng, 1))
+        assert bfs_equal(p, u, v, max_states=2000).status in (EQUAL, INCONCLUSIVE)
+        assert u in congruence_closure(p, u, len(u) + 1, 200)[0]
+    assert calls == []
+    Presentation(2, (((1, 2), (2, 1)),))
+    assert len(calls) == 1
+
+
+def test_congruence_closure_refuses_a_non_positive_state_cap():
+    p = ai_presentation(chain_ci_matrix(3))
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_states must be positive"):
+            congruence_closure(p, (1, 2, 1), 5, max_states=cap)
+    assert congruence_closure(p, (1, 2, 1), 5, max_states=1) == (
+        frozenset({(1, 2, 1)}), False)
+
+
+def test_random_rewrite_builds_only_the_chosen_neighbour():
+    # 4000 sites of 1 -> 11 on a 4000-letter word: holding every neighbour
+    # would take about 16 MB, one of them about 4 kB
+    p = Presentation(1, (((1,), (1, 1)),))
+    rng = random.Random(0)
+    tracemalloc.start()
+    try:
+        w = random_rewrite(p, (1,) * 4000, rng, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(w) == {1} and abs(len(w) - 4000) <= 3
+    assert peak < 1_000_000

@@ -1,0 +1,31 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("3") == [3]
+    assert bench_pairs.parse_seeds("1701-1703,9") == [1701, 1702, 1703, 9]
+    for bad in ("", "5-3", "1,", "x", "-3", "1-"):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(bad)
+
+
+@pytest.mark.parametrize("workload", ["wordproblem=", "wordproblem=5-3",
+                                      "nosuch=1", "oracle=1,x"])
+def test_bad_workload_is_refused_before_any_run(workload, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=1", "--workload", workload]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "error: --workload " + workload in capsys.readouterr().err

@@ -10,6 +10,8 @@ DIR is a source checkout holding ``perfbench/run.py`` and ``src/``.  Each
 seeds and ranges ``a-b``): ``perfbench/run.py --trace 0`` runs once in each
 checkout for the change's BENCHMARK.json ``run_seconds``, one process at a
 time, the parent first in odd pairs and the change first in even ones.
+A NAME missing from BENCHMARK.json, an empty SEEDS or a range whose end
+precedes its start is refused before anything runs.
 The file keeps every pair and, for each end-to-end metric of
 BENCHMARK.json, the quartiles of each side, the ratio of the medians and
 the number of pairs in which the change was better.  It is written as
@@ -72,10 +74,18 @@ print(json.dumps(table))
 
 
 def parse_seeds(text: str) -> list:
+    """The seeds of "a,b-c,..."; ValueError for a part that is not a seed
+    or a range "a-b" with b < a."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        lo, dash, hi = part.partition("-")
+        hi = hi if dash else lo
+        if not (lo.isdigit() and hi.isdigit()):
+            raise ValueError("%r is not a seed or a range a-b" % part)
+        span = range(int(lo), int(hi) + 1)
+        if not span:
+            raise ValueError("range %r is reversed" % part)
+        seeds += span
     return seeds
 
 
@@ -199,6 +209,17 @@ def main(argv=None) -> int:
     parent, change = args.parent.resolve(), args.change.resolve()
     benchmark = json.loads((change / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
+    known = [w["name"] for w in benchmark["workloads"]]
+    plan = []
+    for entry in args.workload:
+        name, _, seeds = entry.partition("=")
+        if name not in known:
+            parser.error("--workload %s: no workload %r in BENCHMARK.json (%s)"
+                         % (entry, name, ", ".join(known)))
+        try:
+            plan.append((name, parse_seeds(seeds)))
+        except ValueError as exc:
+            parser.error("--workload %s: %s" % (entry, exc))
 
     out = {
         "topic": args.topic,
@@ -213,9 +234,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     failed = 0
-    for entry in args.workload:
-        name, _, seeds = entry.partition("=")
-        pairs = run_pairs(parent, change, name, parse_seeds(seeds), seconds)
+    for name, seeds in plan:
+        pairs = run_pairs(parent, change, name, seeds, seconds)
         failed += sum(sum(p["failed"]) for p in pairs)
         out["workloads"][name] = {"pairs": pairs, "summary": summarize(pairs, benchmark["end_to_end"])}
     if args.trace_seed is not None:
