@@ -143,8 +143,13 @@ class Presentation:
 
     def __post_init__(self):
         n = self.generators
-        rels = tuple((validate_word(u, n), validate_word(v, n))
-                     for u, v in self.relations)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"generators must be a non-negative integer, got {n!r}")
+        try:
+            rels = [(tuple(u), tuple(v)) for u, v in self.relations]
+        except (TypeError, ValueError):
+            raise ValueError("relations must be a sequence of word pairs") from None
+        rels = tuple((validate_word(u, n), validate_word(v, n)) for u, v in rels)
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "rewrites", _byte_rewrites(n, rels))
 

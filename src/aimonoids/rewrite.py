@@ -2,10 +2,12 @@
 
 In both systems at most one rule occurrence starts at each position; rules
 are the commutation ``x_a x_b -> x_b x_a`` (a - b >= 2) and deletions, each
-removing the span ``match.deleted``.  Every function takes the system's own
-functions (matcher, deletion scan, apply, reducer) as arguments; rewrite_a
-and rewrite_m pass their module functions on every call, so rebinding one
-is seen here.
+removing the span ``match.deleted``.  Each rewriting function takes the
+system's own functions (matcher, deletion scan, apply, reducer) as
+arguments; rewrite_a and rewrite_m pass their module functions on every
+call, so rebinding one is seen here.  For the overlap audit this module
+lists the commutation left-hand sides and the one-letter overlaps of two
+lists of left-hand sides.
 """
 
 from __future__ import annotations
@@ -115,6 +117,24 @@ class CriticalTriple:
     q: Word
     r: Word
     s: Word
+
+
+def commutations(n: int) -> list:
+    """The commutation left-hand sides (a, b), a - b >= 2, over letters 1..n."""
+    return [(a, b) for a in range(3, n + 1) for b in range(1, a - 1)]
+
+
+def letter_overlaps(family: str, lefts, rights) -> list:
+    """The triples (l[:-1], l[-1:], r[1:]) for every left-hand side l in
+    lefts and r in rights such that l ends with the letter r starts with."""
+    tails = {}
+    for r in rights:
+        tails.setdefault(r[0], []).append(r[1:])
+    out = []
+    for l in lefts:
+        q, r = l[:-1], l[-1:]
+        out.extend(CriticalTriple(family, q, r, s) for s in tails.get(r[0], ()))
+    return out
 
 
 def full_span(match_at, w):

@@ -12,12 +12,12 @@ Two rule shapes over positive letters:
   removed, for any b >= 2, a - b >= 1 and exponents c(i) >= 1.
 
 Both shapes shrink the measure (length, descents of gap two or more), so
-rewriting terminates; the overlap audit below certifies local confluence,
-hence unique normal forms.  At most one rule matches at a given start
-position: the letter following w[i] decides the shape (two or more below
-w[i]: commutation; equal or one below: block deletion; anything else:
-nothing), and within block deletion the exponents and the run start are
-forced by maximality.
+rewriting terminates; the overlap audit below joins the critical pairs it
+lists, the evidence for local confluence and hence unique normal forms.
+At most one rule matches at a given start position: the letter following
+w[i] decides the shape (two or more below w[i]: commutation; equal or one
+below: block deletion; anything else: nothing), and within block deletion
+the exponents and the run start are forced by maximality.
 
 The matchers and the rule shapes live here; applying, normalizing and the
 confluence audit are the shared driver in ``rewrite``.
@@ -167,13 +167,15 @@ def _exponent_vectors(k: int, cap: int):
 
 
 def a_critical_pairs(n: int, max_exponent: int = 2) -> list:
-    """Every overlap triple with letters bounded by n, exponents by max_exponent.
-
-    Four shapes exhaust the overlaps of the two rules:
+    """Overlap triples of the rules with letters bounded by n and block
+    exponents by max_exponent, in four families:
     (a) two block deletions sharing the run piece (x_c, x_b];
     (b) a commutation feeding the leading block of a deletion;
     (c) a deletion whose final run letter commutes with what follows;
     (d) two commutations sharing their middle letter.
+    Families b-d are every one-letter overlap of the bounded rule lists.
+    Other overlaps of two deletions, and rules lying inside a deletion,
+    are not listed.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -195,23 +197,13 @@ def a_critical_pairs(n: int, max_exponent: int = 2) -> list:
                         for sexp in _exponent_vectors(b - d, E):
                             s = _blocks(b - 1, d, sexp) + descending_run(c, d)
                             out.append(CriticalTriple("a", q, r, s))
-    for c in range(4, n + 1):
-        for a in range(3, c):
-            for b in range(2, a):
-                for rexp in _exponent_vectors(b, E):
-                    s = ((a - 1,) * (rexp[0] - 1) + _blocks(a - 2, a - b, rexp[1:])
-                         + descending_run(a, a - b))
-                    out.append(CriticalTriple("b", (c,), (a - 1,), s))
-    for a in range(5, n + 2):
-        for b in range(2, a - 2):
-            for rexp in _exponent_vectors(b, E):
-                q = _blocks(a - 1, a - b, rexp) + descending_run(a, a - b + 1)
-                for c in range(1, a - b - 1):
-                    out.append(CriticalTriple("c", q, (a - b,), (c,)))
-    for a in range(5, n + 1):
-        for b in range(3, a - 1):
-            for c in range(1, b - 1):
-                out.append(CriticalTriple("d", (a,), (b,), (c,)))
+    # the left-hand sides: C commutations, F block deletions
+    C = rewrite.commutations(n)
+    F = [_blocks(a - 1, a - b, exps) + descending_run(a, a - b)
+         for a in range(3, n + 2) for b in range(2, a)
+         for exps in _exponent_vectors(b, E)]
+    overlaps = rewrite.letter_overlaps
+    out += overlaps("b", C, F) + overlaps("c", F, C) + overlaps("d", C, C)
     return rewrite.checked_triples(a_match_at, out)
 
 

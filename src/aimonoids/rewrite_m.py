@@ -221,50 +221,32 @@ def _stair_segments(lo: int, hi: int, assign) -> Word:
 
 
 def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
-    """Every overlap triple with letters bounded by n and interleaved
-    stretches of length at most max_interleave.
-
-    Ten shapes exhaust the overlaps of the three rules: (a) two
+    """Overlap triples of the rules with letters bounded by n and interleaved
+    stretches of length at most max_interleave, in ten families: (a) two
     commutations; (b) commutation into a square run; (c) square run ending
     in a commutation; (d) commutation into a staircase; (e) staircase
     ending in a commutation; (f) two square runs sharing a run; (g) square
     run feeding a staircase head; (h) staircase tail feeding a square run;
     (i) two staircases sharing a stair letter; (j) two staircases
-    overlapping in a descent pair.  Pure x_a x_a overlaps appear under the
-    square-run shapes, so the staircase shapes take b > a.
+    overlapping in a descent pair.  Families a-e and g-i are every
+    one-letter overlap of the bounded rule lists; staircases take b > a,
+    so x_a x_a counts as a square run only.  Other overlaps of two
+    deletions, and rules lying inside a deletion, are not listed.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     L = max_interleave
     if L < 0:
         raise ValueError("interleave cap must be nonnegative")
-    out = []
-    for a in range(5, n + 1):
-        for b in range(3, a - 1):
-            for c in range(1, b - 1):
-                out.append(CriticalTriple("a", (a,), (b,), (c,)))
-    for c in range(1, n - 1):
-        for b in range(c + 1, n):
-            for a in range(b + 1, n + 1):
-                s = descending_run(b - 1, c) + descending_run(b, c)
-                out.append(CriticalTriple("b", (a,), (b - 1,), s))
-    for c in range(1, n - 1):
-        for b in range(c + 2, n + 1):
-            for a in range(b + 1, n + 2):
-                q = descending_run(a, b) + descending_run(a, b + 1)
-                out.append(CriticalTriple("c", q, (b,), (c,)))
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            for assign in _interleave_assignments(a + 1, b, n, L):
-                tail = _stair_segments(a + 1, b, assign) + (b,)
-                for c in range(a + 2, n + 1):
-                    out.append(CriticalTriple("d", (c,), (a,), tail))
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            for assign in _interleave_assignments(a + 1, b, n, L):
-                q = (a,) + _stair_segments(a + 1, b, assign)
-                for c in range(1, b - 1):
-                    out.append(CriticalTriple("e", q, (b,), (c,)))
+    # the left-hand sides: C commutations, S square runs, T staircases
+    C = rewrite.commutations(n)
+    S = [descending_run(a, b) * 2 for a in range(2, n + 2) for b in range(1, a)]
+    T = [(a,) + _stair_segments(a + 1, b, assign) + (b,)
+         for a in range(1, n) for b in range(a + 1, n + 1)
+         for assign in _interleave_assignments(a + 1, b, n, L)]
+    overlaps = rewrite.letter_overlaps
+    out = (overlaps("a", C, C) + overlaps("b", C, S) + overlaps("c", S, C)
+           + overlaps("d", C, T) + overlaps("e", T, C))
     for d in range(1, n + 1):
         for b in range(d, n + 1):
             for c in range(b + 1, n + 2):
@@ -273,27 +255,7 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
                     r = descending_run(c, b)
                     s = descending_run(b, d) + descending_run(c, d)
                     out.append(CriticalTriple("f", q, r, s))
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            for assign in _interleave_assignments(a + 1, b, n, L):
-                tail = _stair_segments(a + 1, b, assign) + (b,)
-                for c in range(a + 1, n + 2):
-                    q = descending_run(c, a) + descending_run(c, a + 1)
-                    out.append(CriticalTriple("g", q, (a,), tail))
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            for assign in _interleave_assignments(a + 1, b, n, L):
-                q = (a,) + _stair_segments(a + 1, b, assign)
-                for c in range(1, b + 1):
-                    s = descending_run(b, c) + descending_run(b + 1, c)
-                    out.append(CriticalTriple("h", q, (b,), s))
-    for a in range(1, n - 1):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n + 1):
-                for assign in _interleave_assignments(a + 1, c, n, L):
-                    q = (a,) + _stair_segments(a + 1, b, assign)
-                    s = _stair_segments(b + 1, c, assign) + (c,)
-                    out.append(CriticalTriple("i", q, (b,), s))
+    out += overlaps("g", S, T) + overlaps("h", T, S) + overlaps("i", T, T)
     for a in range(1, n):
         for b in range(a + 1, n + 1):
             for c in range(b, n + 1):

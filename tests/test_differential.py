@@ -13,9 +13,13 @@ insertion sort on both sides of its switch to the suffix-minima stack.
 The oracle must visit neighbours in the order of a search that encodes
 the relations afresh on every call (relation, direction, position), so
 its statuses, witness chains, closures and random choices stay the same.
+The critical-pair families derived from the rule lists must be, family by
+family, the multiset of triples the hand-written overlap loops gave, and
+every overlap of the bounded rule lists must join, listed or not.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, product
 from unittest import mock
 
@@ -29,9 +33,13 @@ from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    chain_ci_matrix, ci_presentation,
                                    congruence_closure, one_step_related,
                                    random_rewrite)
-from aimonoids.rewrite_a import (_family_match_at, a_equal, a_reduce,
-                                 a_reduce_random, a_reduce_steps, a_step)
-from aimonoids.rewrite_m import (_deletion_at, m_equal, m_reduce,
+from aimonoids.rewrite_a import (_blocks, _exponent_vectors, _family_match_at,
+                                 a_apply, a_critical_pairs, a_equal,
+                                 a_match_at, a_reduce, a_reduce_random,
+                                 a_reduce_steps, a_step)
+from aimonoids.rewrite_m import (_deletion_at, _interleave_assignments,
+                                 _stair_segments, m_apply, m_critical_pairs,
+                                 m_equal, m_match_at, m_reduce,
                                  m_reduce_random, m_reduce_steps, m_step)
 from aimonoids.words import (b_reduced_form, commute_sort, descending_run,
                              descent_inversions, nabla)
@@ -366,3 +374,153 @@ def test_oracle_neighbour_order_matches_per_call_encoding(seed):
                 assert one_step_related(p, u, x) == any(
                     u[:i] + tuple(rhs) + u[i + len(lhs):] == x
                     for i, lhs, rhs in reference_sites(bytes(u), reference_subs(p)))
+
+
+# ---------------------------------------------------------------------------
+# critical pairs
+
+
+def reference_a_pairs(n, E):
+    """A's one-letter overlap families b-d as hand-written loops."""
+    out = []
+    for c in range(4, n + 1):
+        for a in range(3, c):
+            for b in range(2, a):
+                for rexp in _exponent_vectors(b, E):
+                    s = ((a - 1,) * (rexp[0] - 1) + _blocks(a - 2, a - b, rexp[1:])
+                         + descending_run(a, a - b))
+                    out.append(("b", (c,), (a - 1,), s))
+    for a in range(5, n + 2):
+        for b in range(2, a - 2):
+            for rexp in _exponent_vectors(b, E):
+                q = _blocks(a - 1, a - b, rexp) + descending_run(a, a - b + 1)
+                for c in range(1, a - b - 1):
+                    out.append(("c", q, (a - b,), (c,)))
+    for a in range(5, n + 1):
+        for b in range(3, a - 1):
+            for c in range(1, b - 1):
+                out.append(("d", (a,), (b,), (c,)))
+    return out
+
+
+def reference_m_pairs(n, L):
+    """M's one-letter overlap families a-e and g-i as hand-written loops."""
+    out = []
+    for a in range(5, n + 1):
+        for b in range(3, a - 1):
+            for c in range(1, b - 1):
+                out.append(("a", (a,), (b,), (c,)))
+    for c in range(1, n - 1):
+        for b in range(c + 1, n):
+            for a in range(b + 1, n + 1):
+                s = descending_run(b - 1, c) + descending_run(b, c)
+                out.append(("b", (a,), (b - 1,), s))
+    for c in range(1, n - 1):
+        for b in range(c + 2, n + 1):
+            for a in range(b + 1, n + 2):
+                q = descending_run(a, b) + descending_run(a, b + 1)
+                out.append(("c", q, (b,), (c,)))
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            for assign in _interleave_assignments(a + 1, b, n, L):
+                stairs = _stair_segments(a + 1, b, assign)
+                for c in range(a + 2, n + 1):
+                    out.append(("d", (c,), (a,), stairs + (b,)))
+                for c in range(1, b - 1):
+                    out.append(("e", (a,) + stairs, (b,), (c,)))
+                for c in range(a + 1, n + 2):
+                    q = descending_run(c, a) + descending_run(c, a + 1)
+                    out.append(("g", q, (a,), stairs + (b,)))
+                for c in range(1, b + 1):
+                    s = descending_run(b, c) + descending_run(b + 1, c)
+                    out.append(("h", (a,) + stairs, (b,), s))
+    for a in range(1, n - 1):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n + 1):
+                for assign in _interleave_assignments(a + 1, c, n, L):
+                    q = (a,) + _stair_segments(a + 1, b, assign)
+                    s = _stair_segments(b + 1, c, assign) + (c,)
+                    out.append(("i", q, (b,), s))
+    return out
+
+
+def by_family(triples):
+    out = {}
+    for family, q, r, s in triples:
+        out.setdefault(family, Counter())[(q, r, s)] += 1
+    return out
+
+
+DERIVED = {
+    "A": (a_critical_pairs, reference_a_pairs, "bcd",
+          [(n, E) for n in range(1, 7) for E in (1, 2, 3)]),
+    "M": (m_critical_pairs, reference_m_pairs, "abcdeghi",
+          [(n, L) for n in range(1, 6) for L in (0, 1)] + [(4, 2)]),
+}
+
+
+@pytest.mark.parametrize("system", sorted(DERIVED))
+def test_derived_critical_pairs_match_hand_written_families(system):
+    pairs, reference, families, sizes = DERIVED[system]
+    for n, cap in sizes:
+        derived = by_family((t.family, t.q, t.r, t.s) for t in pairs(n, cap)
+                            if t.family in families)
+        assert derived == by_family(reference(n, cap)), (n, cap)
+
+
+def a_rule_lefts(n, E):
+    """Every left-hand side of A with letters <= n and exponents <= E."""
+    lefts = [(a, b) for a in range(3, n + 1) for b in range(1, a - 1)]
+    for a in range(3, n + 2):
+        for b in range(2, a):
+            for exps in product(range(1, E + 1), repeat=b):
+                blocks = sum(((a - 1 - i,) * e for i, e in enumerate(exps)), ())
+                lefts.append(blocks + descending_run(a, a - b))
+    return lefts
+
+
+def m_rule_lefts(n, L):
+    """Every left-hand side of M with letters <= n and stretches <= L."""
+    def words(letters):
+        return [w for k in range(L + 1) for w in product(letters, repeat=k)]
+    lefts = [(a, b) for a in range(3, n + 1) for b in range(1, a - 1)]
+    lefts += [descending_run(a, b) * 2 for a in range(2, n + 2) for b in range(1, a)]
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            stairs = [[y + (i, i - 1) + z for y in words(range(i + 1, n + 1))
+                       for z in words(range(1, i - 1))] for i in range(a + 1, b + 1)]
+            lefts += [(a,) + sum(combo, ()) + (b,) for combo in product(*stairs)]
+    return lefts
+
+
+BOUNDED_RULES = {
+    # the rules at bounds (rank, cap) and the counts of (proper overlaps,
+    # rules inside another, overlaps listed by the audit)
+    "A": (a_match_at, a_apply, a_reduce, a_rule_lefts, a_critical_pairs,
+          (5, 2), (1609, 52, 825)),
+    "M": (m_match_at, m_apply, m_reduce, m_rule_lefts, m_critical_pairs,
+          (4, 1), (1781, 42, 1057)),
+}
+
+
+@pytest.mark.parametrize("system", sorted(BOUNDED_RULES))
+def test_every_overlap_of_the_bounded_rule_lists_joins(system):
+    match_at, apply_fn, reduce_fn, rule_lefts, pairs, bounds, counts = BOUNDED_RULES[system]
+    lefts = rule_lefts(*bounds)
+    rhs = {l: apply_fn(l, rewrite.full_span(match_at, l)) for l in lefts}
+    overlaps, inside = set(), []
+    for l1, l2 in product(lefts, repeat=2):
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[-k:] == l2[:k]:
+                overlaps.add((l1[:-k], l1[-k:], l2[k:]))
+        if l1 != l2:
+            inside += [(l1, p, l2) for p in range(len(l1) - len(l2) + 1)
+                       if l1[p:p + len(l2)] == l2]
+    listed = {(t.q, t.r, t.s) for t in pairs(*bounds)}
+    assert listed <= overlaps
+    assert (len(overlaps), len(inside), len(listed)) == counts
+    for q, r, s in overlaps:
+        assert reduce_fn(rhs[q + r] + s) == reduce_fn(q + rhs[r + s]), (q, r, s)
+    for l1, p, l2 in inside:
+        assert reduce_fn(rhs[l1]) == reduce_fn(
+            l1[:p] + rhs[l2] + l1[p + len(l2):]), (l1, p, l2)

@@ -466,6 +466,17 @@ def test_presentation_refuses_bad_relation_letters():
             Presentation(2, (rel,))
 
 
+def test_presentation_refuses_a_bad_shape():
+    for generators in (-1, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="generators must be a non-negative integer"):
+            Presentation(generators, (((1,), (2,)),))
+    for relations in [((1, 2),), (((1,), (2,), (1,)),), (((1,),),), None, 5,
+                      (((1,), 2),)]:
+        with pytest.raises(ValueError, match="relations must be a sequence of word pairs"):
+            Presentation(2, relations)
+    assert Presentation(0, ()).relations == ()
+
+
 def test_presentation_stores_relations_as_tuples():
     p = Presentation(2, [([1, 2], [2, 1]), ([1, 1], (1,))])
     assert p.relations == (((1, 2), (2, 1)), ((1, 1), (1,)))

@@ -29,3 +29,20 @@ def test_bad_workload_is_refused_before_any_run(workload, monkeypatch, capsys):
         bench_pairs.main(argv)
     assert exc.value.code == 2
     assert "error: --workload " + workload in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["aimonoids.words", ":commute_sort", "aimonoids.words:",
+                                  "aimonoids.words:commute_sort:x",
+                                  "aimonoids.words:no_such_function",
+                                  "aimonoids.no_such_module:commute_sort",
+                                  "aimonoids.words:__name__"])
+def test_bad_scale_spec_is_refused_before_any_run(spec, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=1", "--scale", spec]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "error: --scale " + spec in capsys.readouterr().err

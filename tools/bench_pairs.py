@@ -10,8 +10,9 @@ DIR is a source checkout holding ``perfbench/run.py`` and ``src/``.  Each
 seeds and ranges ``a-b``): ``perfbench/run.py --trace 0`` runs once in each
 checkout for the change's BENCHMARK.json ``run_seconds``, one process at a
 time, the parent first in odd pairs and the change first in even ones.
-A NAME missing from BENCHMARK.json, an empty SEEDS or a range whose end
-precedes its start is refused before anything runs.
+A NAME missing from BENCHMARK.json, an empty SEEDS, a range whose end
+precedes its start or a ``--scale`` MODULE:FUNC that does not import in
+both checkouts is refused before anything runs.
 The file keeps every pair and, for each end-to-end metric of
 BENCHMARK.json, the quartiles of each side, the ratio of the medians and
 the number of pairs in which the change was better.  It is written as
@@ -73,6 +74,17 @@ print(json.dumps(table))
 """
 
 
+# Exits non-zero, naming the error, unless MODULE:FUNC (argv[2]) names a
+# callable that imports from the source directory argv[1].
+SCALE_CHECK = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+module, name = sys.argv[2].split(":")
+if not callable(getattr(importlib.import_module(module), name)):
+    sys.exit("%s is not callable" % sys.argv[2])
+"""
+
+
 def parse_seeds(text: str) -> list:
     """The seeds of "a,b-c,..."; ValueError for a part that is not a seed
     or a range "a-b" with b < a."""
@@ -87,6 +99,19 @@ def parse_seeds(text: str) -> list:
             raise ValueError("range %r is reversed" % part)
         seeds += span
     return seeds
+
+
+def scale_error(checkout: Path, spec: str) -> str | None:
+    """Why MODULE:FUNC cannot be timed in `checkout`, or None if it can."""
+    module, colon, name = spec.partition(":")
+    if not (module and colon and name) or ":" in name:
+        return "not of the form MODULE:FUNC"
+    proc = subprocess.run([sys.executable, "-c", SCALE_CHECK, str(checkout / "src"), spec],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines() or ["exit %d" % proc.returncode]
+        return "%s: %s" % (checkout, lines[-1])
+    return None
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -220,6 +245,11 @@ def main(argv=None) -> int:
             plan.append((name, parse_seeds(seeds)))
         except ValueError as exc:
             parser.error("--workload %s: %s" % (entry, exc))
+    if args.scale:
+        for checkout in (parent, change):
+            error = scale_error(checkout, args.scale)
+            if error:
+                parser.error("--scale %s: %s" % (args.scale, error))
 
     out = {
         "topic": args.topic,
