@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from types import MappingProxyType
 
@@ -153,6 +154,18 @@ class Presentation:
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "rewrites", _byte_rewrites(n, rels))
 
+    @cached_property
+    def pumps(self) -> tuple | None:
+        """The distinct left-hand sides of the pumping rewrites, those whose
+        longer right-hand side contains the left-hand side (x -> xx); None
+        unless the oracle takes the relations and each has one letter set on
+        both sides.  Found on first use, since only `bfs_equal` reads it."""
+        if self.rewrites is None or any(set(lhs) != set(rhs)
+                                        for lhs, rhs in self.relations):
+            return None
+        return tuple(dict.fromkeys(lhs for lhs, rhs in self.rewrites
+                                   if len(rhs) > len(lhs) and lhs in rhs))
+
 
 def _byte_rewrites(generators: int, relations: tuple):
     """lhs -> rhs, then rhs -> lhs, for each relation with distinct sides, in
@@ -203,6 +216,7 @@ def ai_presentation(matrix: CIMatrix) -> Presentation:
 class OracleVerdict:
     status: str  # EQUAL, DISTINCT_WITHIN_BOUND or INCONCLUSIVE
     witness: tuple | None = None  # chain of words for EQUAL
+    states_explored: int = field(default=0, compare=False)  # 0: no search ran
 
 
 def _oracle_words(p: Presentation, *words) -> list:
@@ -287,7 +301,20 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
     EQUAL comes with a witness chain of words, consecutive ones differing by
     a single relation replacement.  DISTINCT_WITHIN_BOUND is only returned
     when the closure of u was exhausted with nothing discarded, so it really
-    is a proof relative to the bound.  Anything else is INCONCLUSIVE.
+    is a proof relative to the bound.  Anything else is INCONCLUSIVE;
+    `states_explored` counts the words the search reached.
+
+    INCONCLUSIVE comes without a search (`states_explored` 0) when every
+    relation keeps its letter set, u and v use different letters and u
+    holds a pump P -> R (R longer than P and containing it; `p.pumps`).
+    The search would say the same:
+    - v is unreachable: replacing P' by R' in a word keeps its letter set
+      when P' and R' have one letter set, so every word reached has u's.
+    - The closure cannot be complete: pumping u reaches words of every
+      length len(u) + k*g, g = len(R) - len(P), each still holding P, so
+      one of length in (max_len - g, max_len] is reachable within the
+      bound.  Expanding it discards its pumped neighbour, unless the state
+      cap ends the search first; either way complete is False.
     """
     bu, bv = _oracle_words(p, u, v)
     if max_len is None:
@@ -298,6 +325,8 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
         raise ValueError("max_states must be positive")
     if bu == bv:
         return OracleVerdict(EQUAL, (tuple(bu),))
+    if p.pumps and set(bu) != set(bv) and any(x in bu for x in p.pumps):
+        return OracleVerdict(INCONCLUSIVE)
     parent, complete, hit = _search(p.rewrites, bu, max_len, max_states, target=bv)
     if hit:
         chain = []
@@ -305,8 +334,9 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
         while cur is not None:
             chain.append(tuple(cur))
             cur = parent[cur]
-        return OracleVerdict(EQUAL, tuple(reversed(chain)))
-    return OracleVerdict(DISTINCT_WITHIN_BOUND if complete else INCONCLUSIVE)
+        return OracleVerdict(EQUAL, tuple(reversed(chain)), states_explored=len(parent))
+    return OracleVerdict(DISTINCT_WITHIN_BOUND if complete else INCONCLUSIVE,
+                         states_explored=len(parent))
 
 
 def one_step_related(p: Presentation, u, v) -> bool:

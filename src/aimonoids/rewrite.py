@@ -145,11 +145,17 @@ def full_span(match_at, w):
     return m
 
 
+def checked_lefts(match_at, lefts):
+    """The words, after checking that each is a full rule left-hand side."""
+    for w in lefts:
+        full_span(match_at, w)
+    return lefts
+
+
 def checked_triples(match_at, triples: list) -> list:
-    """The triples, after checking that each q*r and r*s is a full left-hand side."""
-    for t in triples:
-        full_span(match_at, t.q + t.r)
-        full_span(match_at, t.r + t.s)
+    """The triples, after checking once that each distinct q*r and r*s is a
+    full left-hand side; `letter_overlaps` of checked lists needs no check."""
+    checked_lefts(match_at, {w for t in triples for w in (t.q + t.r, t.r + t.s)})
     return triples
 
 

@@ -197,14 +197,15 @@ def a_critical_pairs(n: int, max_exponent: int = 2) -> list:
                         for sexp in _exponent_vectors(b - d, E):
                             s = _blocks(b - 1, d, sexp) + descending_run(c, d)
                             out.append(CriticalTriple("a", q, r, s))
+    rewrite.checked_triples(a_match_at, out)
     # the left-hand sides: C commutations, F block deletions
-    C = rewrite.commutations(n)
-    F = [_blocks(a - 1, a - b, exps) + descending_run(a, a - b)
-         for a in range(3, n + 2) for b in range(2, a)
-         for exps in _exponent_vectors(b, E)]
+    C = rewrite.checked_lefts(a_match_at, rewrite.commutations(n))
+    F = rewrite.checked_lefts(a_match_at, [
+        _blocks(a - 1, a - b, exps) + descending_run(a, a - b)
+        for a in range(3, n + 2) for b in range(2, a)
+        for exps in _exponent_vectors(b, E)])
     overlaps = rewrite.letter_overlaps
-    out += overlaps("b", C, F) + overlaps("c", F, C) + overlaps("d", C, C)
-    return rewrite.checked_triples(a_match_at, out)
+    return out + overlaps("b", C, F) + overlaps("c", F, C) + overlaps("d", C, C)
 
 
 def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,

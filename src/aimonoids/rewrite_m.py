@@ -239,14 +239,14 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
     if L < 0:
         raise ValueError("interleave cap must be nonnegative")
     # the left-hand sides: C commutations, S square runs, T staircases
-    C = rewrite.commutations(n)
-    S = [descending_run(a, b) * 2 for a in range(2, n + 2) for b in range(1, a)]
-    T = [(a,) + _stair_segments(a + 1, b, assign) + (b,)
-         for a in range(1, n) for b in range(a + 1, n + 1)
-         for assign in _interleave_assignments(a + 1, b, n, L)]
-    overlaps = rewrite.letter_overlaps
-    out = (overlaps("a", C, C) + overlaps("b", C, S) + overlaps("c", S, C)
-           + overlaps("d", C, T) + overlaps("e", T, C))
+    C = rewrite.checked_lefts(m_match_at, rewrite.commutations(n))
+    S = rewrite.checked_lefts(m_match_at, [
+        descending_run(a, b) * 2 for a in range(2, n + 2) for b in range(1, a)])
+    T = rewrite.checked_lefts(m_match_at, [
+        (a,) + _stair_segments(a + 1, b, assign) + (b,)
+        for a in range(1, n) for b in range(a + 1, n + 1)
+        for assign in _interleave_assignments(a + 1, b, n, L)])
+    f, j = [], []
     for d in range(1, n + 1):
         for b in range(d, n + 1):
             for c in range(b + 1, n + 2):
@@ -254,8 +254,7 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
                     q = descending_run(a, b) + descending_run(a, c)
                     r = descending_run(c, b)
                     s = descending_run(b, d) + descending_run(c, d)
-                    out.append(CriticalTriple("f", q, r, s))
-    out += overlaps("g", S, T) + overlaps("h", T, S) + overlaps("i", T, T)
+                    f.append(CriticalTriple("f", q, r, s))
     for a in range(1, n):
         for b in range(a + 1, n + 1):
             for c in range(b, n + 1):
@@ -265,8 +264,12 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
                          + tuple(yb) + (b,))
                     s = ((b - 1,) + tuple(zb)
                          + _stair_segments(b + 1, c, assign) + (c,))
-                    out.append(CriticalTriple("j", q, (b - 1, b), s))
-    return rewrite.checked_triples(m_match_at, out)
+                    j.append(CriticalTriple("j", q, (b - 1, b), s))
+    rewrite.checked_triples(m_match_at, f + j)
+    overlaps = rewrite.letter_overlaps
+    return (overlaps("a", C, C) + overlaps("b", C, S) + overlaps("c", S, C)
+            + overlaps("d", C, T) + overlaps("e", T, C) + f
+            + overlaps("g", S, T) + overlaps("h", T, S) + overlaps("i", T, T) + j)
 
 
 def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimonoids import rewrite
+from aimonoids import rewrite, rewrite_a, rewrite_m
 from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    Presentation, ai_presentation, bfs_equal,
                                    chain_ci_matrix, ci_presentation,
@@ -41,8 +41,8 @@ from aimonoids.rewrite_m import (_deletion_at, _interleave_assignments,
                                  _stair_segments, m_apply, m_critical_pairs,
                                  m_equal, m_match_at, m_reduce,
                                  m_reduce_random, m_reduce_steps, m_step)
-from aimonoids.words import (b_reduced_form, commute_sort, descending_run,
-                             descent_inversions, nabla)
+from aimonoids.words import (alternating, b_reduced_form, commute_sort,
+                             descending_run, descent_inversions, nabla)
 
 SYSTEMS = {
     "A": (a_reduce, a_reduce_steps, a_reduce_random, a_step),
@@ -376,6 +376,58 @@ def test_oracle_neighbour_order_matches_per_call_encoding(seed):
                     for i, lhs, rhs in reference_sites(bytes(u), reference_subs(p)))
 
 
+def letter_keeping_presentation(rng):
+    """2-4 generators; each right-hand side uses exactly its left-hand
+    side's letters, sometimes containing the left-hand side (x -> x x)."""
+    n = rng.randint(2, 4)
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        lhs = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+        extra = [rng.choice(lhs) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.4:
+            rhs = lhs + tuple(extra or lhs[:1])
+        else:
+            rhs = list(lhs) + extra
+            rng.shuffle(rhs)
+        rels.append((lhs, tuple(rhs)))
+    return Presentation(n, tuple(rels))
+
+
+def rank2_idempotent_presentation(k, l):
+    """The two-idempotent presentations the rank-2 class counts search."""
+    a, b = alternating(1, 2, k), alternating(2, 1, l)
+    return Presentation(2, (((1, 1), (1,)), ((2, 2), (2,)),
+                            (a, alternating(1, 2, k + 1)), (a, b),
+                            (b, alternating(2, 1, l + 1))))
+
+
+def settled_presentations(rng):
+    yield from (ci_presentation(chain_ci_matrix(n)) for n in range(2, 6))
+    yield from (rank2_idempotent_presentation(k, l) for k in range(2, 7)
+                for l in (k - 1, k, k + 1) if l >= 2)
+    yield from (letter_keeping_presentation(rng) for _ in range(100))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_settled_verdicts_match_reference_search(seed):
+    rng = random.Random(seed)
+    settled = 0
+    for p in settled_presentations(rng):
+        assert p.pumps is not None
+        for _ in range(8):
+            u, v = (), ()
+            while set(u) == set(v):
+                u, v = (tuple(rng.randint(1, p.generators) for _ in range(rng.randint(0, 6)))
+                        for _ in range(2))
+            for cap in (1, 5, 2000):
+                for max_len in (max(len(u), len(v)), len(u) + len(v) + 2):
+                    verdict = bfs_equal(p, u, v, max_len, cap)
+                    assert (verdict.status, verdict.witness) == reference_bfs_equal(
+                        p, u, v, max_len, cap), (p, u, v, max_len, cap)
+                    settled += verdict.states_explored == 0
+    assert settled > 200
+
+
 # ---------------------------------------------------------------------------
 # critical pairs
 
@@ -466,6 +518,23 @@ def test_derived_critical_pairs_match_hand_written_families(system):
         derived = by_family((t.family, t.q, t.r, t.s) for t in pairs(n, cap)
                             if t.family in families)
         assert derived == by_family(reference(n, cap)), (n, cap)
+
+
+@pytest.mark.parametrize("system", sorted(DERIVED))
+def test_a_corrupted_rule_list_is_refused(system, monkeypatch):
+    pairs = DERIVED[system][0]
+    module = rewrite_a if system == "A" else rewrite_m
+    with monkeypatch.context() as patch:
+        # a non-rule in the commutation list, which only derived families use
+        commutations = rewrite.commutations
+        patch.setattr(rewrite, "commutations", lambda n: [(1, 2)] + commutations(n))
+        with pytest.raises(ValueError, match="not a rule left-hand side"):
+            pairs(4, 1)
+    # every run one letter too long
+    run = module.descending_run
+    monkeypatch.setattr(module, "descending_run", lambda a, b: run(a, b) + (1,))
+    with pytest.raises(ValueError, match="not a rule left-hand side"):
+        pairs(4, 1)
 
 
 def a_rule_lefts(n, E):

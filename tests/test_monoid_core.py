@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from aimonoids import monoid_core
+from aimonoids.cube import cube_presentation
 from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    INFINITY, CIMatrix, FiniteMonoid,
                                    Presentation,
@@ -13,7 +14,8 @@ from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    ci_presentation, congruence_closure,
                                    hasse_dot, is_lattice, left_division_order,
                                    load_ci_matrix, make_ci_matrix,
-                                   one_step_related, pair_collapse_action,
+                                   one_step_related, OracleVerdict,
+                                   pair_collapse_action,
                                    Report,
                                    random_rewrite, rank2_monoid,
                                    reversal_respects_congruence, TupleAction,
@@ -544,3 +546,73 @@ def test_random_rewrite_builds_only_the_chosen_neighbour():
         tracemalloc.stop()
     assert set(w) == {1} and abs(len(w) - 4000) <= 3
     assert peak < 1_000_000
+
+
+def test_settled_query_never_searches(monkeypatch):
+    m4 = ci_presentation(chain_ci_matrix(4))
+    cube = cube_presentation()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a settled query searched")
+
+    monkeypatch.setattr(monoid_core, "_search", no_search)
+    for p, u, v in ((m4, (1, 2, 3), (1, 2, 4)), (m4, (4, 4, 1), (4,)),
+                    (cube, (2, 3, 2), (3,)), (cube, (1, 2, 3, 2), (3, 1))):
+        for max_len, cap in ((max(len(u), len(v)), 1), (None, 10**6)):
+            verdict = bfs_equal(p, u, v, max_len, cap)
+            assert verdict == OracleVerdict(INCONCLUSIVE)
+            assert verdict.states_explored == 0
+    identical = bfs_equal(m4, (1, 2), (1, 2))
+    assert identical == OracleVerdict(EQUAL, ((1, 2),))
+    assert identical.states_explored == 0
+
+
+def test_settled_exit_boundaries():
+    m3 = ci_presentation(chain_ci_matrix(3))
+    # an empty u holds no pump: its closure is {()} and complete
+    verdict = bfs_equal(m3, (), (1,))
+    assert verdict.status == DISTINCT_WITHIN_BOUND and verdict.states_explored == 1
+    # same letters, or no pump in u: the search decides
+    assert bfs_equal(m3, (1, 2), (2, 1, 2), max_states=20).states_explored == 20
+    assert bfs_equal(m3, (1, 3), (3, 1)).status == EQUAL
+    # a letter-dropping relation: 1 -> 1 2 reaches a new letter
+    dropping = Presentation(2, (((1, 1), (1,)), ((1, 2), (1,))))
+    assert dropping.pumps is None
+    verdict = bfs_equal(dropping, (1,), (1, 2))
+    assert verdict.status == EQUAL and verdict.states_explored >= 2
+    assert Presentation(2, (((1, 2), ()),)).pumps is None
+    # a longer right-hand side without the left-hand side does not pump:
+    # the closure of 1 2 is {1 2, 2 1 1}
+    grows = Presentation(2, (((1, 2), (2, 1, 1)),))
+    assert grows.pumps == ()
+    assert bfs_equal(grows, (1, 2), (1,)).status == DISTINCT_WITHIN_BOUND
+
+
+def test_presentation_records_pumps():
+    m2 = ci_presentation(chain_ci_matrix(2))
+    # found on first use: a presentation only rewritten never pays for them
+    assert "pumps" not in vars(m2)
+    assert m2.pumps == (b"\1", b"\2", b"\1\2\1")
+    for q in (copy.copy(m2), copy.deepcopy(m2), pickle.loads(pickle.dumps(m2)),
+              Presentation(2, m2.relations)):
+        assert q == m2 and q.pumps == m2.pumps
+    # the chain balance relation 1 2 1 = 2 1 2 1, and the cube's
+    # 2 3 2 = 3 2 3 2, pump as x -> x x does
+    assert ai_presentation(chain_ci_matrix(3)).pumps == (b"\1\2\1", b"\2\3\2")
+    assert cube_presentation().pumps == (b"\2\3\2",)
+    assert ai_presentation(make_ci_matrix(3, default=3)).pumps == ()
+    assert ai_presentation(make_ci_matrix(3)).pumps == ()
+    assert Presentation(1, (((1, 1), (1, 1, 1)), ((1,), (1,)))).pumps == (b"\1\1",)
+
+
+def test_oracle_verdict_counts_states_without_changing_equality():
+    a2 = ai_presentation(chain_ci_matrix(2))
+    verdict = bfs_equal(a2, (1,), (2,))
+    assert verdict == OracleVerdict(DISTINCT_WITHIN_BOUND)
+    assert verdict.states_explored == 1
+    # the same letters: the search runs through 121, 2121, ..., 2^5 121
+    words, _ = congruence_closure(a2, (1, 2, 1), 8)
+    verdict = bfs_equal(a2, (1, 2, 1), (1, 2), max_len=8)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.states_explored == len(words) == 6
+    assert OracleVerdict(EQUAL, ((1,),), 7) == OracleVerdict(EQUAL, ((1,),))
