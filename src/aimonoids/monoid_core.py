@@ -30,6 +30,10 @@ EQUAL = "equal"
 DISTINCT_WITHIN_BOUND = "distinct-within-bound"
 INCONCLUSIVE = "inconclusive"
 
+# a bfs_equal search that can reach at most this many words runs even when
+# a rank-2 quotient separates its words, and reports its count of states
+_SHORT_SEARCH = 1000
+
 
 @dataclass(frozen=True)
 class CIMatrix:
@@ -166,6 +170,27 @@ class Presentation:
         return tuple(dict.fromkeys(lhs for lhs, rhs in self.rewrites
                                    if len(rhs) > len(lhs) and lhs in rhs))
 
+    @cached_property
+    def quotients(self) -> tuple:
+        """The verified rank-2 quotients: (a, b, k, l, ra, rb) for each pair
+        of generators a < b and each `rank2_monoid(k, l)`, 2 <= k <= longest
+        relation + 1, under which both sides of every relation have one
+        image, when a maps to the first generator, b to the second and every
+        other letter to the identity.  ra[e] and rb[e] are the element
+        indices of e * a and e * b, the identity being element 0.  Found on
+        first use, as `pumps` is."""
+        longest = max((len(w) for rel in self.relations for w in rel), default=0)
+        actions = []
+        for k in range(2, longest + 2):
+            for l in (k - 1, k, k + 1):
+                if l >= 2:
+                    monoid = rank2_monoid(k, l)
+                    actions.append((k, l) + tuple(tuple(row[g] for row in monoid.table)
+                                                  for g in monoid.generators))
+        return tuple(q for a, b in combinations(range(1, self.generators + 1), 2)
+                     for q in ((a, b) + act for act in actions)
+                     if all(_image(q, lhs) == _image(q, rhs) for lhs, rhs in self.relations))
+
 
 def _byte_rewrites(generators: int, relations: tuple):
     """lhs -> rhs, then rhs -> lhs, for each relation with distinct sides, in
@@ -250,6 +275,33 @@ def _occurrences(w: bytes, lhs: bytes) -> int:
     return n
 
 
+def _image(q: tuple, w) -> int:
+    """The element index of the image of w (a word, or its bytes) in the
+    verified quotient q of `Presentation.quotients`."""
+    a, b, _, _, ra, rb = q
+    e = 0
+    for x in w:
+        if x == a:
+            e = ra[e]
+        elif x == b:
+            e = rb[e]
+    return e
+
+
+def _may_search_long(letters: int, max_len: int, max_states: int) -> bool:
+    """Whether a search from a word over `letters` letters may reach more
+    than _SHORT_SEARCH words: its state cap does not stop it sooner, and more
+    than that many words of length <= max_len use only those letters."""
+    if max_states <= _SHORT_SEARCH:
+        return False
+    words = 0
+    for n in range(max_len + 1):
+        words += letters ** n
+        if words > _SHORT_SEARCH:
+            return True
+    return False
+
+
 def _search(subs, start: bytes, max_len: int, max_states: int,
             target: bytes | None = None):
     """Breadth-first closure of `start` under the byte rewrites `subs`.
@@ -304,17 +356,31 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
     is a proof relative to the bound.  Anything else is INCONCLUSIVE;
     `states_explored` counts the words the search reached.
 
-    INCONCLUSIVE comes without a search (`states_explored` 0) when every
-    relation keeps its letter set, u and v use different letters and u
-    holds a pump P -> R (R longer than P and containing it; `p.pumps`).
+    INCONCLUSIVE comes without a search (`states_explored` 0) when u holds
+    a pump P -> R (R longer than P and containing it; `p.pumps`, found only
+    when every relation keeps its letter set) and a homomorphism phi to a
+    finite monoid separates u and v.  Two kinds of phi are tried, the
+    cheaper first:
+    - the letter set, the image in the free semilattice on the generators:
+      a homomorphism because every relation keeps its letter set;
+    - the verified rank-2 quotients `p.quotients`, but only when the search
+      could reach more than _SHORT_SEARCH words (both max_states and the
+      number of words of length <= max_len over u's letters exceed it); a
+      shorter search runs and reports its count.
     The search would say the same:
-    - v is unreachable: replacing P' by R' in a word keeps its letter set
-      when P' and R' have one letter set, so every word reached has u's.
+    - v is unreachable: phi(P') = phi(R') for every relation P' = R', so
+      phi(x P' y) = phi(x R' y), and every word reached has u's image.
     - The closure cannot be complete: pumping u reaches words of every
       length len(u) + k*g, g = len(R) - len(P), each still holding P, so
       one of length in (max_len - g, max_len] is reachable within the
       bound.  Expanding it discards its pumped neighbour, unless the state
       cap ends the search first; either way complete is False.
+    Deleting every letter outside {a, b} and sending a and b to the
+    generators of `rank2_monoid(k, l)` respects concatenation of words, but
+    it is a homomorphism of the presented monoid only when both sides of
+    each relation have one image: the rank-2 monoid's own relations are not
+    p's.  `quotients` keeps a candidate only after that check, so a table
+    that breaks one relation is dropped, never used.
     """
     bu, bv = _oracle_words(p, u, v)
     if max_len is None:
@@ -325,7 +391,11 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
         raise ValueError("max_states must be positive")
     if bu == bv:
         return OracleVerdict(EQUAL, (tuple(bu),))
-    if p.pumps and set(bu) != set(bv) and any(x in bu for x in p.pumps):
+    letters = set(bu)
+    if p.pumps and any(x in bu for x in p.pumps) and (
+            letters != set(bv)
+            or _may_search_long(len(letters), max_len, max_states)
+            and any(_image(q, bu) != _image(q, bv) for q in p.quotients)):
         return OracleVerdict(INCONCLUSIVE)
     parent, complete, hit = _search(p.rewrites, bu, max_len, max_states, target=bv)
     if hit:

@@ -13,6 +13,8 @@ insertion sort on both sides of its switch to the suffix-minima stack.
 The oracle must visit neighbours in the order of a search that encodes
 the relations afresh on every call (relation, direction, position), so
 its statuses, witness chains, closures and random choices stay the same.
+A query the oracle settles without a search, by letter sets or by its
+verified rank-2 quotients, must get the reference search's verdict.
 The critical-pair families derived from the rule lists must be, family by
 family, the multiset of triples the hand-written overlap loops gave, and
 every overlap of the bounded rule lists must join, listed or not.
@@ -28,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimonoids import rewrite, rewrite_a, rewrite_m
+from aimonoids.cube import cube_presentation
 from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    Presentation, ai_presentation, bfs_equal,
                                    chain_ci_matrix, ci_presentation,
@@ -426,6 +429,52 @@ def test_settled_verdicts_match_reference_search(seed):
                         p, u, v, max_len, cap), (p, u, v, max_len, cap)
                     settled += verdict.states_explored == 0
     assert settled > 200
+
+
+def quotient_presentations():
+    for n in range(2, 6):
+        yield ci_presentation(chain_ci_matrix(n))
+        yield ai_presentation(chain_ci_matrix(n))
+    yield from (rank2_idempotent_presentation(k, l) for k in range(2, 7)
+                for l in (k - 1, k, k + 1) if l >= 2)
+    yield cube_presentation()
+
+
+def same_letters_pair(rng, p):
+    """u of length 1-7, half the time around one of p's pumps, and v != u
+    over exactly u's letters."""
+    u = tuple(rng.randint(1, p.generators) for _ in range(rng.randint(1, 4)))
+    if p.pumps and rng.random() < 0.5:
+        i = rng.randint(0, len(u))
+        u = u[:i] + tuple(rng.choice(p.pumps))[:7 - len(u)] + u[i:]
+    letters = sorted(set(u))
+    v = u
+    while v == u:
+        v = letters + [rng.choice(letters) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(v)
+        v = tuple(v)
+    return u, v
+
+
+# how many calls of the test below each seed settles without a search
+QUOTIENT_SETTLED = {0: 111, 1: 97}
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_quotient_settled_verdicts_match_reference_search(seed):
+    rng = random.Random(seed)
+    settled = 0
+    for p in quotient_presentations():
+        assert p.pumps
+        for _ in range(10):
+            u, v = same_letters_pair(rng, p)
+            for cap in (1, 5, 2000):
+                for max_len in (max(len(u), len(v)), len(u) + len(v) + 2):
+                    verdict = bfs_equal(p, u, v, max_len, cap)
+                    assert (verdict.status, verdict.witness) == reference_bfs_equal(
+                        p, u, v, max_len, cap), (p, u, v, max_len, cap)
+                    settled += verdict.states_explored == 0
+    assert settled == QUOTIENT_SETTLED[seed]
 
 
 # ---------------------------------------------------------------------------

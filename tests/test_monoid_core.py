@@ -616,3 +616,89 @@ def test_oracle_verdict_counts_states_without_changing_equality():
     assert verdict.status == INCONCLUSIVE
     assert verdict.states_explored == len(words) == 6
     assert OracleVerdict(EQUAL, ((1,),), 7) == OracleVerdict(EQUAL, ((1,),))
+
+
+CHAIN_RANK3_QUOTIENTS = [(1, 2, 2, 2), (1, 2, 2, 3), (1, 2, 3, 2), (1, 2, 3, 3), (1, 2, 3, 4),
+                         (1, 3, 2, 2),
+                         (2, 3, 2, 2), (2, 3, 2, 3), (2, 3, 3, 2), (2, 3, 3, 3), (2, 3, 3, 4)]
+
+
+def test_presentation_records_quotients():
+    m3 = ci_presentation(chain_ci_matrix(3))
+    # found on first use, as pumps are
+    assert "quotients" not in vars(m3)
+    assert [q[:4] for q in m3.quotients] == CHAIN_RANK3_QUOTIENTS
+    # A's relations are among M's, and keep the same rank-2 images
+    assert [q[:4] for q in ai_presentation(chain_ci_matrix(3)).quotients] == CHAIN_RANK3_QUOTIENTS
+    assert len(ci_presentation(chain_ci_matrix(4)).quotients) == 18
+    assert len(ai_presentation(chain_ci_matrix(4)).quotients) == 18
+    assert [q[:4] for q in cube_presentation().quotients] == [
+        (1, 2, 2, 2), (1, 2, 2, 3), (1, 2, 3, 2), (1, 2, 3, 3), (1, 3, 2, 2),
+        (2, 3, 2, 2), (2, 3, 2, 3), (2, 3, 3, 2), (2, 3, 3, 3), (2, 3, 3, 4)]
+    # rank2_monoid(2, 2) is the letter set on {a, b}, which every relation
+    # that keeps its letter set respects: the commutation verifies only it
+    assert [q[:4] for q in Presentation(2, (((1, 2), (2, 1)),)).quotients] == [(1, 2, 2, 2)]
+    # 1 2 = 1 drops a letter, so no rank-2 table verifies; one letter, no pair
+    assert Presentation(2, (((1, 2), (1,)),)).quotients == ()
+    assert Presentation(1, (((1, 1), (1,)),)).quotients == ()
+
+
+def test_a_table_breaking_one_relation_is_refused(monkeypatch):
+    real = monoid_core.rank2_monoid
+
+    def swapped(k, l):
+        monoid = real(k, l)
+        if (k, l) != (3, 4):
+            return monoid
+        # ab * a and ab * b trade places, so 1 2 1 = 2 1 2 1 has two images
+        ab = monoid.elements.index((1, 2))
+        ga, gb = monoid.generators
+        row = list(monoid.table[ab])
+        row[ga], row[gb] = row[gb], row[ga]
+        table = monoid.table[:ab] + (tuple(row),) + monoid.table[ab + 1:]
+        return FiniteMonoid(monoid.elements, table, monoid.identity, monoid.generators)
+
+    monkeypatch.setattr(monoid_core, "rank2_monoid", swapped)
+    m3 = ci_presentation(chain_ci_matrix(3))
+    assert [q[:4] for q in m3.quotients] == [
+        q for q in CHAIN_RANK3_QUOTIENTS if q[2:] != (3, 4)]
+    # the query (3, 4) alone separates is searched again
+    verdict = bfs_equal(m3, (1, 2, 1, 2), (2, 1, 2), max_states=1500)
+    assert verdict.status == INCONCLUSIVE and verdict.states_explored == 1500
+
+
+def test_quotient_settled_query_never_searches(monkeypatch):
+    m4 = ci_presentation(chain_ci_matrix(4))
+    a4 = ai_presentation(chain_ci_matrix(4))
+    # each pair has one letter set; rank2_monoid(3, 4) on {1, 2} or {2, 3}
+    # separates it, and u holds a pump
+    queries = ((m4, (1, 2), (2, 1, 2)), (m4, (1, 2, 1, 2), (2, 1, 2)),
+               (m4, (2, 3, 4, 3), (3, 2, 3, 4)), (a4, (1, 2, 1), (1, 2)),
+               (cube_presentation(), (2, 3, 2, 1), (3, 2, 1)))
+    # a state cap of 1000 leaves the search short: it runs, to the cap or
+    # through the words of the class within the length bound
+    assert [bfs_equal(*q, max_states=1000).states_explored
+            for q in queries] == [36, 1000, 1000, 7, 8]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a settled query searched")
+
+    monkeypatch.setattr(monoid_core, "_search", no_search)
+    for q in queries:
+        for cap in (1001, 10**6):
+            verdict = bfs_equal(*q, max_states=cap)
+            assert verdict == OracleVerdict(INCONCLUSIVE) and verdict.states_explored == 0
+    # a length bound that leaves room for fewer words searches: 2^0 + ... + 2^9
+    # = 1023 words of length <= 9 over {1, 2}, and 511 of length <= 8
+    assert bfs_equal(m4, (1, 2), (2, 1, 2), max_len=9).states_explored == 0
+    with pytest.raises(AssertionError, match="a settled query searched"):
+        bfs_equal(m4, (1, 2), (2, 1, 2), max_len=8)
+
+
+def test_presentation_copy_and_pickle_keep_the_quotients():
+    m4 = ci_presentation(chain_ci_matrix(4))
+    assert bfs_equal(m4, (1, 2), (2, 1, 2)).states_explored == 0
+    assert "quotients" in vars(m4)
+    for q in (copy.copy(m4), copy.deepcopy(m4), pickle.loads(pickle.dumps(m4))):
+        assert q == m4 and q.quotients == m4.quotients
+        assert bfs_equal(q, (1, 2), (2, 1, 2)) == OracleVerdict(INCONCLUSIVE)

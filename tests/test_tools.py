@@ -46,3 +46,17 @@ def test_bad_scale_spec_is_refused_before_any_run(spec, monkeypatch, capsys):
         bench_pairs.main(argv)
     assert exc.value.code == 2
     assert "error: --scale " + spec in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trace", ["nosuch=1", "oracle", "oracle=", "oracle=x",
+                                   "oracle=1-3", "oracle=1,2", "=1"])
+def test_bad_trace_is_refused_before_any_run(trace, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=1", "--trace", "wordproblem=3", "--trace", trace]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "error: --trace " + trace in capsys.readouterr().err

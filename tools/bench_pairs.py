@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --topic NAME \\
         --workload wordproblem=1701-1710 --workload verify=1711,1712 \\
-        [--trace-seed S] [--scale aimonoids.words:commute_sort] \\
+        [--trace oracle=S] [--scale aimonoids.words:commute_sort] \\
         [--note change=TEXT] [--note KEY=TEXT ...]
 
 DIR is a source checkout holding ``perfbench/run.py`` and ``src/``.  Each
@@ -11,16 +11,18 @@ seeds and ranges ``a-b``): ``perfbench/run.py --trace 0`` runs once in each
 checkout for the change's BENCHMARK.json ``run_seconds``, one process at a
 time, the parent first in odd pairs and the change first in even ones.
 A NAME missing from BENCHMARK.json, an empty SEEDS, a range whose end
-precedes its start or a ``--scale`` MODULE:FUNC that does not import in
-both checkouts is refused before anything runs.
+precedes its start, a ``--trace`` whose NAME is unknown or whose SEED is
+not one seed, or a ``--scale`` MODULE:FUNC that does not import in both
+checkouts is refused before anything runs.
 The file keeps every pair and, for each end-to-end metric of
 BENCHMARK.json, the quartiles of each side, the ratio of the medians and
 the number of pairs in which the change was better.  It is written as
 BENCH_<NAME>.json in the current directory.
 
-``--trace-seed`` adds one traced ``wordproblem`` run per side with that
-seed: its p50 scaling table and per-layer metrics.  The traced runs are
-time-bounded, so the two sides cover different numbers of ops.
+``--trace NAME=SEED`` adds one traced run of workload NAME per side with
+that seed, stored as ``traced_<NAME>``: its per-layer metrics, and the p50
+scaling table where the workload prints one (``wordproblem``).  The traced
+runs are time-bounded, so the two sides cover different numbers of ops.
 ``--scale MODULE:FUNC`` adds a table of the function's time on a fresh
 list of random letters at ranks 6, 20 and 50 and lengths 400 to 3200,
 before and after: per cell the median over words of the best of a few
@@ -176,8 +178,8 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: list,
     return pairs
 
 
-def traced(checkout: Path, seed: int, seconds: float) -> dict:
-    result, stdout = run_bench(checkout, "wordproblem", seed, seconds, 1)
+def traced(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    result, stdout = run_bench(checkout, workload, seed, seconds, 1)
     table = {}
     for group, family, lo, hi, p50, n in SCALING_LINE.findall(stdout):
         table["%s %s %s-%s" % (group, family, lo, hi)] = {"p50_ms": float(p50), "n": int(n)}
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
     parser.add_argument("--topic", required=True)
     parser.add_argument("--workload", action="append", default=[],
                         metavar="NAME=SEEDS")
-    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--trace", action="append", default=[], metavar="NAME=SEED")
     parser.add_argument("--scale", metavar="MODULE:FUNC")
     parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT")
     args = parser.parse_args(argv)
@@ -245,6 +247,15 @@ def main(argv=None) -> int:
             plan.append((name, parse_seeds(seeds)))
         except ValueError as exc:
             parser.error("--workload %s: %s" % (entry, exc))
+    traces = []
+    for entry in args.trace:
+        name, _, seed = entry.partition("=")
+        if name not in known:
+            parser.error("--trace %s: no workload %r in BENCHMARK.json (%s)"
+                         % (entry, name, ", ".join(known)))
+        if not seed.isdigit():
+            parser.error("--trace %s: %r is not a seed" % (entry, seed))
+        traces.append((name, int(seed)))
     if args.scale:
         for checkout in (parent, change):
             error = scale_error(checkout, args.scale)
@@ -268,11 +279,11 @@ def main(argv=None) -> int:
         pairs = run_pairs(parent, change, name, seeds, seconds)
         failed += sum(sum(p["failed"]) for p in pairs)
         out["workloads"][name] = {"pairs": pairs, "summary": summarize(pairs, benchmark["end_to_end"])}
-    if args.trace_seed is not None:
-        out["traced_wordproblem"] = {
-            side: traced(checkout, args.trace_seed, seconds)
+    for name, seed in traces:
+        out["traced_" + name] = {
+            side: traced(checkout, name, seed, seconds)
             for side, checkout in (("parent", parent), ("change", change))}
-        failed += sum(t["failed"] for t in out["traced_wordproblem"].values())
+        failed += sum(t["failed"] for t in out["traced_" + name].values())
     if args.scale:
         out["scaling"] = {"function": args.scale,
                           "cells": scale(parent, change, args.scale)}
