@@ -15,7 +15,6 @@ agree with it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
@@ -191,6 +190,18 @@ class Presentation:
                      for q in ((a, b) + act for act in actions)
                      if all(_image(q, lhs) == _image(q, rhs) for lhs, rhs in self.relations))
 
+    @cached_property
+    def search_rewrites(self) -> tuple | None:
+        """(lhs, rhs, len(lhs), len(rhs) - len(lhs), x) for each of the
+        `rewrites`, in their order: x is the letter when both sides are
+        powers of one letter, else -1.  None when `rewrites` is.  Found on
+        the first search, as `pumps` is."""
+        if self.rewrites is None:
+            return None
+        return tuple((lhs, rhs, len(lhs), len(rhs) - len(lhs),
+                      lhs[0] if len(set(lhs + rhs)) == 1 else -1)
+                     for lhs, rhs in self.rewrites)
+
 
 def _byte_rewrites(generators: int, relations: tuple):
     """lhs -> rhs, then rhs -> lhs, for each relation with distinct sides, in
@@ -302,30 +313,67 @@ def _may_search_long(letters: int, max_len: int, max_states: int) -> bool:
     return False
 
 
-def _search(subs, start: bytes, max_len: int, max_states: int,
+def _search(steps, start: bytes, max_len: int, max_states: int,
             target: bytes | None = None):
-    """Breadth-first closure of `start` under the byte rewrites `subs`.
+    """Breadth-first closure of `start` under the rewrites `steps`
+    (`Presentation.search_rewrites`).
 
     Returns (parent, complete, hit).  parent maps every word reached to the
     word it was first reached from (start to None).  complete is False when
     a neighbour was discarded for exceeding max_len or the state cap was
     hit.  hit says whether the search stopped on reaching `target`.
+
+    The neighbours of w are taken in the order of `_rewrites`: by rewrite,
+    then by position.  Each is handled as it comes: one longer than max_len
+    sets complete False; one reached before is passed over; any other is
+    refused at the state cap, else recorded and queued, and the search ends
+    if it is the target.  Two kinds of neighbour are passed over without
+    being built, and neither changes what that order gives:
+    - A rewrite lhs -> rhs whose growth len(rhs) - len(lhs) exceeds
+      max_len - len(w): every one of its neighbours has length
+      len(w) + growth > max_len.  If lhs occurs in w, complete turns False
+      at its first site, as the first discarded neighbour would make it,
+      and nothing else would happen at the other sites.
+    - For x^m -> x^k, every site inside one maximal run of x in w: each
+      gives the run resized by k - m, so the same word as the run's first
+      site, which comes first in the order.  That first word is recorded,
+      reached before, or ends the search at the cap or on the target, so
+      at each later site of the run it would already be reached.  The
+      search resumes after the run; the next site starts the next run.
     """
     parent = {start: None}
-    queue = deque([start])
+    queue = [start]
     complete = True
-    while queue:
-        w = queue.popleft()
-        for nw in _rewrites(w, subs):
-            if len(nw) > max_len:
+    # breadth-first: the loop reads the list by index while it grows
+    for w in queue:
+        n = len(w)
+        room = max_len - n
+        for lhs, rhs, m, growth, x in steps:
+            i = w.find(lhs)
+            if i == -1:
+                continue
+            if growth > room:
                 complete = False
-            elif nw not in parent:
-                if len(parent) >= max_states:
-                    return parent, False, False
-                parent[nw] = w
-                if nw == target:
-                    return parent, complete, True
-                queue.append(nw)
+                continue
+            nw = w.replace(lhs, rhs, 1)
+            while True:
+                if nw not in parent:
+                    if len(parent) >= max_states:
+                        return parent, False, False
+                    parent[nw] = w
+                    if nw == target:
+                        return parent, complete, True
+                    queue.append(nw)
+                if x < 0:
+                    i = w.find(lhs, i + 1)
+                else:
+                    i += m
+                    while i < n and w[i] == x:
+                        i += 1
+                    i = w.find(lhs, i)
+                if i == -1:
+                    break
+                nw = w[:i] + rhs + w[i + m:]
     return parent, complete, False
 
 
@@ -334,15 +382,19 @@ def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 1
 
     Returns (frozenset of words, complete) where complete is False when some
     neighbour was discarded for exceeding max_len or the state cap was hit.
-    Bounded reachability is symmetric and transitive, so the returned set
-    depends only on the class of `start` within the bound.
+    Below the state cap, bounded reachability is symmetric and transitive,
+    so the returned set depends only on the class of `start` within the
+    length bound.  When the cap cuts the search, the set is the first
+    max_states words of a breadth-first order, and that depends on `start`:
+    in `ci_presentation(chain_ci_matrix(3))` with max_len 8 and cap 50,
+    (1, 2, 1) and (2, 1, 2, 1) reach each other but give different sets.
     """
     w0, = _oracle_words(p, start)
     if max_len < len(w0):
         raise ValueError("max_len below the start word length")
     if max_states < 1:
         raise ValueError("max_states must be positive")
-    parent, complete, _ = _search(p.rewrites, w0, max_len, max_states)
+    parent, complete, _ = _search(p.search_rewrites, w0, max_len, max_states)
     return frozenset(tuple(x) for x in parent), complete
 
 
@@ -397,7 +449,7 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
             or _may_search_long(len(letters), max_len, max_states)
             and any(_image(q, bu) != _image(q, bv) for q in p.quotients)):
         return OracleVerdict(INCONCLUSIVE)
-    parent, complete, hit = _search(p.rewrites, bu, max_len, max_states, target=bv)
+    parent, complete, hit = _search(p.search_rewrites, bu, max_len, max_states, target=bv)
     if hit:
         chain = []
         cur = bv

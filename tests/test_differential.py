@@ -15,6 +15,9 @@ the relations afresh on every call (relation, direction, position), so
 its statuses, witness chains, closures and random choices stay the same.
 A query the oracle settles without a search, by letter sets or by its
 verified rank-2 quotients, must get the reference search's verdict.
+The neighbours the search does not build, those past the length bound
+and the repeats within one run of x under x^m -> x^k, must leave its
+statuses, witnesses, state counts and closures as the reference's.
 The critical-pair families derived from the rule lists must be, family by
 family, the multiset of triples the hand-written overlap loops gave, and
 every overlap of the bounded rule lists must join, listed or not.
@@ -475,6 +478,63 @@ def test_quotient_settled_verdicts_match_reference_search(seed):
                         p, u, v, max_len, cap), (p, u, v, max_len, cap)
                     settled += verdict.states_explored == 0
     assert settled == QUOTIENT_SETTLED[seed]
+
+
+def power_presentation(rng):
+    """random_presentation's relations plus one to three relations between
+    powers of letters, x^m = x^k (1 <= m != k <= 3), and one in four of
+    them x^m = y^k with y != x, whose sites in one run of x give different
+    words."""
+    p = random_presentation(rng)
+    n, rels = p.generators, list(p.relations)
+    for _ in range(rng.randint(1, 3)):
+        x = rng.randint(1, n)
+        y = x if rng.random() < 0.75 else rng.choice([z for z in range(1, n + 1) if z != x])
+        m, k = rng.sample(range(1, 4), 2)
+        rels.insert(rng.randint(0, len(rels)), ((x,) * m, (y,) * k))
+    return Presentation(n, tuple(rels))
+
+
+def run_word(rng, n):
+    """One to four runs of a random letter, each of length 1-4."""
+    return sum(((rng.randint(1, n),) * rng.randint(1, 4) for _ in range(rng.randint(1, 4))), ())
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_search_skips_match_reference_search(seed):
+    # the search builds no neighbour past max_len and one per run of x for
+    # x^m -> x^k; words at exactly max_len and runs of length >= 3 are
+    # where a wrong skip would show
+    rng = random.Random(seed)
+    presentations = [power_presentation(rng) for _ in range(25)]
+    presentations += [ci_presentation(chain_ci_matrix(n)) for n in range(2, 5)]
+    searched = 0
+    for p in presentations:
+        for _ in range(4):
+            u = run_word(rng, p.generators)
+            v = (random_rewrite(p, u, rng, rng.randint(1, 4)) if rng.random() < 0.5
+                 else run_word(rng, p.generators))
+            for cap, extra in product((1, 2, 5, 2000), range(3)):
+                max_len = max(len(u), len(v)) + extra
+                verdict = bfs_equal(p, u, v, max_len, cap)
+                expected = reference_bfs_equal(p, u, v, max_len, cap)
+                assert (verdict.status, verdict.witness) == expected, (p, u, v, max_len, cap)
+                if verdict.states_explored:
+                    parent, _, _ = reference_search(p, bytes(u), max_len, cap, bytes(v))
+                    assert verdict.states_explored == len(parent), (p, u, v, max_len, cap)
+                    searched += 1
+                words, complete = congruence_closure(p, u, len(u) + extra, cap)
+                parent, ref_complete, _ = reference_search(p, bytes(u), len(u) + extra, cap)
+                assert (words, complete) == (frozenset(map(tuple, parent)), ref_complete)
+    assert searched > 1000
+    # the oracle workload's closures: rank 3, length cap 12, 5,000 states
+    p = ci_presentation(chain_ci_matrix(3))
+    forms = sorted({m_reduce(w) for k in range(6) for w in product((1, 2, 3), repeat=k)},
+                   key=lambda w: (len(w), w))
+    for start in forms[seed::len(forms) // 8][:8]:
+        words, complete = congruence_closure(p, start, 12, 5000)
+        parent, ref_complete, _ = reference_search(p, bytes(start), 12, 5000)
+        assert (words, complete) == (frozenset(map(tuple, parent)), ref_complete), start
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,42 @@ def test_bad_trace_is_refused_before_any_run(trace, monkeypatch, capsys):
         bench_pairs.main(argv)
     assert exc.value.code == 2
     assert "error: --trace " + trace in capsys.readouterr().err
+
+
+def fake_runs(digests):
+    """A run_bench that prints the next of `digests` as its inputs_sha256."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        digest = digests[len(calls)]
+        calls.append((workload, seed))
+        stdout = ("workload %s seed %d: 40 ops in the input pool, inputs_sha256 %s\n"
+                  % (workload, seed, digest))
+        return {"metrics": {name: {"value": 1.0} for name in names}, "failed": 0}, stdout
+    return run, calls
+
+
+def test_pairs_with_different_inputs_are_refused(tmp_path, monkeypatch):
+    run, calls = fake_runs(["aa", "aa", "bb", "cc"])
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "oracle=7,8,9"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert "error: oracle seed 8: the parent and the change ran different inputs" in str(
+        exc.value.code)
+    assert calls == [("oracle", 7), ("oracle", 7), ("oracle", 8), ("oracle", 8)]
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_pairs_keep_their_inputs_digest(tmp_path, monkeypatch):
+    run, _ = fake_runs(["aa", "aa", "bb", "bb"])
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=7,8"]
+    assert bench_pairs.main(argv) == 0
+    pairs = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["verify"]["pairs"]
+    assert [p["inputs_sha256"] for p in pairs] == ["aa", "bb"]

@@ -29,7 +29,9 @@ before and after: per cell the median over words of the best of a few
 calls, then the lesser of two processes per side, run in the order
 parent, change, change, parent.  ``--note`` stores a line of text under
 its key; ``change`` describes the change.  Exits non-zero if a run fails
-or an op fails.
+or an op fails, and stops with an error naming the workload and seed when
+the two sides of a pair print different ``inputs_sha256`` digests of their
+op pools, since their numbers would then measure different inputs.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ SCALE_RANKS = "6,20,50"
 SCALE_LENGTHS = "400,800,1600,3200"
 SCALING_LINE = re.compile(
     r"scaling (\S+) (\S+)\s+len\s+(\d+)-(\d+)\s+p50\s+([\d.]+) ms\s+\(n=(\d+)\)")
+INPUTS_LINE = re.compile(r"inputs_sha256 (\S+)")
 
 # Run in a fresh interpreter inside one checkout: argv is the source
 # directory, MODULE:FUNC, ranks, lengths, words per cell, calls per word.
@@ -129,6 +132,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stdout
 
 
+def inputs_digest(stdout: str) -> str | None:
+    """The inputs_sha256 digest that perfbench/run.py prints, or None."""
+    match = INPUTS_LINE.search(stdout)
+    return match.group(1) if match else None
+
+
 def values(result: dict) -> dict:
     return {k: round(m["value"], 4) for k, m in result["metrics"].items()}
 
@@ -164,12 +173,18 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: list,
     for k, seed in enumerate(seeds, 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
-        failed = {}
+        failed, digests = {}, {}
         for side in order:
-            result, _ = run_bench(parent if side == "parent" else change,
-                                  workload, seed, seconds, 0)
+            result, stdout = run_bench(parent if side == "parent" else change,
+                                       workload, seed, seconds, 0)
             pair[side] = values(result)
             failed[side] = result["failed"]
+            digests[side] = inputs_digest(stdout)
+        if digests["parent"] != digests["change"]:
+            sys.exit("error: %s seed %d: the parent and the change ran different "
+                     "inputs (inputs_sha256 %s and %s)"
+                     % (workload, seed, digests["parent"], digests["change"]))
+        pair["inputs_sha256"] = digests["parent"]
         pair["failed"] = [failed["parent"], failed["change"]]
         pairs.append(pair)
         print("%s seed %d: ops_per_s %s -> %s" % (
