@@ -264,26 +264,14 @@ def _oracle_words(p: Presentation, *words) -> list:
     return [bytes(w) for w in checked]
 
 
-def _rewrites(w: bytes, subs, skip: int = 0):
-    """Every word one rewrite in `subs` away from w, by rewrite, then by
-    position, after passing over the first `skip` sites without building
-    them; the search order, witness chains and random choices follow it."""
+def _sites(w: bytes, subs):
+    """Every rewrite site (i, lhs, rhs) of `subs` in w, by rewrite, then by
+    position; the search order, witness chains and random choices follow it."""
     for lhs, rhs in subs:
         i = w.find(lhs)
         while i != -1:
-            if skip:
-                skip -= 1
-            else:
-                yield w[:i] + rhs + w[i + len(lhs):]
+            yield i, lhs, rhs
             i = w.find(lhs, i + 1)
-
-
-def _occurrences(w: bytes, lhs: bytes) -> int:
-    """How often lhs occurs in w, overlapping occurrences included."""
-    n, i = 0, w.find(lhs)
-    while i != -1:
-        n, i = n + 1, w.find(lhs, i + 1)
-    return n
 
 
 def _image(q: tuple, w) -> int:
@@ -323,7 +311,7 @@ def _search(steps, start: bytes, max_len: int, max_states: int,
     a neighbour was discarded for exceeding max_len or the state cap was
     hit.  hit says whether the search stopped on reaching `target`.
 
-    The neighbours of w are taken in the order of `_rewrites`: by rewrite,
+    The neighbours of w are taken in the order of `_sites`: by rewrite,
     then by position.  Each is handled as it comes: one longer than max_len
     sets complete False; one reached before is passed over; any other is
     refused at the state cap, else recorded and queued, and the search ends
@@ -464,7 +452,8 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
 def one_step_related(p: Presentation, u, v) -> bool:
     """Whether v arises from u by one relation replacement (either direction)."""
     bu, bv = _oracle_words(p, u, v)
-    return bv in _rewrites(bu, p.rewrites)
+    return any(bu[:i] + rhs + bu[i + len(lhs):] == bv
+               for i, lhs, rhs in _sites(bu, p.rewrites))
 
 
 def random_rewrite(p: Presentation, word, rng, steps: int,
@@ -475,12 +464,13 @@ def random_rewrite(p: Presentation, word, rng, steps: int,
         max_len = len(w) + 2 * steps + 4
     for _ in range(steps):
         room = max_len - len(w)
-        fits = [(lhs, rhs) for lhs, rhs in p.rewrites if len(rhs) - len(lhs) <= room]
-        count = sum(_occurrences(w, lhs) for lhs, _ in fits)
-        if not count:
+        sites = list(_sites(w, [(lhs, rhs) for lhs, rhs in p.rewrites
+                                if len(rhs) - len(lhs) <= room]))
+        if not sites:
             break
-        # randrange(count) is the draw rng.choice makes from `count` neighbours
-        w = next(_rewrites(w, fits, rng.randrange(count)))
+        i, lhs, rhs = rng.choice(sites)
+        del sites  # so the next step's list does not coexist with this one
+        w = w[:i] + rhs + w[i + len(lhs):]
     return tuple(w)
 
 

@@ -6,8 +6,8 @@ removing the span ``match.deleted``.  Each rewriting function takes the
 system's own functions (matcher, deletion scan, apply, reducer) as
 arguments; rewrite_a and rewrite_m pass their module functions on every
 call, so rebinding one is seen here.  For the overlap audit this module
-lists the commutation left-hand sides and the one-letter overlaps of two
-lists of left-hand sides.
+lists the commutation left-hand sides and the overlaps of two lists of
+left-hand sides.
 """
 
 from __future__ import annotations
@@ -124,16 +124,29 @@ def commutations(n: int) -> list:
     return [(a, b) for a in range(3, n + 1) for b in range(1, a - 1)]
 
 
-def letter_overlaps(family: str, lefts, rights) -> list:
-    """The triples (l[:-1], l[-1:], r[1:]) for every left-hand side l in
-    lefts and r in rights such that l ends with the letter r starts with."""
-    tails = {}
+def overlaps(family: str, lefts, rights, k: int | None = None) -> list:
+    """The triples (l[:-j], l[-j:], r[j:]) for every left-hand side l in
+    lefts and r in rights whose last j and first j letters agree, with
+    0 < j < min(len(l), len(r)); only j == k when k is given.
+
+    The rights are indexed by prefix, of length k only when k is given, so
+    no l is compared with an r it does not overlap: the cost is that of
+    slicing the words plus the size of the output.
+    """
+    def lengths(w):
+        if k is None:
+            return range(1, len(w))
+        return (k,) if 0 < k < len(w) else ()
+
+    heads = {}
     for r in rights:
-        tails.setdefault(r[0], []).append(r[1:])
+        for j in lengths(r):
+            heads.setdefault(r[:j], []).append(r[j:])
     out = []
     for l in lefts:
-        q, r = l[:-1], l[-1:]
-        out.extend(CriticalTriple(family, q, r, s) for s in tails.get(r[0], ()))
+        for j in lengths(l):
+            q, r = l[:-j], l[-j:]
+            out.extend(CriticalTriple(family, q, r, s) for s in heads.get(r, ()))
     return out
 
 
@@ -150,13 +163,6 @@ def checked_lefts(match_at, lefts):
     for w in lefts:
         full_span(match_at, w)
     return lefts
-
-
-def checked_triples(match_at, triples: list) -> list:
-    """The triples, after checking once that each distinct q*r and r*s is a
-    full left-hand side; `letter_overlaps` of checked lists needs no check."""
-    checked_lefts(match_at, {w for t in triples for w in (t.q + t.r, t.r + t.s)})
-    return triples
 
 
 def confluence_audit(triples, match_at, matches_fn, apply_fn, reduce_fn,

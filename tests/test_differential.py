@@ -702,3 +702,64 @@ def test_every_overlap_of_the_bounded_rule_lists_joins(system):
     for l1, p, l2 in inside:
         assert reduce_fn(rhs[l1]) == reduce_fn(
             l1[:p] + rhs[l2] + l1[p + len(l2):]), (l1, p, l2)
+
+
+def reference_a_family_a(n, E):
+    """A's family a, two block deletions sharing the run piece (x_c, x_b],
+    as the hand-written loop."""
+    out = []
+    for a in range(3, n + 2):
+        for c in range(2, a + 1):
+            for b in range(1, c):
+                if a - b < 2:
+                    continue
+                for d in range(1, b + 1):
+                    if c - d < 2:
+                        continue
+                    for rexp in _exponent_vectors(a - b, E):
+                        q = _blocks(a - 1, b, rexp) + descending_run(a, c)
+                        r = descending_run(c, b)
+                        for sexp in _exponent_vectors(b - d, E):
+                            s = _blocks(b - 1, d, sexp) + descending_run(c, d)
+                            out.append(("a", q, r, s))
+    return out
+
+
+def reference_m_families_f_j(n, L):
+    """M's families f, two square runs sharing a run, and j, two staircases
+    overlapping in a descent pair, as the hand-written loops."""
+    out = []
+    for d in range(1, n + 1):
+        for b in range(d, n + 1):
+            for c in range(b + 1, n + 2):
+                for a in range(c, n + 2):
+                    q = descending_run(a, b) + descending_run(a, c)
+                    r = descending_run(c, b)
+                    s = descending_run(b, d) + descending_run(c, d)
+                    out.append(("f", q, r, s))
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            for c in range(b, n + 1):
+                for assign in _interleave_assignments(a + 1, c, n, L):
+                    yb, zb = assign[b]
+                    q = ((a,) + _stair_segments(a + 1, b - 1, assign)
+                         + tuple(yb) + (b,))
+                    s = ((b - 1,) + tuple(zb)
+                         + _stair_segments(b + 1, c, assign) + (c,))
+                    out.append(("j", q, (b - 1, b), s))
+    return out
+
+
+SLICED = {
+    "A": (a_critical_pairs, reference_a_family_a, "a", DERIVED["A"][3]),
+    "M": (m_critical_pairs, reference_m_families_f_j, "fj", DERIVED["M"][3]),
+}
+
+
+@pytest.mark.parametrize("system", sorted(SLICED))
+def test_overlap_slices_match_hand_written_families(system):
+    pairs, reference, families, sizes = SLICED[system]
+    for n, cap in sizes:
+        derived = by_family((t.family, t.q, t.r, t.s) for t in pairs(n, cap)
+                            if t.family in families)
+        assert derived == by_family(reference(n, cap)), (n, cap)

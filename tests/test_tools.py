@@ -100,3 +100,28 @@ def test_pairs_keep_their_inputs_digest(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     pairs = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["verify"]["pairs"]
     assert [p["inputs_sha256"] for p in pairs] == ["aa", "bb"]
+
+
+
+@pytest.mark.parametrize("digests, side", [([None, "aa"], "parent"), (["aa", None], "change")])
+def test_a_pair_without_an_inputs_digest_is_refused(digests, side, tmp_path, monkeypatch):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace):
+        digest = digests[len(calls)]
+        calls.append((workload, seed))
+        stdout = "workload %s seed %d: 40 ops in the input pool" % (workload, seed)
+        if digest is not None:
+            stdout += ", inputs_sha256 " + digest
+        return {"metrics": {name: {"value": 1.0} for name in names}, "failed": 0}, stdout + "\n"
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "wordproblem=4"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert str(exc.value.code) == ("error: wordproblem seed 4: the %s printed no "
+                                   "inputs_sha256 digest, so the pair cannot show that "
+                                   "both sides ran the same inputs" % side)
+    assert not (tmp_path / "BENCH_t.json").exists()

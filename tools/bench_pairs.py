@@ -31,7 +31,8 @@ parent, change, change, parent.  ``--note`` stores a line of text under
 its key; ``change`` describes the change.  Exits non-zero if a run fails
 or an op fails, and stops with an error naming the workload and seed when
 the two sides of a pair print different ``inputs_sha256`` digests of their
-op pools, since their numbers would then measure different inputs.
+op pools, since their numbers would then measure different inputs, or
+when a side prints none (the error names that side too).
 """
 
 from __future__ import annotations
@@ -180,6 +181,10 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: list,
             pair[side] = values(result)
             failed[side] = result["failed"]
             digests[side] = inputs_digest(stdout)
+            if digests[side] is None:
+                sys.exit("error: %s seed %d: the %s printed no inputs_sha256 digest, "
+                         "so the pair cannot show that both sides ran the same inputs"
+                         % (workload, seed, side))
         if digests["parent"] != digests["change"]:
             sys.exit("error: %s seed %d: the parent and the change ran different "
                      "inputs (inputs_sha256 %s and %s)"
