@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .monoid_core import Presentation, Report, bfs_equal, congruence_closure
+from .words import validate_word
 
 COMPLETE = "complete"
 STEP_BUDGET_EXCEEDED = "step-budget-exceeded"
@@ -157,9 +158,7 @@ def cube_condition_check(p: Presentation, x: int, y: int, z: int,
     stays away from "equal" for any bound.
     """
     table = complement_table(p)
-    for g in (x, y, z):
-        if not 1 <= g <= p.generators:
-            raise ValueError("generator %r out of range" % (g,))
+    validate_word((x, y, z), p.generators)
     first = reverse(table.complement(x, y), table.complement(x, z), table, budget)
     second = reverse(table.complement(y, x), table.complement(y, z), table, budget)
     if not (first.complete and second.complete):
@@ -188,6 +187,10 @@ def upper_bound_census(p: Presentation,
     if len(targets) != 2:
         raise ValueError("census expects exactly two target words")
     first, second = (tuple(t) for t in targets)
+    for t in (first, second):
+        if max_len < len(t):
+            raise ValueError("census max_len %d is below the length %d of the target %s"
+                             % (max_len, len(t), t))
     first_class, _ = congruence_closure(p, first, max_len, max_states)
     second_class, _ = congruence_closure(p, second, max_len, max_states)
     failures = []

@@ -486,6 +486,10 @@ class Report:
     failures: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.checks_run < 0:
+            raise ValueError(f"checks_run must be nonnegative, got {self.checks_run}")
+
     @property
     def ok(self) -> bool:
         return not self.failures
@@ -565,10 +569,7 @@ class DivisibilityOrder:
 
 def left_division_order(monoid: FiniteMonoid) -> DivisibilityOrder:
     size = len(monoid.elements)
-    leq = tuple(
-        tuple(any(monoid.table[i][z] == j for z in range(size)) for j in range(size))
-        for i in range(size)
-    )
+    leq = tuple(tuple(j in monoid.table[i] for j in range(size)) for i in range(size))
     return DivisibilityOrder(monoid.elements, leq)
 
 
@@ -585,20 +586,14 @@ def is_lattice(order: DivisibilityOrder) -> bool:
     size = len(order.elements)
     if not _antisymmetric(order):
         return False
-
-    def has_extremum(bounds, pick_greatest):
-        for g in bounds:
-            if pick_greatest and all(leq[x][g] for x in bounds):
-                return True
-            if not pick_greatest and all(leq[g][x] for x in bounds):
-                return True
-        return False
-
     for i in range(size):
         for j in range(size):
             lows = [x for x in range(size) if leq[x][i] and leq[x][j]]
             ups = [x for x in range(size) if leq[i][x] and leq[j][x]]
-            if not has_extremum(lows, True) or not has_extremum(ups, False):
+            # a meet: a lower bound above every lower bound; a join dually
+            if not any(all(leq[x][g] for x in lows) for g in lows):
+                return False
+            if not any(all(leq[g][x] for x in ups) for g in ups):
                 return False
     return True
 

@@ -89,7 +89,7 @@ def reduce_steps(scan, word) -> tuple:
             return tuple(w), steps
 
 
-def reduce_random(matches_fn, apply_fn, word, rng) -> tuple:
+def reduce_random(match_at, apply_fn, word, rng) -> tuple:
     """Normalize by uniformly random rule choices; (normal form, steps).
 
     Confluence says the result agrees with reduce_steps whatever the
@@ -98,7 +98,7 @@ def reduce_random(matches_fn, apply_fn, word, rng) -> tuple:
     w = tuple(validate_word(word))
     steps = 0
     while True:
-        ms = matches_fn(w)
+        ms = matches(match_at, w)
         if not ms:
             return w, steps
         w = apply_fn(w, rng.choice(ms))
@@ -165,7 +165,7 @@ def checked_lefts(match_at, lefts):
     return lefts
 
 
-def confluence_audit(triples, match_at, matches_fn, apply_fn, reduce_fn,
+def confluence_audit(triples, match_at, apply_fn, reduce_fn,
                      n: int, random_words: int, seed: int) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
@@ -186,7 +186,7 @@ def confluence_audit(triples, match_at, matches_fn, apply_fn, reduce_fn,
     rng = random.Random(seed)
     for _ in range(random_words):
         w0 = random_word(rng, n, 12, 2)
-        ms = matches_fn(w0)
+        ms = matches(match_at, w0)
         for x in range(len(ms)):
             for y in range(x + 1, len(ms)):
                 if ms[x].end <= ms[y].start:

@@ -70,8 +70,6 @@ def _family_scan(w, i):
     """
     n = len(w)
     h = w[i]
-    if h < 2:
-        return i + 1
     if i + 4 > n:  # shortest instance is x_{a-1} x_{a-2} x_{a-1} x_{a-2}
         return n
     exps = []
@@ -142,7 +140,7 @@ def a_reduce(word) -> Word:
 
 def a_reduce_random(word, rng) -> tuple:
     """Normalize by uniformly random rule choices; (normal form, steps)."""
-    return rewrite.reduce_random(a_matches, a_apply, word, rng)
+    return rewrite.reduce_random(a_match_at, a_apply, word, rng)
 
 
 def a_equal(u, v) -> bool:
@@ -211,5 +209,5 @@ def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
     control.
     """
     return rewrite.confluence_audit(
-        a_critical_pairs(n, max_exponent), a_match_at, a_matches, a_apply,
+        a_critical_pairs(n, max_exponent), a_match_at, a_apply,
         a_reduce if reducer is None else reducer, n, random_words, seed)

@@ -90,7 +90,9 @@ def _square_run_scan(w, i):
     return p if i < p < j - 1 else j - 1
 
 
-def _staircase_at(w, i):
+def _staircase_scan(w, i):
+    """The staircase starting at i, else i + 1: another staircase can start
+    inside the stretch a failed scan read, so no later start is skipped."""
     n = len(w)
     a = w[i]
     j = i + 1
@@ -103,14 +105,14 @@ def _staircase_at(w, i):
             j += 1
         y_spans.append((y0, j))
         if j + 1 >= n or w[j] != seg or w[j + 1] != seg - 1:
-            return None
+            return i + 1
         j += 2
         z0 = j
         while j < n and w[j] <= seg - 2:
             j += 1
         z_spans.append((z0, j))
         if j >= n:
-            return None
+            return i + 1
         v = w[j]
         if v == seg:
             return MStandardMatch(STAIRCASE, i, j + 1, a, seg,
@@ -118,18 +120,17 @@ def _staircase_at(w, i):
         if v > seg:
             seg += 1
             continue
-        return None
+        return i + 1
 
 
 def _deletion_scan(w, i):
     """The square run or staircase starting at i, else the next start that may
-    have one (i + 1 after a failed staircase)."""
+    have one."""
     if i + 1 >= len(w):
         return len(w)
     d = w[i + 1] - w[i]
     if d >= 1:
-        m = _staircase_at(w, i)
-        return i + 1 if m is None else m
+        return _staircase_scan(w, i)
     if d >= -1:
         return _square_run_scan(w, i)
     return i + 1
@@ -174,7 +175,7 @@ def m_reduce(word) -> Word:
 
 def m_reduce_random(word, rng) -> tuple:
     """Normalize by uniformly random rule choices; (normal form, steps)."""
-    return rewrite.reduce_random(m_matches, m_apply, word, rng)
+    return rewrite.reduce_random(m_match_at, m_apply, word, rng)
 
 
 def m_equal(u, v) -> bool:
@@ -268,7 +269,7 @@ def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
                        seed: int = 0, reducer=None) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs."""
     return rewrite.confluence_audit(
-        m_critical_pairs(n, max_interleave), m_match_at, m_matches, m_apply,
+        m_critical_pairs(n, max_interleave), m_match_at, m_apply,
         m_reduce if reducer is None else reducer, n, random_words, seed)
 
 

@@ -250,3 +250,21 @@ def test_verify_output_pinned(capsys):
         assert code == 0 and _without_elapsed(out) == text
         code, out, _ = run(capsys, "verify", *argv, "--json")
         assert code == 0 and _without_elapsed(out) == as_json
+
+
+def test_verify_cube_census_bound_below_a_target_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "cube", "--max-len", "6")
+    assert code == 2 and out == ""
+    assert err == ("error: census max_len 6 is below the length 7 of the target "
+                   "(3, 1, 2, 3, 2, 1, 2)\n")
+
+
+def test_verify_file_errors_are_usage_errors(capsys, tmp_path):
+    missing = tmp_path / "no_such_matrix.txt"
+    code, out, err = run(capsys, "verify", "linrep", "--matrix", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+    dot = tmp_path / "no_such_dir" / "hasse.dot"
+    code, out, err = run(capsys, "verify", "rank2", "--dot", str(dot))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(dot) in err and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 from aimonoids.cube import (COMPLETE, CUBE_RELATIONS, STEP_BUDGET_EXCEEDED,
@@ -156,3 +157,29 @@ def test_reverse_checks_every_letter_before_it_starts():
     for u, v in [((), (0,)), ((5,), ())]:
         with pytest.raises(ValueError, match="no complement entry for"):
             reverse(u, v, TABLE)
+
+
+@pytest.mark.parametrize("triple, message", [
+    ((True, 2, 3), "letters must be positive integers, got True"),
+    ((1, 2.0, 3), "letters must be positive integers, got 2.0"),
+    ((1, 2, 0), "letters must be positive integers, got 0"),
+    ((1, 4, 3), "letter 4 out of range for rank 3"),
+])
+def test_cube_condition_check_validates_its_triple(triple, message):
+    with pytest.raises(ValueError, match=message):
+        cube_condition_check(cube_presentation(), *triple)
+
+
+def test_census_refuses_a_bound_below_a_target_before_searching(monkeypatch):
+    import aimonoids.cube as cube_module
+
+    def no_search(*args):
+        raise AssertionError("the census searched")
+    monkeypatch.setattr(cube_module, "congruence_closure", no_search)
+    with pytest.raises(ValueError, match=re.escape(
+            "census max_len 6 is below the length 7 of the target "
+            "(3, 1, 2, 3, 2, 1, 2)")):
+        upper_bound_census(cube_presentation(), max_len=6)
+    with pytest.raises(ValueError, match=re.escape(
+            "census max_len 2 is below the length 3 of the target (2, 3, 2)")):
+        upper_bound_census(cube_presentation(), max_len=2)

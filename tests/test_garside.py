@@ -152,3 +152,10 @@ def test_left_cancel_rejects_nonpositive_rank():
     for n in (0, -1):
         with pytest.raises(ValueError, match="rank must be positive"):
             left_cancel_harness(n)
+
+
+def test_garside_entry_points_refuse_bad_sizes():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        garside_cofactor((), 0)
+    with pytest.raises(ValueError, match="checks_run must be nonnegative, got -5"):
+        left_cancel_harness(3, -5)

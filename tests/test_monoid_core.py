@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    reversal_respects_congruence, TupleAction,
                                    tuple_action, tuple_action_failures,
                                    validate_ci)
+from aimonoids.monoid_core import DivisibilityOrder
 from aimonoids.words import alternating, random_word
 
 A2 = Presentation(2, (((2, 1, 2, 1), (1, 2, 1)),))
@@ -702,3 +704,60 @@ def test_presentation_copy_and_pickle_keep_the_quotients():
     for q in (copy.copy(m4), copy.deepcopy(m4), pickle.loads(pickle.dumps(m4))):
         assert q == m4 and q.quotients == m4.quotients
         assert bfs_equal(q, (1, 2), (2, 1, 2)) == OracleVerdict(INCONCLUSIVE)
+
+
+def test_a_report_refuses_a_negative_check_count():
+    assert Report(0).ok and Report(0).checks_run == 0
+    with pytest.raises(ValueError, match="checks_run must be nonnegative, got -1"):
+        Report(-1)
+    with pytest.raises(ValueError, match="checks_run must be nonnegative, got -1"):
+        reversal_respects_congruence(chain_ci_matrix(3), -1)
+
+
+def test_oracle_bounds_are_refused():
+    p = ci_presentation(chain_ci_matrix(3))
+    with pytest.raises(ValueError, match="max_states must be positive"):
+        bfs_equal(p, (1,), (2,), max_states=0)
+    with pytest.raises(ValueError, match="max_len smaller than an input word"):
+        bfs_equal(p, (1, 2, 1), (2,), max_len=2)
+    with pytest.raises(ValueError, match="max_len below the start word length"):
+        congruence_closure(p, (1, 2, 1), 2)
+
+
+def test_matrix_builders_refuse_bad_sizes_and_entries():
+    with pytest.raises(ValueError, match="size must be at least 1"):
+        make_ci_matrix(0)
+    with pytest.raises(ValueError, match=re.escape("entry (1, 5) outside the matrix")):
+        make_ci_matrix(3, {(1, 5): 3})
+    with pytest.raises(ValueError, match=re.escape("bad generator pair in line: '1 5 3'")):
+        load_ci_matrix("rank 3\n1 5 3\n")
+    with pytest.raises(ValueError, match="entries violate the CI matrix conditions"):
+        load_ci_matrix("rank 2\n1 2 2\n2 1 4\n")
+
+
+def test_validate_ci_is_false_for_a_missing_entry_a_small_label_or_size_zero():
+    assert validate_ci(CIMatrix(2, {(1, 2): 3, (2, 1): 3}))
+    assert not validate_ci(CIMatrix(2, {(1, 2): 3}))
+    assert not validate_ci(CIMatrix(2, {(1, 2): 1, (2, 1): 1}))
+    assert not validate_ci(CIMatrix(0, {}))
+
+
+def test_tuple_action_refuses_a_bad_tuple():
+    act = pair_collapse_action(3, 3)
+    with pytest.raises(ValueError, match="need a tuple of length 4, got 2"):
+        tuple_action(act, (1,), (0, 1))
+    with pytest.raises(ValueError, match="tuple entry 9 outside the carrier"):
+        tuple_action(act, (1,), (0, 1, 9, 0))
+
+
+def test_is_lattice_false_without_a_meet_or_a_join():
+    def order(size, pairs):
+        leq = tuple(tuple(i == j or (i, j) in pairs for j in range(size))
+                    for i in range(size))
+        return DivisibilityOrder(tuple(range(size)), leq)
+    # a bottom below two incomparable elements: every meet, no join of 1, 2
+    assert not is_lattice(order(3, {(0, 1), (0, 2)}))
+    # dually, a top: every join, no meet of 1, 2
+    assert not is_lattice(order(3, {(1, 0), (2, 0)}))
+    # both bounds make it a lattice
+    assert is_lattice(order(4, {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}))

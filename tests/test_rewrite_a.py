@@ -185,3 +185,20 @@ def test_a_reduced_words_are_b_reduced():
     for _ in range(10_000):
         nf = a_reduce(random_word(rng, 5, 14))
         assert b_reduced_form(nf) == nf
+
+
+def test_a_critical_pairs_refuse_a_bad_rank_or_cap():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        a_critical_pairs(0)
+    with pytest.raises(ValueError, match="exponent cap must be positive"):
+        a_critical_pairs(3, max_exponent=0)
+
+
+def test_family_scan_skips_a_chain_of_ones_to_its_end():
+    from aimonoids.rewrite_a import _family_scan
+    # no block chain starts at a 1; the family at 3 is the next match
+    w = (1, 1, 1, 2, 1, 2, 1)
+    assert _family_scan(w, 0) == 3
+    m = _family_scan(w, 3)
+    assert m.kind == FAMILY and (m.start, m.end) == (3, 7)
+    assert a_reduce_steps(w) == ((1, 1, 1, 1, 2, 1), 1)

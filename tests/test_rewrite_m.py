@@ -216,3 +216,19 @@ def test_infiniteness_witness():
     words = {(2, 1, 2, 3) * k for k in range(51)}
     assert len(words) == 51
     assert all(m_matches(w) == [] for w in words)
+
+
+def test_m_critical_pairs_refuse_a_bad_rank_or_cap():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        m_critical_pairs(0)
+    with pytest.raises(ValueError, match="interleave cap must be nonnegative"):
+        m_critical_pairs(3, max_interleave=-1)
+
+
+def test_sink_and_witness_refuse_bad_sizes():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        verify_sink(0)
+    with pytest.raises(ValueError, match="checks_run must be nonnegative, got -1"):
+        verify_sink(3, -1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        infiniteness_witness(-1)

@@ -125,3 +125,42 @@ def test_a_pair_without_an_inputs_digest_is_refused(digests, side, tmp_path, mon
                                    "inputs_sha256 digest, so the pair cannot show that "
                                    "both sides ran the same inputs" % side)
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def canned_verdict(parent, change, name="ops_per_s"):
+    """The summary verdict of `name` over pairs with these parent and change values."""
+    declared = [m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+                if m["name"] == name]
+    pairs = [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+    return bench_pairs.summarize(pairs, declared)[name]["verdict"]
+
+
+STEADY = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]  # IQR 1.5, bound 20
+
+
+@pytest.mark.parametrize("parent, change, name, expected", [
+    # ops_per_s, higher is better, bound 0.2
+    (STEADY, [x - 25 for x in STEADY], "ops_per_s", "worse_beyond_bound"),
+    (STEADY, [x + 10 for x in STEADY], "ops_per_s", "better"),
+    (STEADY, [x - 10 for x in STEADY], "ops_per_s", "within_bound"),
+    # 9 wins and a tie is better; 8 wins and two ties is not
+    (STEADY, [x + 10 for x in STEADY[:9]] + STEADY[9:], "ops_per_s", "better"),
+    (STEADY, [x + 10 for x in STEADY[:8]] + STEADY[8:], "ops_per_s", "within_bound"),
+    # wins every pair, but by less than the parent's IQR
+    (STEADY, [x + 1 for x in STEADY], "ops_per_s", "within_bound"),
+    # the parent's IQR (40) exceeds the bound (20) and the sides overlap
+    ([60, 80, 100, 120, 140] * 2, [70, 90, 100, 110, 130] * 2, "ops_per_s", "unresolved"),
+    ([60, 80, 100, 120, 140] * 2, [150, 151, 152, 153, 154] * 2, "ops_per_s", "better"),
+    # an IQR of 51 above the bound, and every change run beats every parent
+    # run, by less than the IQR
+    ([40, 50, 100, 101, 102] * 2, [103, 104, 105, 106, 107] * 2, "ops_per_s",
+     "within_bound"),
+    # latency_p95_ms, lower is better, bound 0.25
+    ([10.0] * 3, [13.0] * 3, "latency_p95_ms", "worse_beyond_bound"),
+    ([10.0] * 3, [12.0] * 3, "latency_p95_ms", "within_bound"),
+    ([10.0] * 10, [9.0] * 10, "latency_p95_ms", "better"),
+    # three pairs never read as a gain, however clear
+    ([10.0] * 3, [9.0] * 3, "latency_p95_ms", "within_bound"),
+])
+def test_summary_gives_each_metric_a_verdict(parent, change, name, expected):
+    assert canned_verdict(parent, change, name) == expected

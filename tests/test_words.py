@@ -172,3 +172,8 @@ def test_parse_word_accepts_only_ascii_numerals():
     for text in ("1 --5", "1 ²", "1_0", "+2", "١"):
         with pytest.raises(ValueError):
             parse_word(text)
+
+
+def test_alternating_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="length must be nonnegative"):
+        alternating(1, 2, -1)

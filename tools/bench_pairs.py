@@ -15,8 +15,9 @@ precedes its start, a ``--trace`` whose NAME is unknown or whose SEED is
 not one seed, or a ``--scale`` MODULE:FUNC that does not import in both
 checkouts is refused before anything runs.
 The file keeps every pair and, for each end-to-end metric of
-BENCHMARK.json, the quartiles of each side, the ratio of the medians and
-the number of pairs in which the change was better.  It is written as
+BENCHMARK.json, the quartiles of each side, the ratio of the medians, the
+number of pairs in which the change was better and a verdict (see
+``verdict``).  It is written as
 BENCH_<NAME>.json in the current directory.
 
 ``--trace NAME=SEED`` adds one traced run of workload NAME per side with
@@ -52,6 +53,8 @@ SCALE_LENGTHS = "400,800,1600,3200"
 SCALING_LINE = re.compile(
     r"scaling (\S+) (\S+)\s+len\s+(\d+)-(\d+)\s+p50\s+([\d.]+) ms\s+\(n=(\d+)\)")
 INPUTS_LINE = re.compile(r"inputs_sha256 (\S+)")
+#: fewer pairs than this never read as a gain
+MIN_PAIRS = 10
 
 # Run in a fresh interpreter inside one checkout: argv is the source
 # directory, MODULE:FUNC, ranks, lengths, words per cell, calls per word.
@@ -151,6 +154,36 @@ def quartiles(xs: list) -> dict:
     return {"q1": round(q1, 4), "median": round(med, 4), "q3": round(q3, 4)}
 
 
+def verdict(parent: list, change: list, sign: int, bound: float) -> str:
+    """How the change's runs of one metric compare with the parent's.
+
+    sign is 1 when higher is better and -1 when lower is; bound is the
+    relative worsening BENCHMARK.json allows.  In order:
+    worse_beyond_bound: the change's median is worse than the parent's by
+        more than bound times the parent's median;
+    better: over at least MIN_PAIRS pairs, the change wins at least 9 in
+        10 (a tie counts for neither side) and the medians differ by more
+        than the parent's IQR;
+    unresolved: the parent's IQR exceeds bound times the parent's median
+        and not every change run beats every parent run, so the runs
+        spread too widely to tell;
+    within_bound: anything else.
+    """
+    q = quartiles(parent)
+    iqr = q["q3"] - q["q1"]
+    gain = sign * (statistics.median(change) - q["median"])
+    limit = bound * abs(q["median"])
+    if -gain > limit:
+        return "worse_beyond_bound"
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if len(parent) >= MIN_PAIRS and 10 * wins >= 9 * len(parent) and gain > iqr:
+        return "better"
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    if iqr > limit and not separated:
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(pairs: list, declared: list) -> dict:
     summary = {}
     for metric in declared:
@@ -164,6 +197,7 @@ def summarize(pairs: list, declared: list) -> dict:
             **stats,
             "change_over_parent": round(stats["change"]["median"] / base, 3) if base else None,
             "change_better_in_pairs": "%d of %d" % (better, len(pairs)),
+            "verdict": verdict(sides["parent"], sides["change"], sign, metric["bound"]),
         }
     return summary
 
