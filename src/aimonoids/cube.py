@@ -39,7 +39,6 @@ def cube_presentation() -> Presentation:
 
 @dataclass(frozen=True)
 class ComplementTable:
-    size: int
     entries: dict  # (s, t) -> word for s \ t, including (s, s) -> ()
 
     def complement(self, s: int, t: int):
@@ -60,7 +59,6 @@ def complement_table(p: Presentation) -> ComplementTable:
     entries = {}
     for s in range(1, p.generators + 1):
         entries[(s, s)] = ()
-    seen = set()
     for lhs, rhs in p.relations:
         if not lhs or not rhs:
             raise ValueError("not complemented: relation with an empty side")
@@ -69,18 +67,17 @@ def complement_table(p: Presentation) -> ComplementTable:
             raise ValueError(
                 "not complemented: both sides start with generator %d" % s)
         pair = (min(s, t), max(s, t))
-        if pair in seen:
+        if pair in entries:
             raise ValueError(
                 "not complemented: two relations on the pair %d, %d" % pair)
-        seen.add(pair)
         entries[(s, t)] = lhs[1:]
         entries[(t, s)] = rhs[1:]
     for s in range(1, p.generators + 1):
         for t in range(s + 1, p.generators + 1):
-            if (s, t) not in seen:
+            if (s, t) not in entries:
                 raise ValueError(
                     "not complemented: no relation on the pair %d, %d" % (s, t))
-    return ComplementTable(p.generators, entries)
+    return ComplementTable(entries)
 
 
 @dataclass(frozen=True)
@@ -103,35 +100,38 @@ def reverse(u, v, table: ComplementTable, budget: int = 10000) -> ReversalOutcom
     every negative one.  The positive prefix is then u \\ v and the inverted
     negative suffix is v \\ u.  Each replacement costs one step against the
     budget; running out is reported as a status, not an error.
+
+    The word is read once, left to right.  What has been read never holds
+    a factor s^-1 t, so it is the letters of `positive` followed by the
+    inverses of `negative`, both in reading order.  The leftmost s^-1 t is
+    thus the last negative letter read against the next letter, when that
+    one is positive; its replacement goes back on the unread stack, ahead
+    of everything to its right.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     u, v = tuple(u), tuple(v)
     for x in u + v:
         table.complement(x, x)  # raises for a letter outside the table
-    # signed letter = (generator, sign)
-    signed = [(x, -1) for x in reversed(u)]
-    signed += [(y, 1) for y in v]
+    positive = []
+    negative = list(reversed(u))
+    unread = [(y, 1) for y in reversed(v)]  # (generator, sign), next one last
     steps = 0
-    while True:
-        spot = -1
-        for i in range(len(signed) - 1):
-            if signed[i][1] < 0 and signed[i + 1][1] > 0:
-                spot = i
-                break
-        if spot < 0:
-            word = tuple(x for x, sign in signed if sign > 0)
-            remainder = tuple(x for x, sign in reversed(signed) if sign < 0)
-            return ReversalOutcome(COMPLETE, word, remainder, steps)
-        if steps >= budget:
+    while unread:
+        t, sign = unread.pop()
+        if sign < 0:
+            negative.append(t)
+        elif not negative:
+            positive.append(t)
+        elif steps >= budget:
             return ReversalOutcome(STEP_BUDGET_EXCEEDED, steps=steps)
-        steps += 1
-        s, t = signed[spot][0], signed[spot + 1][0]
-        head = table.complement(s, t)
-        tail = table.complement(t, s)
-        patch = [(x, 1) for x in head]
-        patch += [(x, -1) for x in reversed(tail)]
-        signed[spot:spot + 2] = patch
+        else:
+            steps += 1
+            s = negative.pop()
+            unread += [(x, -1) for x in table.complement(t, s)]
+            unread += [(x, 1) for x in reversed(table.complement(s, t))]
+    return ReversalOutcome(COMPLETE, tuple(positive), tuple(reversed(negative)),
+                           steps)
 
 
 REVERSAL_BUDGET_EXCEEDED = "reversal-budget-exceeded"
@@ -147,8 +147,7 @@ class CubeReport:
 
 
 def cube_condition_check(p: Presentation, x: int, y: int, z: int,
-                         budget: int = 10000, max_len: int | None = None,
-                         max_states: int = 10**6) -> CubeReport:
+                         budget: int = 10000) -> CubeReport:
     """Evaluate the cube condition on the generator triple (x, y, z).
 
     Computes w1 = (x \\ y) \\ (x \\ z) and w2 = (y \\ x) \\ (y \\ z) and asks
@@ -164,16 +163,14 @@ def cube_condition_check(p: Presentation, x: int, y: int, z: int,
     if not (first.complete and second.complete):
         return CubeReport((x, y, z), first.word, second.word,
                           REVERSAL_BUDGET_EXCEEDED)
-    verdict = bfs_equal(p, first.word, second.word,
-                        max_len=max_len, max_states=max_states)
+    verdict = bfs_equal(p, first.word, second.word)
     return CubeReport((x, y, z), first.word, second.word,
                       verdict.status, verdict.witness)
 
 
 def upper_bound_census(p: Presentation,
                        targets=((2, 3, 2), (3, 1, 2, 3, 2, 1, 2)),
-                       max_len: int = 9,
-                       max_states: int = 10**6) -> Report:
+                       max_len: int = 9) -> Report:
     """Enumerate two upper-bound classes of {[b], [c]} and check their shapes.
 
     The defaults are the words b c b and c a b c b a b.  Within the length
@@ -191,8 +188,8 @@ def upper_bound_census(p: Presentation,
         if max_len < len(t):
             raise ValueError("census max_len %d is below the length %d of the target %s"
                              % (max_len, len(t), t))
-    first_class, _ = congruence_closure(p, first, max_len, max_states)
-    second_class, _ = congruence_closure(p, second, max_len, max_states)
+    first_class, _ = congruence_closure(p, first, max_len)
+    second_class, _ = congruence_closure(p, second, max_len)
     failures = []
     checks = 0
     expected = set()

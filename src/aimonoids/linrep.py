@@ -89,9 +89,7 @@ def generator(a: int, b: int, matrix: CIMatrix) -> dict:
         raise ValueError("ring generators need distinct indices")
     if not (1 <= a <= matrix.size and 1 <= b <= matrix.size):
         raise ValueError(f"pair ({a}, {b}) out of range")
-    _require_ci(matrix)
-    mono = ((a, b),)
-    return {} if _vanishes(mono, matrix) else {mono: 1}
+    return alternating_coeff(a, b, 1, matrix)
 
 
 def ring_add(p: dict, q: dict) -> dict:

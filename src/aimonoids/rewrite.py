@@ -23,7 +23,7 @@ COMMUTATION = "commutation"
 
 def matches(match_at, w) -> list:
     """All rule occurrences, in increasing start order (one per start at most)."""
-    w = tuple(w)
+    w = validate_word(w)
     out = []
     for i in range(len(w)):
         m = match_at(w, i)
@@ -46,7 +46,7 @@ def apply(match_at, w, match) -> Word:
 
 def step(match_at, apply_fn, w) -> Word | None:
     """Apply the leftmost rule occurrence; None iff w is reduced."""
-    w = tuple(w)
+    w = validate_word(w)
     for i in range(len(w)):
         m = match_at(w, i)
         if m is not None:

@@ -7,6 +7,7 @@ from aimonoids.cube import (COMPLETE, CUBE_RELATIONS, STEP_BUDGET_EXCEEDED,
                             reverse, upper_bound_census)
 from aimonoids.monoid_core import DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE, \
     Presentation, bfs_equal
+from aimonoids.monoid_core import ai_presentation, make_ci_matrix
 
 import pytest
 
@@ -183,3 +184,56 @@ def test_census_refuses_a_bound_below_a_target_before_searching(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "census max_len 2 is below the length 3 of the target (2, 3, 2)")):
         upper_bound_census(cube_presentation(), max_len=2)
+
+
+def rescan_reverse(u, v, table, budget):
+    """Reference: rescan from the start for the leftmost s^-1 t at each step."""
+    for x in tuple(u) + tuple(v):
+        table.complement(x, x)
+    signed = [(x, -1) for x in reversed(u)] + [(y, 1) for y in v]
+    steps = 0
+    while True:
+        spot = -1
+        for i in range(len(signed) - 1):
+            if signed[i][1] < 0 and signed[i + 1][1] > 0:
+                spot = i
+                break
+        if spot < 0:
+            word = tuple(x for x, sign in signed if sign > 0)
+            remainder = tuple(x for x, sign in reversed(signed) if sign < 0)
+            return COMPLETE, word, remainder, steps
+        if steps >= budget:
+            return STEP_BUDGET_EXCEEDED, None, None, steps
+        steps += 1
+        s, t = signed[spot][0], signed[spot + 1][0]
+        patch = [(x, 1) for x in table.complement(s, t)]
+        patch += [(x, -1) for x in reversed(table.complement(t, s))]
+        signed[spot:spot + 2] = patch
+
+
+AI3 = complement_table(ai_presentation(make_ci_matrix(3, default=3)))
+
+
+@pytest.mark.parametrize("table", [TABLE, AI3], ids=["cube", "ai3"])
+def test_one_pass_reverse_matches_the_rescanning_reference(table):
+    words = [w for k in range(4) for w in product((1, 2, 3), repeat=k)]
+    statuses = set()
+    for u in words:
+        for v in words:
+            for budget in (1, 2, 7, 100):
+                out = reverse(u, v, table, budget)
+                got = (out.status, out.word, out.remainder, out.steps)
+                assert got == rescan_reverse(u, v, table, budget), (u, v, budget)
+                statuses.add(out.status)
+    assert statuses == {COMPLETE, STEP_BUDGET_EXCEEDED}
+
+
+def test_long_reversal_runs_out_at_its_budget():
+    out = reverse((1,), (2, 3), AI3, budget=10_000)
+    assert out.status == STEP_BUDGET_EXCEEDED and out.steps == 10_000
+
+
+def test_a_second_relation_on_a_pair_is_refused_either_way_round():
+    swapped = Presentation(2, (((1, 2, 1), (2, 1, 2)), ((2, 1), (1, 2))))
+    with pytest.raises(ValueError, match="two relations on the pair 1, 2"):
+        complement_table(swapped)

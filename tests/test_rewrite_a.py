@@ -202,3 +202,10 @@ def test_family_scan_skips_a_chain_of_ones_to_its_end():
     m = _family_scan(w, 3)
     assert m.kind == FAMILY and (m.start, m.end) == (3, 7)
     assert a_reduce_steps(w) == ((1, 1, 1, 1, 2, 1), 1)
+
+
+@pytest.mark.parametrize("entry", [a_step, a_matches, a_reduce])
+@pytest.mark.parametrize("word", [(1, 0, 1, 0), (3.5, 1), (-3, -3), (True, 2)])
+def test_word_entry_points_refuse_what_a_reduce_refuses(entry, word):
+    with pytest.raises(ValueError, match="letters must be positive integers"):
+        entry(word)

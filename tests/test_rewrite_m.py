@@ -232,3 +232,10 @@ def test_sink_and_witness_refuse_bad_sizes():
         verify_sink(3, -1)
     with pytest.raises(ValueError, match="k must be nonnegative"):
         infiniteness_witness(-1)
+
+
+@pytest.mark.parametrize("entry", [m_step, m_matches, m_reduce])
+@pytest.mark.parametrize("word", [(1, 0, 1, 0), (3.5, 1), (-3, -3), (True, 2)])
+def test_word_entry_points_refuse_what_m_reduce_refuses(entry, word):
+    with pytest.raises(ValueError, match="letters must be positive integers"):
+        entry(word)

@@ -164,3 +164,27 @@ STEADY = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]  # IQR 1.5, bound 20
 ])
 def test_summary_gives_each_metric_a_verdict(parent, change, name, expected):
     assert canned_verdict(parent, change, name) == expected
+
+
+def test_traced_runs_keep_how_many_ops_they_covered(tmp_path, monkeypatch):
+    attempted = {"parent": 2475 * 2, "change": 3139 * 2}
+
+    def run(checkout, workload, seed, seconds, trace):
+        assert (workload, seed, trace) == ("oracle", 5, 1)
+        side = "parent" if checkout == tmp_path / "parent" else "change"
+        result = {"metrics": {"trace.ops": {"value": attempted[side] / 2}},
+                  "attempted": attempted[side], "failed": 0}
+        return result, "workload oracle seed 5\n"
+    for side in attempted:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--topic", "t", "--trace", "oracle=5"]
+    assert bench_pairs.main(argv) == 0
+    traced = json.loads((tmp_path / "BENCH_t.json").read_text())["traced_oracle"]
+    for side in attempted:
+        assert traced[side]["attempted"] == attempted[side]
+        assert traced[side]["per_layer"] == {"trace.ops": attempted[side] / 2}

@@ -21,9 +21,12 @@ number of pairs in which the change was better and a verdict (see
 BENCH_<NAME>.json in the current directory.
 
 ``--trace NAME=SEED`` adds one traced run of workload NAME per side with
-that seed, stored as ``traced_<NAME>``: its per-layer metrics, and the p50
-scaling table where the workload prints one (``wordproblem``).  The traced
-runs are time-bounded, so the two sides cover different numbers of ops.
+that seed, stored as ``traced_<NAME>``: its per-layer metrics, the p50
+scaling table where the workload prints one (``wordproblem``), and
+``attempted``, the ops it ran: the traced ops plus their untraced replay,
+so twice its ``trace.ops``.  The traced runs are time-bounded, so the two
+sides cover different numbers of ops; compare their per-layer counts per
+op.
 ``--scale MODULE:FUNC`` adds a table of the function's time on a fresh
 list of random letters at ranks 6, 20 and 50 and lengths 400 to 3200,
 before and after: per cell the median over words of the best of a few
@@ -237,8 +240,8 @@ def traced(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     table = {}
     for group, family, lo, hi, p50, n in SCALING_LINE.findall(stdout):
         table["%s %s %s-%s" % (group, family, lo, hi)] = {"p50_ms": float(p50), "n": int(n)}
-    return {"seed": seed, "failed": result["failed"], "scaling_p50": table,
-            "per_layer": values(result)}
+    return {"seed": seed, "attempted": result["attempted"], "failed": result["failed"],
+            "scaling_p50": table, "per_layer": values(result)}
 
 
 def scale(parent: Path, change: Path, spec: str) -> dict:
