@@ -7,9 +7,14 @@ Three commands:
     aimonoids verify <harness> [options]
 
 where <harness> is one of confluence-a, confluence-m, sink, garside,
-cancel, linrep, cube, rank2, action.  Exit codes: 0 for pass or "equal",
-1 for a property failure or "distinct", 2 for usage and parse errors and
-for a harness that ran no checks.
+cancel, linrep, cube, rank2, action.  Each harness is a library function
+that returns a `Report`.  The table `_HARNESSES` names that function, the
+options it takes in call order (each under its key in the report's
+params), the default --rank and --samples, and the text lines read off the
+report's details.  The only harness-specific code here is I/O: linrep
+reads --matrix and rank2 writes --dot.  Exit codes: 0 for pass or
+"equal", 1 for a property failure or "distinct", 2 for usage and parse
+errors and for a harness that ran no checks.
 `--json` prints a verification report as a single object with the fields
 command, params, checks_run, failures and elapsed_ms; `--seed` makes the
 randomized harnesses reproducible.
@@ -22,14 +27,12 @@ import json
 import sys
 import time
 
-from .cube import (REVERSAL_BUDGET_EXCEEDED, cube_condition_check,
-                   cube_presentation, upper_bound_census)
-from .garside import check_lambda_identity, left_cancel_harness, verify_garside
+# the harnesses are called through _HARNESSES, by name
+from .cube import cube_counterexample
+from .garside import garside_harness, left_cancel_harness
 from .linrep import verify_representation
-from .monoid_core import (EQUAL, Report, chain_ci_matrix, hasse_dot,
-                          is_lattice, left_division_order, load_ci_matrix,
-                          pair_collapse_action, rank2_monoid,
-                          tuple_action_failures)
+from .monoid_core import (action_harness, chain_ci_matrix, hasse_dot,
+                          load_ci_matrix, rank2_harness)
 from .rewrite_a import a_confluence_audit, a_equal, a_reduce
 from .rewrite_m import m_confluence_audit, m_equal, m_reduce, verify_sink
 from .words import format_word, parse_word
@@ -68,131 +71,75 @@ def _cmd_equal(args) -> int:
     return 1
 
 
-def _family_line(by_family: dict) -> str:
-    parts = ["%s=%d" % (k, v) for k, v in sorted(by_family.items())]
-    return "family counts: " + " ".join(parts)
+def _family_lines(details) -> list:
+    parts = ["%s=%d" % (k, v) for k, v in sorted(details["by_family"].items())]
+    return ["family counts: " + " ".join(parts)]
 
 
-# Each adapter calls its harness by the module-global name at call time, so
-# rebinding that name (tracing, tests) takes effect.  It returns the JSON
-# params, the Report and any extra text lines.
-
-def _verify_confluence_a(args):
-    rep = a_confluence_audit(args.rank, args.max_exp, args.samples, args.seed)
-    params = {"rank": args.rank, "max_exponent": args.max_exp,
-              "random_words": args.samples, "seed": args.seed}
-    return params, rep, [_family_line(rep.by_family)]
+def _cube_lines(details) -> list:
+    return ["w1 = %s" % _letters(details["w1"]),
+            "w2 = %s" % _letters(details["w2"]),
+            "verdict: %s" % details["verdict"],
+            "census classes: %d and %d words within length %d" % (
+                len(details["first_class"]), len(details["second_class"]),
+                details["max_len"])]
 
 
-def _verify_confluence_m(args):
-    rep = m_confluence_audit(args.rank, args.max_interleave, args.samples,
-                             args.seed)
-    params = {"rank": args.rank, "max_interleave": args.max_interleave,
-              "random_words": args.samples, "seed": args.seed}
-    return params, rep, [_family_line(rep.by_family)]
+def _rank2_lines(details) -> list:
+    return ["%d elements, lattice: %s" % (
+        len(details["monoid"].elements), "yes" if details["lattice"] else "no")]
 
 
-def _verify_sink(args):
-    rep = verify_sink(args.rank, args.samples, args.seed)
-    params = {"rank": args.rank, "trials": args.samples, "seed": args.seed}
-    return params, rep, []
+_RANK, _SAMPLES, _SEED = ("rank", "rank"), ("samples", "samples"), ("seed", "seed")
 
-
-def _verify_garside(args):
-    first = verify_garside(args.rank, args.samples, args.seed)
-    second = check_lambda_identity(args.rank, args.samples, args.seed)
-    rep = Report(first.checks_run + second.checks_run,
-                 first.failures + second.failures)
-    params = {"rank": args.rank, "samples": args.samples, "seed": args.seed}
-    return params, rep, []
-
-
-def _verify_cancel(args):
-    rep = left_cancel_harness(args.rank, args.samples, args.seed)
-    params = {"rank": args.rank, "samples": args.samples, "seed": args.seed}
-    return params, rep, []
-
-
-def _verify_linrep(args):
-    if args.matrix is not None:
-        with open(args.matrix, encoding="utf-8") as handle:
-            matrix = load_ci_matrix(handle.read())
-        params = {"matrix": args.matrix}
-    else:
-        matrix = chain_ci_matrix(args.rank)
-        params = {"rank": args.rank}
-    return params, verify_representation(matrix), []
-
-
-def _verify_cube(args):
-    p = cube_presentation()
-    rep = cube_condition_check(p, 1, 2, 3, args.budget)
-    census = upper_bound_census(p, max_len=args.max_len)
-    params = {"budget": args.budget, "census_max_len": args.max_len}
-    failures = list(census.failures)
-    if rep.verdict == EQUAL:
-        failures.append(("cube-condition-held", rep.w1, rep.w2))
-    if rep.verdict == REVERSAL_BUDGET_EXCEEDED:
-        failures.append(("reversal-budget-exceeded",))
-    lines = [
-        "w1 = %s" % _letters(rep.w1),
-        "w2 = %s" % _letters(rep.w2),
-        "verdict: %s" % rep.verdict,
-        "census classes: %d and %d words within length %d" % (
-            len(census.first_class), len(census.second_class), census.max_len),
-    ]
-    return params, Report(1 + census.checks_run, failures), lines
-
-
-def _verify_rank2(args):
-    monoid = rank2_monoid(args.k, args.l)
-    order = left_division_order(monoid)
-    lattice = is_lattice(order)
-    failures = []
-    if len(monoid.elements) != args.k + args.l:
-        failures.append("size %d, expected %d" % (
-            len(monoid.elements), args.k + args.l))
-    if not lattice:
-        failures.append("left division is not a lattice order")
-    lines = ["%d elements, lattice: %s" % (
-        len(monoid.elements), "yes" if lattice else "no")]
-    if args.dot is not None:
-        with open(args.dot, "w") as handle:
-            handle.write(hasse_dot(order, monoid))
-        lines.append("DOT written to %s" % args.dot)
-    return {"k": args.k, "l": args.l}, Report(2, failures), lines
-
-
-def _verify_action(args):
-    act = pair_collapse_action(args.carrier, args.rank)
-    # one idempotence check per pair, two braid comparisons per triple
-    checks = args.carrier ** 2 + 2 * args.carrier ** 3
-    rep = Report(checks, tuple_action_failures(act))
-    return {"rank": args.rank, "carrier": args.carrier}, rep, []
-
-
-#: harness name -> (adapter, default --rank, default --samples)
+#: harness name -> (library function, its (params key, option) pairs in call
+#: order, default --rank, default --samples, text lines from the details).
+#: The function is looked up by name in this module at call time, so that
+#: rebinding the name (tracing, tests) takes effect.
 _HARNESSES = {
-    "confluence-a": (_verify_confluence_a, 5, 200),
-    "confluence-m": (_verify_confluence_m, 5, 200),
-    "sink": (_verify_sink, 3, 500),
-    "garside": (_verify_garside, 3, 200),
-    "cancel": (_verify_cancel, 3, 1000),
-    "linrep": (_verify_linrep, 3, None),
-    "cube": (_verify_cube, None, None),
-    "rank2": (_verify_rank2, None, None),
-    "action": (_verify_action, 3, None),
+    "confluence-a": ("a_confluence_audit",
+                     (_RANK, ("max_exponent", "max_exp"),
+                      ("random_words", "samples"), _SEED),
+                     5, 200, _family_lines),
+    "confluence-m": ("m_confluence_audit",
+                     (_RANK, ("max_interleave", "max_interleave"),
+                      ("random_words", "samples"), _SEED),
+                     5, 200, _family_lines),
+    "sink": ("verify_sink", (_RANK, ("trials", "samples"), _SEED), 3, 500, None),
+    "garside": ("garside_harness", (_RANK, _SAMPLES, _SEED), 3, 200, None),
+    "cancel": ("left_cancel_harness", (_RANK, _SAMPLES, _SEED), 3, 1000, None),
+    "linrep": ("verify_representation", (_RANK,), 3, None, None),
+    "cube": ("cube_counterexample",
+             (("budget", "budget"), ("census_max_len", "max_len")),
+             None, None, _cube_lines),
+    "rank2": ("rank2_harness", (("k", "k"), ("l", "l")), None, None, _rank2_lines),
+    "action": ("action_harness", (_RANK, ("carrier", "carrier")), 3, None, None),
 }
 
 
 def _cmd_verify(args) -> int:
-    adapter, rank, samples = _HARNESSES[args.harness]
+    name, options, rank, samples, text_lines = _HARNESSES[args.harness]
     if args.rank is None:
         args.rank = rank
     if args.samples is None:
         args.samples = samples
+    params = {key: getattr(args, option) for key, option in options}
+    values = list(params.values())
     start = time.monotonic()
-    params, rep, lines = adapter(args)
+    if args.harness == "linrep":
+        # the matrix read from --matrix, else the chain diagram of --rank
+        if args.matrix is None:
+            values = [chain_ci_matrix(args.rank)]
+        else:
+            params = {"matrix": args.matrix}
+            with open(args.matrix, encoding="utf-8") as handle:
+                values = [load_ci_matrix(handle.read())]
+    rep = globals()[name](*values)
+    lines = text_lines(rep.details) if text_lines else []
+    if args.harness == "rank2" and args.dot is not None:
+        with open(args.dot, "w") as handle:
+            handle.write(hasse_dot(rep.order, rep.monoid))
+        lines.append("DOT written to %s" % args.dot)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     command = "verify %s" % args.harness
     if rep.checks_run == 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .monoid_core import Presentation, Report, bfs_equal, congruence_closure
+from .monoid_core import EQUAL, Presentation, Report, bfs_equal, congruence_closure
 from .words import validate_word
 
 COMPLETE = "complete"
@@ -137,35 +137,30 @@ def reverse(u, v, table: ComplementTable, budget: int = 10000) -> ReversalOutcom
 REVERSAL_BUDGET_EXCEEDED = "reversal-budget-exceeded"
 
 
-@dataclass(frozen=True)
-class CubeReport:
-    triple: tuple
-    w1: tuple
-    w2: tuple
-    verdict: str
-    witness: tuple = None
-
-
 def cube_condition_check(p: Presentation, x: int, y: int, z: int,
-                         budget: int = 10000) -> CubeReport:
+                         budget: int = 10000) -> Report:
     """Evaluate the cube condition on the generator triple (x, y, z).
 
     Computes w1 = (x \\ y) \\ (x \\ z) and w2 = (y \\ x) \\ (y \\ z) and asks
     the search oracle whether they agree in the monoid.  A presentation
     passing the condition would make them equal; for the presentation above
     with (x, y, z) = (1, 2, 3) they are c b a and c b a b, and the verdict
-    stays away from "equal" for any bound.
+    stays away from "equal" for any bound.  One check, failed by any
+    verdict but EQUAL; the details are `triple`, `w1`, `w2`, `verdict`
+    and `witness` (a word is None when its reversal ran out of budget).
     """
     table = complement_table(p)
     validate_word((x, y, z), p.generators)
     first = reverse(table.complement(x, y), table.complement(x, z), table, budget)
     second = reverse(table.complement(y, x), table.complement(y, z), table, budget)
-    if not (first.complete and second.complete):
-        return CubeReport((x, y, z), first.word, second.word,
-                          REVERSAL_BUDGET_EXCEEDED)
-    verdict = bfs_equal(p, first.word, second.word)
-    return CubeReport((x, y, z), first.word, second.word,
-                      verdict.status, verdict.witness)
+    verdict, witness = REVERSAL_BUDGET_EXCEEDED, None
+    if first.complete and second.complete:
+        oracle = bfs_equal(p, first.word, second.word)
+        verdict, witness = oracle.status, oracle.witness
+    failures = [] if verdict == EQUAL else [(verdict, first.word, second.word)]
+    return Report(1, failures, {"triple": (x, y, z), "w1": first.word,
+                                "w2": second.word, "verdict": verdict,
+                                "witness": witness})
 
 
 def upper_bound_census(p: Presentation,
@@ -213,3 +208,23 @@ def upper_bound_census(p: Presentation,
     return Report(checks, failures, {"max_len": max_len,
                                      "first_class": first_class,
                                      "second_class": second_class})
+
+
+def cube_counterexample(budget: int = 10000, max_len: int = 9) -> Report:
+    """The counterexample of this module: the cube condition fails on
+    (a, b, c) and the census of the two upper-bound classes holds.
+
+    The checks are the census's and one for the cube condition, which
+    fails when its words come out equal or a reversal runs out of budget;
+    the census's failures come first.  The details are those of
+    `cube_condition_check` and `upper_bound_census`.
+    """
+    p = cube_presentation()
+    check = cube_condition_check(p, 1, 2, 3, budget)
+    census = upper_bound_census(p, max_len=max_len)
+    failures = list(census.failures)
+    if check.verdict == EQUAL:
+        failures.append(("cube-condition-held", check.w1, check.w2))
+    if check.verdict == REVERSAL_BUDGET_EXCEEDED:
+        failures.append(("reversal-budget-exceeded",))
+    return Report(1 + census.checks_run, failures, {**check.details, **census.details})

@@ -110,6 +110,14 @@ def verify_garside(n: int, samples: int = 200, seed: int = 0) -> Report:
     return Report(checks, failures)
 
 
+def garside_harness(n: int, samples: int = 200, seed: int = 0) -> Report:
+    """`verify_garside` and `check_lambda_identity` as one report."""
+    first = verify_garside(n, samples, seed)
+    second = check_lambda_identity(n, samples, seed)
+    return Report(first.checks_run + second.checks_run,
+                  first.failures + second.failures)
+
+
 def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
                         max_word_len: int = 6) -> Report:
     """x y = x z forces y = z; sampled through normal forms.

@@ -75,10 +75,6 @@ def _put(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
-def ring_zero() -> dict:
-    return {}
-
-
 def ring_one() -> dict:
     return {(): 1}
 

@@ -15,6 +15,7 @@ agree with it.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
@@ -622,6 +623,21 @@ def hasse_dot(order: DivisibilityOrder, monoid: FiniteMonoid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rank2_harness(k: int, l: int) -> Report:
+    """Two checks on `rank2_monoid(k, l)`: it has k + l elements, and left
+    division is a lattice order.  The details are `monoid`, `order` and
+    `lattice`."""
+    monoid = rank2_monoid(k, l)
+    order = left_division_order(monoid)
+    lattice = is_lattice(order)
+    failures = []
+    if len(monoid.elements) != k + l:
+        failures.append("size %d, expected %d" % (len(monoid.elements), k + l))
+    if not lattice:
+        failures.append("left division is not a lattice order")
+    return Report(2, failures, {"monoid": monoid, "order": order, "lattice": lattice})
+
+
 # ---------------------------------------------------------------------------
 # reversal anti-automorphism
 
@@ -633,8 +649,6 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
     Only meaningful when no pair has m(a,b) + m(b,a) congruent to 1 mod 4;
     matrices violating that are refused outright.
     """
-    import random as _random
-
     _require_ci(matrix)
     for a, b in combinations(range(1, matrix.size + 1), 2):
         k, l = matrix.m[(a, b)], matrix.m[(b, a)]
@@ -644,7 +658,7 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
                 "reversal does not descend to this monoid"
             )
     p = ci_presentation(matrix)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     failures = []
     for _ in range(samples):
         base = tuple(rng.randint(1, matrix.size) for _ in range(rng.randint(1, 6)))
@@ -723,6 +737,13 @@ def _action_failures(carrier: tuple, f) -> list:
 def tuple_action_failures(act: TupleAction) -> list:
     """Violations of idempotence or the two composite identities, if any."""
     return list(act.failures)
+
+
+def action_harness(n: int, carrier: int) -> Report:
+    """The action checks of `pair_collapse_action(carrier, n)`: one
+    idempotence check per pair, two braid comparisons per triple."""
+    act = pair_collapse_action(carrier, n)
+    return Report(carrier ** 2 + 2 * carrier ** 3, tuple_action_failures(act))
 
 
 def tuple_action(act: TupleAction, word, t) -> tuple:

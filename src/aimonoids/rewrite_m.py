@@ -277,16 +277,11 @@ def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
 # global structure witnesses
 
 
-def SinkReport(n: int, trials: int, failures: list) -> Report:
-    """The sink harness's report: one check per trial, details n and trials."""
-    return Report(trials, failures, {"n": n, "trials": trials})
-
-
 def verify_sink(n: int, trials: int = 500, seed: int = 0) -> Report:
     """The image of the Garside word absorbs everything: x nabla y = nabla.
 
     Checks the one-sided generator identities exactly, then random two-sided
-    products.
+    products.  One check per trial; the details are `n` and `trials`.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -304,7 +299,7 @@ def verify_sink(n: int, trials: int = 500, seed: int = 0) -> Report:
         y = random_word(rng, n, 8)
         if m_reduce(x + nab + y) != target:
             failures.append((x, y))
-    return SinkReport(n, trials, failures)
+    return Report(trials, failures, {"n": n, "trials": trials})
 
 
 def infiniteness_witness(k: int, rank: int = 3) -> bool:

@@ -2,7 +2,7 @@ import json
 import re
 
 from aimonoids import cli
-from aimonoids.rewrite_m import SinkReport
+from aimonoids.monoid_core import Report
 
 import pytest
 
@@ -160,10 +160,51 @@ def test_verify_without_checks_exits_2(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    broken = SinkReport(n=1, trials=1, failures=[((1,), (2,))])
+    broken = Report(1, [((1,), (2,))], {"n": 1, "trials": 1})
     monkeypatch.setattr(cli, "verify_sink", lambda *a, **k: broken)
     code, out, _ = run(capsys, "verify", "sink", "--rank", "1")
     assert code == 1
+
+
+def test_each_verify_name_runs_its_library_harness(capsys):
+    # keyword calls, so a table passing its options in the wrong order shows
+    from aimonoids.cube import cube_counterexample
+    from aimonoids.garside import garside_harness, left_cancel_harness
+    from aimonoids.linrep import verify_representation
+    from aimonoids.monoid_core import (action_harness, chain_ci_matrix,
+                                       rank2_harness)
+    from aimonoids.rewrite_a import a_confluence_audit
+    from aimonoids.rewrite_m import m_confluence_audit, verify_sink
+
+    library = {
+        "confluence-a": (
+            ("--rank", "3", "--max-exp", "1", "--samples", "7", "--seed", "2"),
+            lambda: a_confluence_audit(n=3, max_exponent=1, random_words=7, seed=2)),
+        "confluence-m": (
+            ("--rank", "3", "--max-interleave", "0", "--samples", "7", "--seed", "2"),
+            lambda: m_confluence_audit(n=3, max_interleave=0, random_words=7, seed=2)),
+        "sink": (("--rank", "2", "--samples", "7", "--seed", "3"),
+                 lambda: verify_sink(n=2, trials=7, seed=3)),
+        "garside": (("--rank", "2", "--samples", "6", "--seed", "1"),
+                    lambda: garside_harness(n=2, samples=6, seed=1)),
+        "cancel": (("--rank", "2", "--samples", "9", "--seed", "4"),
+                   lambda: left_cancel_harness(n=2, samples=9, seed=4)),
+        "linrep": (("--rank", "2"),
+                   lambda: verify_representation(matrix=chain_ci_matrix(2))),
+        "cube": (("--budget", "4", "--max-len", "8"),
+                 lambda: cube_counterexample(budget=4, max_len=8)),
+        "rank2": (("--k", "4", "--l", "5"), lambda: rank2_harness(k=4, l=5)),
+        "action": (("--rank", "2", "--carrier", "3"),
+                   lambda: action_harness(n=2, carrier=3)),
+    }
+    assert set(library) == set(cli._HARNESSES)
+    for name, (argv, call) in library.items():
+        code, out, err = run(capsys, "verify", name, *argv, "--json")
+        rep = call()
+        got = json.loads(out)
+        assert code == (0 if rep.ok else 1) and err == "", name
+        assert got["checks_run"] == rep.checks_run, name
+        assert got["failures"] == json.loads(json.dumps(list(rep.failures))), name
 
 
 def test_seed_reproducibility(capsys):
@@ -244,6 +285,34 @@ def test_verify_output_pinned(capsys):
          "checks run: 144\nfailures: 0\nelapsed\n",
          '{"command": "verify action", "params": {"rank": 3, "carrier": 4}, '
          '"checks_run": 144, "failures": [], elapsed}\n'),
+        (("garside",),
+         "verify garside: rank=3 samples=200 seed=0\n"
+         "checks run: 803\nfailures: 0\nelapsed\n",
+         '{"command": "verify garside", "params": {"rank": 3, "samples": 200, '
+         '"seed": 0}, "checks_run": 803, "failures": [], elapsed}\n'),
+        (("cancel",),
+         "verify cancel: rank=3 samples=1000 seed=0\n"
+         "checks run: 1000\nfailures: 0\nelapsed\n",
+         '{"command": "verify cancel", "params": {"rank": 3, "samples": 1000, '
+         '"seed": 0}, "checks_run": 1000, "failures": [], elapsed}\n'),
+        (("linrep",),
+         "verify linrep: rank=3\n"
+         "checks run: 99\nfailures: 0\nelapsed\n",
+         '{"command": "verify linrep", "params": {"rank": 3}, '
+         '"checks_run": 99, "failures": [], elapsed}\n'),
+        (("cube",),
+         "verify cube: budget=10000 census_max_len=9\n"
+         "w1 = c b a\nw2 = c b a b\nverdict: distinct-within-bound\n"
+         "census classes: 7 and 50 words within length 9\n"
+         "checks run: 66\nfailures: 0\nelapsed\n",
+         '{"command": "verify cube", "params": {"budget": 10000, '
+         '"census_max_len": 9}, "checks_run": 66, "failures": [], elapsed}\n'),
+        (("rank2", "--k", "3", "--l", "4"),
+         "verify rank2: k=3 l=4\n"
+         "7 elements, lattice: yes\n"
+         "checks run: 2\nfailures: 0\nelapsed\n",
+         '{"command": "verify rank2", "params": {"k": 3, "l": 4}, '
+         '"checks_run": 2, "failures": [], elapsed}\n'),
     ]
     for argv, text, as_json in pinned:
         code, out, _ = run(capsys, "verify", *argv)

@@ -316,26 +316,57 @@ def test_report_details_survive_copy_and_pickle():
 
 
 def test_harnesses_return_one_report_type():
-    from aimonoids.cube import cube_presentation, upper_bound_census
-    from aimonoids.garside import (check_lambda_identity, left_cancel_harness,
-                                   verify_garside)
+    from aimonoids.cube import (cube_condition_check, cube_counterexample,
+                                cube_presentation, upper_bound_census)
+    from aimonoids.garside import (check_lambda_identity, garside_harness,
+                                   left_cancel_harness, verify_garside)
     from aimonoids.linrep import verify_representation
+    from aimonoids.monoid_core import action_harness, rank2_harness
     from aimonoids.rewrite_a import a_confluence_audit
-    from aimonoids.rewrite_m import SinkReport, m_confluence_audit, verify_sink
+    from aimonoids.rewrite_m import m_confluence_audit, verify_sink
 
+    braid = Presentation(2, (((1, 2, 1), (2, 1, 2)),))
     reports = [
         a_confluence_audit(3, random_words=5),
         m_confluence_audit(3, random_words=5),
         verify_sink(2, 5),
-        SinkReport(n=1, trials=1, failures=[]),
+        Report(1, [], {"n": 1, "trials": 1}),
         upper_bound_census(cube_presentation(), max_len=7),
         verify_garside(2, 5),
         check_lambda_identity(2, 5),
+        garside_harness(2, 5),
         left_cancel_harness(2, 5),
         verify_representation(chain_ci_matrix(2)),
         reversal_respects_congruence(chain_ci_matrix(2), samples=5),
+        cube_condition_check(braid, 1, 2, 2),
+        cube_counterexample(max_len=7),
+        rank2_harness(3, 4),
+        action_harness(2, 3),
     ]
     assert all(type(rep) is Report and rep.ok for rep in reports)
+
+
+def test_harness_reports_carry_their_details():
+    from aimonoids.cube import (cube_condition_check, cube_counterexample,
+                                upper_bound_census)
+    from aimonoids.monoid_core import rank2_harness
+    from aimonoids.rewrite_m import verify_sink
+
+    assert verify_sink(2, 5).details == {"n": 2, "trials": 5}
+    rank2 = rank2_harness(3, 4)
+    assert rank2.checks_run == 2 and rank2.lattice is True
+    assert rank2.monoid == rank2_monoid(3, 4)
+    assert rank2.order == left_division_order(rank2.monoid)
+    cube = cube_counterexample(max_len=7)
+    assert set(cube.details) == {"triple", "w1", "w2", "verdict", "witness",
+                                 "max_len", "first_class", "second_class"}
+    assert (cube.w1, cube.w2, cube.verdict) == ((3, 2, 1), (3, 2, 1, 2),
+                                                DISTINCT_WITHIN_BOUND)
+    census = upper_bound_census(cube_presentation(), max_len=7)
+    assert cube.checks_run == 1 + census.checks_run
+    check = cube_condition_check(cube_presentation(), 1, 2, 3)
+    assert check.checks_run == 1 and check.triple == (1, 2, 3)
+    assert check.failures == [(DISTINCT_WITHIN_BOUND, (3, 2, 1), (3, 2, 1, 2))]
 
 
 INVALID_MATRICES = [make_ci_matrix(2, {(1, 2): 2, (2, 1): 4}),
