@@ -10,9 +10,10 @@ where <harness> is one of confluence-a, confluence-m, sink, garside,
 cancel, linrep, cube, rank2, action.  Each harness is a library function
 that returns a `Report`.  The table `_HARNESSES` names that function, the
 options it takes in call order (each under its key in the report's
-params), the default --rank and --samples, and the text lines read off the
-report's details.  The only harness-specific code here is I/O: linrep
-reads --matrix and rank2 writes --dot.  Exit codes: 0 for pass or
+params, with its default), and the text lines read off the report's
+details.  The only harness-specific code here is I/O: linrep reads
+--matrix (in place of --rank) and rank2 writes --dot.  A harness refuses
+every other option, as a usage error.  Exit codes: 0 for pass or
 "equal", 1 for a property failure or "distinct", 2 for usage and parse
 errors and for a harness that ran no checks.
 `--json` prints a verification report as a single object with the fields
@@ -90,46 +91,59 @@ def _rank2_lines(details) -> list:
         len(details["monoid"].elements), "yes" if details["lattice"] else "no")]
 
 
-_RANK, _SAMPLES, _SEED = ("rank", "rank"), ("samples", "samples"), ("seed", "seed")
+_SEED = ("seed", "seed", 0)
 
-#: harness name -> (library function, its (params key, option) pairs in call
-#: order, default --rank, default --samples, text lines from the details).
-#: The function is looked up by name in this module at call time, so that
-#: rebinding the name (tracing, tests) takes effect.
+#: harness name -> (library function, its (params key, option, default)
+#: triples in call order, text lines from the details).  The function is
+#: looked up by name in this module at call time, so that rebinding the
+#: name (tracing, tests) takes effect.
 _HARNESSES = {
     "confluence-a": ("a_confluence_audit",
-                     (_RANK, ("max_exponent", "max_exp"),
-                      ("random_words", "samples"), _SEED),
-                     5, 200, _family_lines),
+                     (("rank", "rank", 5), ("max_exponent", "max_exp", 2),
+                      ("random_words", "samples", 200), _SEED),
+                     _family_lines),
     "confluence-m": ("m_confluence_audit",
-                     (_RANK, ("max_interleave", "max_interleave"),
-                      ("random_words", "samples"), _SEED),
-                     5, 200, _family_lines),
-    "sink": ("verify_sink", (_RANK, ("trials", "samples"), _SEED), 3, 500, None),
-    "garside": ("garside_harness", (_RANK, _SAMPLES, _SEED), 3, 200, None),
-    "cancel": ("left_cancel_harness", (_RANK, _SAMPLES, _SEED), 3, 1000, None),
-    "linrep": ("verify_representation", (_RANK,), 3, None, None),
+                     (("rank", "rank", 5), ("max_interleave", "max_interleave", 1),
+                      ("random_words", "samples", 200), _SEED),
+                     _family_lines),
+    "sink": ("verify_sink",
+             (("rank", "rank", 3), ("trials", "samples", 500), _SEED), None),
+    "garside": ("garside_harness",
+                (("rank", "rank", 3), ("samples", "samples", 200), _SEED), None),
+    "cancel": ("left_cancel_harness",
+               (("rank", "rank", 3), ("samples", "samples", 1000), _SEED), None),
+    "linrep": ("verify_representation", (("rank", "rank", 3),), None),
     "cube": ("cube_counterexample",
-             (("budget", "budget"), ("census_max_len", "max_len")),
-             None, None, _cube_lines),
-    "rank2": ("rank2_harness", (("k", "k"), ("l", "l")), None, None, _rank2_lines),
-    "action": ("action_harness", (_RANK, ("carrier", "carrier")), 3, None, None),
+             (("budget", "budget", 10000), ("census_max_len", "max_len", 9)),
+             _cube_lines),
+    "rank2": ("rank2_harness", (("k", "k", 3), ("l", "l", 4)), _rank2_lines),
+    "action": ("action_harness",
+               (("rank", "rank", 3), ("carrier", "carrier", 4)), None),
 }
+
+#: the file option of the one harness that takes it
+_FILE_OPTION = {"linrep": "matrix", "rank2": "dot"}
 
 
 def _cmd_verify(args) -> int:
-    name, options, rank, samples, text_lines = _HARNESSES[args.harness]
-    if args.rank is None:
-        args.rank = rank
-    if args.samples is None:
-        args.samples = samples
-    params = {key: getattr(args, option) for key, option in options}
+    name, options, text_lines = _HARNESSES[args.harness]
+    # every verify option but --json defaults to None: None is "not given"
+    allowed = {o for _, o, _ in options} | {"command", "func", "harness", "json",
+                                            _FILE_OPTION.get(args.harness)}
+    refused = sorted("--" + o.replace("_", "-") for o, value in vars(args).items()
+                     if value is not None and o not in allowed)
+    if refused:
+        raise ValueError("verify %s takes no %s" % (args.harness, " or ".join(refused)))
+    params = {key: default if getattr(args, option) is None else getattr(args, option)
+              for key, option, default in options}
     values = list(params.values())
     start = time.monotonic()
     if args.harness == "linrep":
         # the matrix read from --matrix, else the chain diagram of --rank
         if args.matrix is None:
-            values = [chain_ci_matrix(args.rank)]
+            values = [chain_ci_matrix(params["rank"])]
+        elif args.rank is not None:
+            raise ValueError("verify linrep takes --rank or --matrix, not both")
         else:
             params = {"matrix": args.matrix}
             with open(args.matrix, encoding="utf-8") as handle:
@@ -192,23 +206,23 @@ def build_parser() -> argparse.ArgumentParser:
                           help="letter cap (default depends on the harness)")
     verify_p.add_argument("--samples", type=_positive, default=None,
                           help="random sample count (default per harness)")
-    verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--max-exp", type=int, default=2,
+    verify_p.add_argument("--seed", type=int, default=None)
+    verify_p.add_argument("--max-exp", type=int, default=None,
                           help="exponent cap for the confluence-a families")
-    verify_p.add_argument("--max-interleave", type=int, default=1,
+    verify_p.add_argument("--max-interleave", type=int, default=None,
                           help="interleave cap for the confluence-m families")
-    verify_p.add_argument("--k", type=int, default=3, help="rank2: first label")
-    verify_p.add_argument("--l", type=int, default=4, help="rank2: second label")
+    verify_p.add_argument("--k", type=int, default=None, help="rank2: first label")
+    verify_p.add_argument("--l", type=int, default=None, help="rank2: second label")
     verify_p.add_argument("--dot", default=None,
                           help="rank2: write the Hasse diagram as DOT")
     verify_p.add_argument("--matrix", default=None,
                           help="linrep: verify the matrix in this file "
-                               "instead of the chain diagram")
-    verify_p.add_argument("--budget", type=int, default=10000,
+                               "instead of the chain diagram of --rank")
+    verify_p.add_argument("--budget", type=int, default=None,
                           help="cube: reversing step budget")
-    verify_p.add_argument("--max-len", type=int, default=9,
+    verify_p.add_argument("--max-len", type=int, default=None,
                           help="cube: census length bound")
-    verify_p.add_argument("--carrier", type=_positive, default=4,
+    verify_p.add_argument("--carrier", type=_positive, default=None,
                           help="action: carrier set size")
     verify_p.add_argument("--json", action="store_true",
                           help="print the report as one JSON object")

@@ -5,9 +5,12 @@ are the commutation ``x_a x_b -> x_b x_a`` (a - b >= 2) and deletions, each
 removing the span ``match.deleted``.  Each rewriting function takes the
 system's own functions (matcher, deletion scan, apply, reducer) as
 arguments; rewrite_a and rewrite_m pass their module functions on every
-call, so rebinding one is seen here.  For the overlap audit this module
-lists the commutation left-hand sides and the overlaps of two lists of
-left-hand sides.
+call, so rebinding one is seen here.  Normalizing builds no match: a
+deletion scan reports the deleted span (lo, hi), which with the scan's
+start i names the rule (in M, lo == i is a square run); only the match-at
+functions parse one.  For the overlap audit this module lists the
+commutation left-hand sides and the overlaps of two lists of left-hand
+sides.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ COMMUTATION = "commutation"
 
 def matches(match_at, w) -> list:
     """All rule occurrences, in increasing start order (one per start at most)."""
-    w = validate_word(w)
-    out = []
-    for i in range(len(w)):
-        m = match_at(w, i)
-        if m is not None:
-            out.append(m)
-    return out
+    return _matches(match_at, validate_word(w))
+
+
+def _matches(match_at, w) -> list:
+    return [m for m in (match_at(w, i) for i in range(len(w))) if m is not None]
 
 
 def apply(match_at, w, match) -> Word:
@@ -57,22 +58,23 @@ def step(match_at, apply_fn, w) -> Word | None:
 def sweep(scan, w: list) -> int:
     """Greedy left-to-right deletions in place; returns the count.
 
-    scan(w, i) returns the deletion starting at i or, when there is none,
-    the next position where one can start; every position skipped provably
-    starts none, so the sweep deletes exactly what a scan at every position
-    would.  A clean sweep on a word with no commutation occurrences
-    certifies the normal form.  Deletions may uncover occurrences to the
-    left; those are picked up by the next round of reduce_steps.
+    scan(w, i) returns the span (lo, hi) that the deletion starting at i
+    removes or, when there is none, the next position (an int) where one
+    can start; every position skipped provably starts none, so the sweep
+    deletes exactly what a scan at every position would.  The sweep
+    deletes w[lo:hi] and scans i again.  A clean sweep on a word with no
+    commutation occurrences certifies the normal form.  Deletions may
+    uncover occurrences to the left; those are picked up by the next round
+    of reduce_steps.
     """
     applied = 0
     i = 0
     while i < len(w):
-        m = scan(w, i)
-        if m.__class__ is int:
-            i = m
+        s = scan(w, i)
+        if s.__class__ is int:
+            i = s
         else:
-            lo, hi = m.deleted
-            del w[lo:hi]
+            del w[s[0]:s[1]]
             applied += 1
     return applied
 
@@ -98,7 +100,7 @@ def reduce_random(match_at, apply_fn, word, rng) -> tuple:
     w = tuple(validate_word(word))
     steps = 0
     while True:
-        ms = matches(match_at, w)
+        ms = _matches(match_at, w)
         if not ms:
             return w, steps
         w = apply_fn(w, rng.choice(ms))

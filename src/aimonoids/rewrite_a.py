@@ -59,28 +59,26 @@ class AStandardMatch:
 
 
 def _family_scan(w, i):
-    """The family occurrence starting at i, else the next start that may have one.
+    """The span (i, i + c(1)) that the family occurrence starting at i
+    deletes, else the next start (an int) that may have one.
 
     A failed scan has read the block chain x_h^{c(1)} ... x_cur^{c(k)} up to
     position j.  A later start inside the chain reads the rest of the same
     chain and the same w[j], so it can match only if w[j] is its own first
     letter and it reads two blocks or more: only in the block of letter
     w[j], and only when cur < w[j] < h; the block's first position is the
-    leftmost such start.  Otherwise nothing starts before j.
+    leftmost such start, the first w[j] after i, as the chain descends.
+    Otherwise nothing starts before j.
     """
     n = len(w)
     h = w[i]
     if i + 4 > n:  # shortest instance is x_{a-1} x_{a-2} x_{a-1} x_{a-2}
         return n
-    exps = []
     cur = h
     j = i
     while True:
-        c = 0
         while j < n and w[j] == cur:
-            c += 1
             j += 1
-        exps.append(c)
         if j >= n:
             return n
         v = w[j]
@@ -88,23 +86,30 @@ def _family_scan(w, i):
             cur -= 1
             continue
         break
-    if v == h and len(exps) >= 2:
+    if v == h and cur < h:
         run_len = h - cur + 1
         if j + run_len <= n:
             for t in range(run_len):
                 if w[j + t] != h - t:
                     break
             else:
-                return AStandardMatch(FAMILY, i, j + run_len, h + 1, run_len, tuple(exps))
+                return i, w.index(h - 1, i)  # the leading block x_h^{c(1)}
     if cur < v < h:
-        return i + sum(exps[:h - v])
+        return w.index(v, i)
     return j
 
 
 def _family_match_at(w, i):
-    """The family occurrence starting at position i, if any."""
-    m = _family_scan(w, i)
-    return None if m.__class__ is int else m
+    """The family occurrence starting at position i, if any; once the scan
+    has found it, its blocks are read again for their exponents."""
+    if _family_scan(w, i).__class__ is int:
+        return None
+    h = w[i]
+    end = w.index(h, w.index(h - 1, i))  # the blocks x_h ... x_cur end here
+    b = h - w[end - 1] + 1
+    starts = [w.index(x, i) for x in range(h, h - b, -1)] + [end]
+    exps = tuple(q - p for p, q in zip(starts, starts[1:]))
+    return AStandardMatch(FAMILY, i, end + b, h + 1, b, exps)
 
 
 def a_match_at(w, i) -> AStandardMatch | None:

@@ -66,7 +66,8 @@ class MStandardMatch:
 
 
 def _square_run_scan(w, i):
-    """The square run starting at i, else the next start that may have one.
+    """The span (i, i + 1) that the square run starting at i deletes, else
+    the next start (an int) that may have one.
 
     A later start p inside the descending run w[i:j] reads the suffix
     w[p:j] of the same run and must find it again at j, so w[p] must equal
@@ -85,38 +86,31 @@ def _square_run_scan(w, i):
             if w[j + t] != w[i] - t:
                 break
         else:
-            return MStandardMatch(SQUARE_RUN, i, j + run, w[i] + 1, w[i] + 1 - run)
+            return i, i + 1
     p = i + w[i] - w[j]
     return p if i < p < j - 1 else j - 1
 
 
 def _staircase_scan(w, i):
-    """The staircase starting at i, else i + 1: another staircase can start
-    inside the stretch a failed scan read, so no later start is skipped."""
+    """The span (j, j + 1) of the last letter x_b that the staircase
+    starting at i deletes, else i + 1: another staircase can start inside
+    the stretch a failed scan read, so no later start is skipped."""
     n = len(w)
-    a = w[i]
     j = i + 1
-    seg = a + 1
-    y_spans = []
-    z_spans = []
+    seg = w[i] + 1
     while True:
-        y0 = j
         while j < n and w[j] > seg:
             j += 1
-        y_spans.append((y0, j))
         if j + 1 >= n or w[j] != seg or w[j + 1] != seg - 1:
             return i + 1
         j += 2
-        z0 = j
         while j < n and w[j] <= seg - 2:
             j += 1
-        z_spans.append((z0, j))
         if j >= n:
             return i + 1
         v = w[j]
         if v == seg:
-            return MStandardMatch(STAIRCASE, i, j + 1, a, seg,
-                                  tuple(y_spans), tuple(z_spans))
+            return j, j + 1
         if v > seg:
             seg += 1
             continue
@@ -124,8 +118,9 @@ def _staircase_scan(w, i):
 
 
 def _deletion_scan(w, i):
-    """The square run or staircase starting at i, else the next start that may
-    have one."""
+    """The span that the square run or staircase starting at i deletes, else
+    the next start (an int) that may have one.  A span starting at i is a
+    square run's first letter; one starting later is a staircase's last."""
     if i + 1 >= len(w):
         return len(w)
     d = w[i + 1] - w[i]
@@ -137,9 +132,28 @@ def _deletion_scan(w, i):
 
 
 def _deletion_at(w, i):
-    """The square run or staircase starting at position i, if any."""
-    m = _deletion_scan(w, i)
-    return None if m.__class__ is int else m
+    """The square run or staircase starting at position i, if any; once the
+    scan has found it, it is read again for its run or its y and z spans."""
+    span = _deletion_scan(w, i)
+    if span.__class__ is int:
+        return None
+    lo = span[0]
+    if lo == i:  # the run descends from w[i], and repeats where w[i] recurs
+        run = w.index(w[i], i + 1) - i
+        return MStandardMatch(SQUARE_RUN, i, i + 2 * run, w[i] + 1, w[i] + 1 - run)
+    j = i + 1
+    seg = w[i]
+    y_spans, z_spans = [], []
+    while j < lo:
+        seg += 1
+        y_end = w.index(seg, j)  # y_seg has letters above seg only
+        y_spans.append((j, y_end))
+        j = y_end + 2
+        while w[j] <= seg - 2:
+            j += 1
+        z_spans.append((y_end + 2, j))
+    return MStandardMatch(STAIRCASE, i, lo + 1, w[i], seg,
+                          tuple(y_spans), tuple(z_spans))
 
 
 def m_match_at(w, i) -> MStandardMatch | None:

@@ -337,3 +337,47 @@ def test_verify_file_errors_are_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "rank2", "--dot", str(dot))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(dot) in err and err.count("\n") == 1
+
+
+def test_verify_refuses_options_its_harness_does_not_take(capsys, tmp_path):
+    dot = tmp_path / "x.dot"
+    code, out, err = run(capsys, "verify", "action", "--dot", str(dot))
+    assert code == 2 and out == ""
+    assert err == "error: verify action takes no --dot\n"
+    assert not dot.exists()
+    for argv, option in ((("sink", "--k", "3"), "--k"),
+                         (("cube", "--rank", "3", "--json"), "--rank"),
+                         (("linrep", "--seed", "1"), "--seed"),
+                         (("rank2", "--matrix", "m.ci"), "--matrix"),
+                         (("confluence-a", "--max-interleave", "0"), "--max-interleave"),
+                         (("garside", "--carrier", "3", "--budget", "5"),
+                          "--budget or --carrier")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+        assert err == "error: verify %s takes no %s\n" % (argv[0], option)
+
+
+def test_verify_linrep_refuses_rank_beside_matrix(capsys, tmp_path):
+    path = tmp_path / "m.ci"
+    path.write_text("rank 2\n1 2 3\n2 1 4\n")
+    for mode in ((), ("--json",)):
+        code, out, err = run(capsys, "verify", "linrep", "--matrix", str(path),
+                             "--rank", "4", *mode)
+        assert code == 2 and out == ""
+        assert err == "error: verify linrep takes --rank or --matrix, not both\n"
+
+
+def test_verify_runs_every_benchmark_argv(capsys):
+    import sys
+    from pathlib import Path
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import Verify
+    finally:
+        sys.path.pop(0)
+    ops = Verify().generate(0)
+    assert len({op.info["harness"] for op in ops}) == len(cli._HARNESSES)
+    for op in ops[:len(cli._HARNESSES)]:
+        code, out, err = run(capsys, *op.args)
+        assert code == 0 and err == "", op.args
+        assert json.loads(out)["failures"] == []

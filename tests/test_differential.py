@@ -5,11 +5,16 @@ exactly what the slow reference gives, iterated leftmost single steps, and
 what uniformly random rule choices give (ranks 4-6).  The skip-ahead sweep
 must take exactly the steps and rounds of a sweep that scans every
 position (ranks 4-20 and the descending-run words up to length 400).
-Words are drawn letter by letter and as concatenated descending runs,
-which exercise the long rule shapes.  At rank 4 both deciders must agree
-with the breadth-first oracle's class closures on every pair of short
-words.  The commutation sort must give the list and move count of plain
-insertion sort on both sides of its switch to the suffix-minima stack.
+At every position of those words a deletion scan must report a span
+exactly when the match-at function finds a match, and the span must be
+the match's deleted span; the matches must equal those of a one-pass
+parse that records the match as it reads, and normalizing must build no
+match object.  Words are drawn letter by letter and as concatenated
+descending runs, which exercise the long rule shapes.  At rank 4 both
+deciders must agree with the breadth-first oracle's class closures on
+every pair of short words.  The commutation sort must give the list and
+move count of plain insertion sort on both sides of its switch to the
+suffix-minima stack.
 The oracle must visit neighbours in the order of a search that encodes
 the relations afresh on every call (relation, direction, position), so
 its statuses, witness chains, closures and random choices stay the same.
@@ -172,6 +177,166 @@ def test_descending_word_rounds_pinned(system):
     rounds = {length: counted_reduce(reduce_steps, descending_word(length))[2]
               for length in (200, 400, 800)}
     assert rounds == {200: 3, 400: 7, 800: 15}
+
+
+# ---------------------------------------------------------------------------
+# deletion scans report spans; only the match-at functions parse matches
+
+SCAN_SYSTEMS = {
+    "A": (rewrite_a._family_scan, _family_match_at),
+    "M": (rewrite_m._deletion_scan, _deletion_at),
+}
+
+
+def commute_sorted(w):
+    w = list(w)
+    commute_sort(w)
+    return tuple(w)
+
+
+@pytest.mark.parametrize("system", sorted(SCAN_SYSTEMS))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(w=sweep_words())
+@example(w=descending_word(400))
+@example(w=descending_word(397, 49))
+def test_scan_reports_the_span_of_the_match_at_every_position(system, w):
+    scan, deletion_at = SCAN_SYSTEMS[system]
+    for word in (w, commute_sorted(w)):
+        for i in range(len(word)):
+            span = scan(word, i)
+            m = deletion_at(word, i)
+            if m is None:
+                assert span.__class__ is int and span > i
+            else:
+                assert span == m.deleted
+
+
+def recording_family_at(w, i):
+    """The family occurrence at i, parsed in one pass that records the
+    block exponents as it reads them."""
+    n = len(w)
+    h = w[i]
+    exps = []
+    cur = h
+    j = i
+    while True:
+        c = 0
+        while j < n and w[j] == cur:
+            c += 1
+            j += 1
+        exps.append(c)
+        if j >= n:
+            return None
+        v = w[j]
+        if v == cur - 1 and cur >= 2:
+            cur -= 1
+            continue
+        break
+    run_len = h - cur + 1
+    if v != h or len(exps) < 2 or j + run_len > n:
+        return None
+    if any(w[j + t] != h - t for t in range(run_len)):
+        return None
+    return rewrite_a.AStandardMatch(rewrite_a.FAMILY, i, j + run_len, h + 1,
+                                    run_len, tuple(exps))
+
+
+def recording_deletion_at(w, i):
+    """The square run or staircase at i, parsed in one pass that records the
+    run length or the y and z stretches as it reads them."""
+    n = len(w)
+    if i + 1 >= n:
+        return None
+    d = w[i + 1] - w[i]
+    if d < -1:
+        return None
+    if d <= 0:
+        run = 1
+        while i + run < n and w[i + run] == w[i] - run:
+            run += 1
+        j = i + run
+        if j + run > n or w[i] - run < 0:
+            return None
+        if any(w[j + t] != w[i] - t for t in range(run)):
+            return None
+        return rewrite_m.MStandardMatch(rewrite_m.SQUARE_RUN, i, j + run,
+                                        w[i] + 1, w[i] + 1 - run)
+    a = w[i]
+    j = i + 1
+    seg = a + 1
+    y_spans, z_spans = [], []
+    while True:
+        y0 = j
+        while j < n and w[j] > seg:
+            j += 1
+        y_spans.append((y0, j))
+        if j + 1 >= n or w[j] != seg or w[j + 1] != seg - 1:
+            return None
+        j += 2
+        z0 = j
+        while j < n and w[j] <= seg - 2:
+            j += 1
+        z_spans.append((z0, j))
+        if j >= n or w[j] < seg:
+            return None
+        if w[j] == seg:
+            return rewrite_m.MStandardMatch(rewrite_m.STAIRCASE, i, j + 1, a, seg,
+                                            tuple(y_spans), tuple(z_spans))
+        seg += 1
+
+
+def recording_matches(deletion_at, cls, w):
+    out = []
+    for i in range(len(w)):
+        if i + 1 < len(w) and w[i] - w[i + 1] >= 2:
+            out.append(cls(rewrite.COMMUTATION, i, i + 2, w[i], w[i + 1]))
+        else:
+            m = deletion_at(w, i)
+            if m is not None:
+                out.append(m)
+    return out
+
+
+RECORDING_SYSTEMS = {
+    "A": (rewrite_a.a_matches, recording_family_at, rewrite_a.AStandardMatch),
+    "M": (rewrite_m.m_matches, recording_deletion_at, rewrite_m.MStandardMatch),
+}
+
+
+@pytest.mark.parametrize("system", sorted(RECORDING_SYSTEMS))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(w=sweep_words())
+@example(w=descending_word(400))
+def test_matches_equal_a_one_pass_recording_parse(system, w):
+    matches, deletion_at, cls = RECORDING_SYSTEMS[system]
+    for word in (w, commute_sorted(w)):
+        assert matches(word) == recording_matches(deletion_at, cls, word)
+
+
+def test_reducing_builds_no_match_object(monkeypatch):
+    words = [(1, 1), (2, 1, 2, 1), (1, 2, 1, 2), (3, 2, 1, 3, 2, 1, 2),
+             (1, 1, 1, 2, 1, 2, 1), descending_word(400)]
+    rng = random.Random(17)
+    words += [tuple(rng.randint(1, 6) for _ in range(60)) for _ in range(20)]
+    expected = [(a_reduce_steps(w), m_reduce_steps(w)) for w in words]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a match object was built")
+
+    monkeypatch.setattr(rewrite_a, "AStandardMatch", refuse)
+    monkeypatch.setattr(rewrite_m, "MStandardMatch", refuse)
+    with pytest.raises(AssertionError):
+        a_match_at((2, 1, 2, 1), 0)
+    with pytest.raises(AssertionError):
+        m_match_at((1, 1), 0)
+    got = [(a_reduce_steps(w), m_reduce_steps(w)) for w in words]
+    assert got == expected
+    # the words delete in both systems: a square run, a staircase, families
+    assert got[0][1] == ((1,), 1) and got[2][1] == ((1, 2, 1), 1)
+    assert got[1][0] == ((1, 2, 1), 1)
+    for system in (0, 1):
+        assert all(len(g[system][0]) < len(w) for w, g in zip(words[3:6], got[3:6]))
+        assert sum(len(w) - len(g[system][0]) for w, g in zip(words[6:], got[6:])) > 100
 
 
 @pytest.mark.parametrize("system", ["A", "M"])

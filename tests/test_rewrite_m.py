@@ -9,7 +9,7 @@ from aimonoids.rewrite_m import (COMMUTATION, SQUARE_RUN, STAIRCASE,
                                  m_critical_pairs, m_equal, m_match_at,
                                  m_matches, m_reduce, m_reduce_random,
                                  m_reduce_steps, m_step, verify_sink)
-from aimonoids.words import descent_inversions, random_word
+from aimonoids.words import descent_inversions, random_word, validate_word
 
 import pytest
 
@@ -169,6 +169,25 @@ def test_strategy_independence():
         for _ in range(20):
             got, steps = m_reduce_random(w, rng)
             assert got == nf
+
+
+def test_reduce_random_validates_its_word_once(monkeypatch):
+    from aimonoids import rewrite
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return validate_word(w)
+
+    monkeypatch.setattr(rewrite, "validate_word", counting)
+    w = tuple((7 * i) % 5 + 1 for i in range(36))
+    # the seeded results of the validate-every-step version
+    assert m_reduce_random(w, random.Random(3)) == (
+        (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1), 49)
+    assert len(calls) == 1
+    assert m_reduce_random((3, 3, 1, 4, 2, 1, 2, 1, 3), random.Random(0)) == (
+        (1, 3, 2, 1, 4, 3), 10)
+    assert len(calls) == 2
 
 
 def test_oracle_spot_agreement():

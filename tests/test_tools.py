@@ -188,3 +188,23 @@ def test_traced_runs_keep_how_many_ops_they_covered(tmp_path, monkeypatch):
     for side in attempted:
         assert traced[side]["attempted"] == attempted[side]
         assert traced[side]["per_layer"] == {"trace.ops": attempted[side] / 2}
+
+
+def test_every_run_compiles_from_source(tmp_path, monkeypatch):
+    seen = []
+
+    def run(argv, env, capture_output, text, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, cache.is_dir() and not any(cache.iterdir()),
+                     env["PYTHONDONTWRITEBYTECODE"], kwargs["cwd"]))
+        (cache / "stale.pyc").write_text("")
+        stdout = json.dumps({"metrics": {}, "failed": 0}) + "\n"
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, stdout, "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    for checkout in (tmp_path / "parent", tmp_path / "change"):
+        bench_pairs.run_bench(checkout, "verify", 4, 1.0, 0)
+    assert [s[1:] for s in seen] == [(True, "1", tmp_path / "parent"),
+                                     (True, "1", tmp_path / "change")]
+    # each run's cache is its own and is gone afterwards
+    assert seen[0][0] != seen[1][0]
+    assert not any(cache.exists() for cache, *_ in seen)

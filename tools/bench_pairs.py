@@ -10,6 +10,8 @@ DIR is a source checkout holding ``perfbench/run.py`` and ``src/``.  Each
 seeds and ranges ``a-b``): ``perfbench/run.py --trace 0`` runs once in each
 checkout for the change's BENCHMARK.json ``run_seconds``, one process at a
 time, the parent first in odd pairs and the change first in even ones.
+Every run compiles the package from source (see ``run_from_source``), as
+a fresh checkout does.
 A NAME missing from BENCHMARK.json, an empty SEEDS, a range whose end
 precedes its start, a ``--trace`` whose NAME is unknown or whose SEED is
 not one seed, or a ``--scale`` MODULE:FUNC that does not import in both
@@ -49,6 +51,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCALE_RANKS = "6,20,50"
@@ -126,13 +129,26 @@ def scale_error(checkout: Path, spec: str) -> str | None:
     return None
 
 
+def run_from_source(argv: list, **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run(argv) with Python compiling every module from source.
+
+    The process reads bytecode only from a fresh empty PYTHONPYCACHEPREFIX
+    and writes none, so a __pycache__ left in one checkout cannot make its
+    set-up, which imports the package, look faster than the other's.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        return subprocess.run(argv, env=env, capture_output=True, text=True, **kwargs)
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
               trace: int) -> tuple:
-    """(result dict, stdout) of one perfbench/run.py process in `checkout`."""
-    proc = subprocess.run(
+    """(result dict, stdout) of one perfbench/run.py process in `checkout`,
+    run from source."""
+    proc = run_from_source(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout)
     if proc.returncode != 0:
         sys.exit("error: %s %s seed %d exited %d:\n%s"
                  % (checkout, workload, seed, proc.returncode, proc.stderr))
@@ -248,10 +264,9 @@ def scale(parent: Path, change: Path, spec: str) -> dict:
     best = {}
     for side in ("parent", "change", "change", "parent"):
         checkout = parent if side == "parent" else change
-        proc = subprocess.run(
+        proc = run_from_source(
             [sys.executable, "-c", SCALE_PROBE, str(checkout / "src"), spec,
-             SCALE_RANKS, SCALE_LENGTHS, "5", "3"],
-            capture_output=True, text=True, check=True)
+             SCALE_RANKS, SCALE_LENGTHS, "5", "3"], check=True)
         for cell, ms in json.loads(proc.stdout).items():
             entry = best.setdefault(cell, {})
             entry[side] = min(entry.get(side, ms), ms)
