@@ -15,10 +15,15 @@ Word = tuple[int, ...]
 
 
 def validate_word(word, rank: int | None = None) -> Word:
-    """Coerce to a tuple and check that every letter is a valid generator."""
+    """Coerce to a tuple and check that every letter is a valid generator.
+
+    A plain positive int passes on one comparison; any other letter (a
+    bool, an int subclass, a float, ...) gets the full isinstance test.
+    """
     w = tuple(word)
     for x in w:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        if not (x.__class__ is int and x >= 1) and (
+                not isinstance(x, int) or isinstance(x, bool) or x < 1):
             raise ValueError(f"letters must be positive integers, got {x!r}")
         if rank is not None and x > rank:
             raise ValueError(f"letter {x} out of range for rank {rank}")

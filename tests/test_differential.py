@@ -26,6 +26,10 @@ statuses, witnesses, state counts and closures as the reference's.
 The critical-pair families derived from the rule lists must be, family by
 family, the multiset of triples the hand-written overlap loops gave, and
 every overlap of the bounded rule lists must join, listed or not.
+The confluence audits must report what an audit that rewrites every
+triple and every random pair afresh reports, also under a crippled
+reducer, while parsing each left-hand side once and reducing each match's
+reduct in a random word once.
 """
 
 import random
@@ -53,7 +57,8 @@ from aimonoids.rewrite_m import (_deletion_at, _interleave_assignments,
                                  m_equal, m_match_at, m_reduce,
                                  m_reduce_random, m_reduce_steps, m_step)
 from aimonoids.words import (alternating, b_reduced_form, commute_sort,
-                             descending_run, descent_inversions, nabla)
+                             descending_run, descent_inversions, nabla,
+                             random_word)
 
 SYSTEMS = {
     "A": (a_reduce, a_reduce_steps, a_reduce_random, a_step),
@@ -928,3 +933,119 @@ def test_overlap_slices_match_hand_written_families(system):
         derived = by_family((t.family, t.q, t.r, t.s) for t in pairs(n, cap)
                             if t.family in families)
         assert derived == by_family(reference(n, cap)), (n, cap)
+
+
+def reference_confluence_audit(triples, match_at, apply_fn, reduce_fn,
+                               n, random_words, seed):
+    """The audit as it was before it rewrote each left-hand side and each
+    random word's reducts once: every triple and every pair afresh."""
+    failures = []
+    by_family = {}
+    checked = 0
+    for t in triples:
+        qr, rs = t.q + t.r, t.r + t.s
+        v = apply_fn(qr, rewrite.full_span(match_at, qr)) + t.s
+        w = t.q + apply_fn(rs, rewrite.full_span(match_at, rs))
+        checked += 1
+        by_family[t.family] = by_family.get(t.family, 0) + 1
+        if reduce_fn(v) != reduce_fn(w):
+            failures.append((t.q + t.r + t.s, v, w))
+    rng = random.Random(seed)
+    for _ in range(random_words):
+        w0 = random_word(rng, n, 12, 2)
+        ms = rewrite.matches(match_at, w0)
+        for x in range(len(ms)):
+            for y in range(x + 1, len(ms)):
+                if ms[x].end <= ms[y].start:
+                    v = apply_fn(w0, ms[x])
+                    w = apply_fn(w0, ms[y])
+                    checked += 1
+                    by_family["disjoint"] = by_family.get("disjoint", 0) + 1
+                    if reduce_fn(v) != reduce_fn(w):
+                        failures.append((w0, v, w))
+    return checked, failures, {"pairs_checked": checked, "by_family": by_family}
+
+
+def without_commutations(match_at, apply_fn):
+    """A crippled reducer that applies only deletions (a negative control)."""
+    def reduce_fn(w):
+        w = tuple(w)
+        while True:
+            ms = [m for m in rewrite.matches(match_at, w) if m.kind != rewrite.COMMUTATION]
+            if not ms:
+                return w
+            w = apply_fn(w, ms[0])
+    return reduce_fn
+
+
+AUDITS = {
+    "A": (rewrite_a.a_confluence_audit, a_critical_pairs, a_match_at, a_apply,
+          a_reduce, [(n, E) for n in (3, 4, 5) for E in (1, 2)]),
+    "M": (rewrite_m.m_confluence_audit, m_critical_pairs, m_match_at, m_apply,
+          m_reduce, [(n, L) for n in (3, 4) for L in (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("system", sorted(AUDITS))
+def test_confluence_audit_matches_the_per_pair_reference(system):
+    audit, pairs, match_at, apply_fn, reduce_fn, sizes = AUDITS[system]
+    crippled = without_commutations(match_at, apply_fn)
+    for (n, cap), seed in product(sizes, range(3)):
+        # the crippled reducer is slow, so it gets fewer random words
+        for reducer, samples in ((None, 200), (crippled, 40)):
+            rep = audit(n, cap, samples, seed, reducer)
+            expected = reference_confluence_audit(
+                pairs(n, cap), match_at, apply_fn, reducer or reduce_fn, n, samples, seed)
+            assert (rep.checks_run, rep.failures, rep.details) == expected, (n, cap, seed)
+    assert not audit(4, 1, 20, 0, crippled).ok
+
+
+@pytest.mark.parametrize("system", sorted(AUDITS))
+def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
+    _, pairs, match_at, apply_fn, reduce_fn, sizes = AUDITS[system]
+    n, cap = sizes[-1]
+    triples = pairs(n, cap)
+    log = []
+
+    def parse(match_at, w):
+        log.append(("full_span", w))
+        return full_span(match_at, w)
+
+    def rewrite_once(w, m):
+        v = apply_fn(w, m)
+        log.append(("apply", (w, m), v))
+        return v
+
+    def reducer(w):
+        log.append(("reduce", w))
+        return reduce_fn(w)
+
+    def draw(*args):
+        w = random_word(*args)
+        log.append(("word", w))
+        return w
+
+    full_span = rewrite.full_span
+    random_word = rewrite.random_word
+    monkeypatch.setattr(rewrite, "full_span", parse)
+    monkeypatch.setattr(rewrite, "random_word", draw)
+    rep = rewrite.confluence_audit(triples, match_at, rewrite_once, reducer, n, 200, 7)
+    assert rep.ok
+    first_word = next(k for k, e in enumerate(log) if e[0] == "word")
+    lefts = {t.q + t.r for t in triples} | {t.r + t.s for t in triples}
+    parsed = Counter(e[1] for e in log[:first_word] if e[0] == "full_span")
+    assert set(parsed) == lefts and set(parsed.values()) == {1}
+    # each triple still reduces both of its words
+    reduced = [e[1] for e in log[:first_word] if e[0] == "reduce"]
+    assert len(reduced) == 2 * len(triples)
+    # within one random word, each match is rewritten and its reduct
+    # reduced at most once
+    words = [k for k, e in enumerate(log) if e[0] == "word"] + [len(log)]
+    disjoint = 0
+    for lo, hi in zip(words, words[1:]):
+        applied = Counter(e[1] for e in log[lo:hi] if e[0] == "apply")
+        assert set(applied.values()) <= {1}
+        assert (Counter(e[2] for e in log[lo:hi] if e[0] == "apply")
+                == Counter(e[1] for e in log[lo:hi] if e[0] == "reduce"))
+        disjoint += bool(applied)
+    assert disjoint > 0

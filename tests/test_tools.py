@@ -190,6 +190,34 @@ def test_traced_runs_keep_how_many_ops_they_covered(tmp_path, monkeypatch):
         assert traced[side]["per_layer"] == {"trace.ops": attempted[side] / 2}
 
 
+def test_traced_runs_give_their_counts_per_op(tmp_path, monkeypatch):
+    ops = {"parent": 40, "change": 50}
+    layers = {"rewrite_m.reduce.calls": 6000, "rewrite_m.apply.calls": 30,
+              "rewrite_m.reduce.self_s": 2.5, "rewrite_m.steps_per_letter": 1.5}
+
+    def run(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout == tmp_path / "parent" else "change"
+        scale = ops[side] / 40
+        metrics = {k: {"value": v * scale} for k, v in layers.items()}
+        metrics["trace.ops"] = {"value": ops[side]}
+        return {"metrics": metrics, "attempted": 2 * ops[side], "failed": 0}, ""
+    for side in ops:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--topic", "t", "--trace", "verify=3"]
+    assert bench_pairs.main(argv) == 0
+    traced = json.loads((tmp_path / "BENCH_t.json").read_text())["traced_verify"]
+    for side in ops:
+        # only the count metrics, with the same value per op on both sides
+        assert traced[side]["per_op"] == {"rewrite_m.reduce.calls": 150.0,
+                                          "rewrite_m.apply.calls": 0.75,
+                                          "trace.ops": 1.0}
+
+
 def test_every_run_compiles_from_source(tmp_path, monkeypatch):
     seen = []
 

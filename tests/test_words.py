@@ -1,3 +1,4 @@
+import enum
 import random
 
 import pytest
@@ -58,6 +59,42 @@ def test_validate_word_rejects_non_integers():
         validate_word((1, "2"))
     with pytest.raises(ValueError):
         validate_word((True,))
+
+
+def reference_validate_word(word, rank=None):
+    """validate_word as it was before plain ints passed on one comparison."""
+    w = tuple(word)
+    for x in w:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise ValueError(f"letters must be positive integers, got {x!r}")
+        if rank is not None and x > rank:
+            raise ValueError(f"letter {x} out of range for rank {rank}")
+    return w
+
+
+def test_validate_word_judges_odd_letters_as_the_isinstance_test_does():
+    class Letter(enum.IntEnum):
+        ZERO = 0
+        ONE = 1
+        FIVE = 5
+
+    class Big(int):
+        pass
+
+    odd = [True, False, 1.0, 2.5, "2", None, 0, -1, 3, 7, Letter.ZERO,
+           Letter.ONE, Letter.FIVE, Big(0), Big(2), Big(9)]
+    for word in [(x,) for x in odd] + [(2, x, 1) for x in odd] + [(9, 0), (0, 9)]:
+        for rank in (None, 4):
+            outcomes = []
+            for validate in (validate_word, reference_validate_word):
+                try:
+                    outcomes.append(("ok", validate(word, rank)))
+                except ValueError as exc:
+                    outcomes.append(("error", str(exc)))
+            assert outcomes[0] == outcomes[1], (word, rank)
+            if outcomes[0][0] == "ok":
+                assert all(x.__class__ is y.__class__
+                           for x, y in zip(outcomes[0][1], word))
 
 
 def test_descending_run_examples():

@@ -27,8 +27,9 @@ that seed, stored as ``traced_<NAME>``: its per-layer metrics, the p50
 scaling table where the workload prints one (``wordproblem``), and
 ``attempted``, the ops it ran: the traced ops plus their untraced replay,
 so twice its ``trace.ops``.  The traced runs are time-bounded, so the two
-sides cover different numbers of ops; compare their per-layer counts per
-op.
+sides cover different numbers of ops; ``per_op`` holds every per-layer
+metric whose BENCHMARK.json unit is ``count`` divided by ``trace.ops``,
+which the two sides can be compared on.
 ``--scale MODULE:FUNC`` adds a table of the function's time on a fresh
 list of random letters at ranks 6, 20 and 50 and lengths 400 to 3200,
 before and after: per cell the median over words of the best of a few
@@ -251,13 +252,19 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: list,
     return pairs
 
 
-def traced(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def traced(checkout: Path, workload: str, seed: int, seconds: float,
+           counts: set) -> dict:
+    """One traced run; `per_op` divides each per-layer metric named in
+    `counts` by the traced ops, so that two time-bounded runs compare."""
     result, stdout = run_bench(checkout, workload, seed, seconds, 1)
     table = {}
     for group, family, lo, hi, p50, n in SCALING_LINE.findall(stdout):
         table["%s %s %s-%s" % (group, family, lo, hi)] = {"p50_ms": float(p50), "n": int(n)}
+    layers = values(result)
+    ops = layers.get("trace.ops")
+    per_op = {k: round(v / ops, 4) for k, v in layers.items() if k in counts} if ops else {}
     return {"seed": seed, "attempted": result["attempted"], "failed": result["failed"],
-            "scaling_p50": table, "per_layer": values(result)}
+            "scaling_p50": table, "per_layer": layers, "per_op": per_op}
 
 
 def scale(parent: Path, change: Path, spec: str) -> dict:
@@ -351,9 +358,10 @@ def main(argv=None) -> int:
         pairs = run_pairs(parent, change, name, seeds, seconds)
         failed += sum(sum(p["failed"]) for p in pairs)
         out["workloads"][name] = {"pairs": pairs, "summary": summarize(pairs, benchmark["end_to_end"])}
+    counts = {m["name"] for m in benchmark["per_layer"] if m["unit"] == "count"}
     for name, seed in traces:
         out["traced_" + name] = {
-            side: traced(checkout, name, seed, seconds)
+            side: traced(checkout, name, seed, seconds, counts)
             for side, checkout in (("parent", parent), ("change", change))}
         failed += sum(t["failed"] for t in out["traced_" + name].values())
     if args.scale:
