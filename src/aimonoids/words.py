@@ -168,6 +168,37 @@ def b_equivalent(u, v) -> bool:
 
 
 def random_word(rng, rank: int, max_len: int, min_len: int = 0) -> Word:
-    """Uniform letters, uniform length between the bounds."""
-    n = rng.randint(min_len, max_len)
-    return tuple(rng.randint(1, rank) for _ in range(n))
+    """Uniform letters, uniform length between the bounds.
+
+    Draws what ``rng.randint(min_len, max_len)`` draws for the length and
+    ``rng.randint(1, rank)`` for each letter, and leaves a ``random.Random``
+    in the same state: each value comes from the rejection sampling that
+    ``randint`` does, ``getrandbits`` of the bit length of the range size,
+    redrawn while not below that size.  Bad bounds are refused before any
+    draw; plain int bounds pass on one comparison, any other bound gets the
+    full isinstance test.
+    """
+    if not (rank.__class__ is max_len.__class__ is min_len.__class__ is int):
+        for name, value in (("rank", rank), ("max_len", max_len), ("min_len", min_len)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    if min_len < 0:
+        raise ValueError(f"min_len must be nonnegative, got {min_len}")
+    if max_len < min_len:
+        raise ValueError(f"max_len {max_len} is below min_len {min_len}")
+    getrandbits = rng.getrandbits
+    size = max_len - min_len + 1
+    k = size.bit_length()
+    n = getrandbits(k)
+    while n >= size:
+        n = getrandbits(k)
+    k = rank.bit_length()
+    letters = []
+    for _ in range(min_len + n):
+        x = getrandbits(k)
+        while x >= rank:
+            x = getrandbits(k)
+        letters.append(x + 1)
+    return tuple(letters)

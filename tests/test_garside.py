@@ -1,9 +1,10 @@
 import random
 
+from aimonoids import garside, rewrite_a
 from aimonoids.garside import (check_lambda_identity, garside_cofactor,
-                               garside_data, lambda_n, left_cancel_harness,
-                               nabla, pi, verify_garside)
-from aimonoids.monoid_core import ai_presentation, chain_ci_matrix, \
+                               garside_data, garside_harness, lambda_n,
+                               left_cancel_harness, nabla, pi, verify_garside)
+from aimonoids.monoid_core import Report, ai_presentation, chain_ci_matrix, \
     random_rewrite
 from aimonoids.rewrite_a import a_equal, a_reduce
 from aimonoids.words import descending_run, random_word
@@ -159,3 +160,157 @@ def test_garside_entry_points_refuse_bad_sizes():
         garside_cofactor((), 0)
     with pytest.raises(ValueError, match="checks_run must be nonnegative, got -5"):
         left_cancel_harness(3, -5)
+
+
+# ---------------------------------------------------------------------------
+# the sampled harnesses against the per-check bodies they replace
+
+
+def randint_word(rng, rank, max_len, min_len=0):
+    """random_word as drawn through randint, one call per letter."""
+    n = rng.randint(min_len, max_len)
+    return tuple(rng.randint(1, rank) for _ in range(n))
+
+
+def reference_check_lambda_identity(n, samples, seed):
+    nab = nabla(n)
+    failures = []
+    checks = 0
+    for a in range(1, n + 1):
+        checks += 1
+        if not rewrite_a.a_equal((a,) + nab, nab + lambda_n((a,), n)):
+            failures.append(("generator", (a,)))
+    rng = random.Random(seed)
+    p = ai_presentation(chain_ci_matrix(n))
+    for _ in range(samples):
+        x = randint_word(rng, n, 8)
+        checks += 1
+        if not rewrite_a.a_equal(x + nab, nab + lambda_n(x, n)):
+            failures.append(("word", x))
+        u = random_rewrite(p, x, rng, rng.randint(0, 4))
+        checks += 1
+        if not rewrite_a.a_equal(lambda_n(x, n), lambda_n(u, n)):
+            failures.append(("well-defined", x, u))
+    return Report(checks, failures)
+
+
+def reference_verify_garside(n, samples, seed):
+    nab = nabla(n)
+    rng = random.Random(seed)
+    failures = []
+    checks = 0
+    for _ in range(samples):
+        x = randint_word(rng, n, 8)
+        k, y = garside_cofactor(x, n)
+        checks += 1
+        if not rewrite_a.a_equal(x + y, nab * k):
+            failures.append(("cofactor", x, k))
+        checks += 1
+        if not rewrite_a.a_equal(x + nab, nab + lambda_n(x, n)):
+            failures.append(("endomorphism", x))
+    return Report(checks, failures)
+
+
+def reference_left_cancel_harness(n, samples, seed, max_word_len=6):
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(samples):
+        x = randint_word(rng, n, max_word_len)
+        y = randint_word(rng, n, max_word_len)
+        if rng.random() < 0.3:
+            z = rewrite_a.a_reduce(y)
+        else:
+            z = randint_word(rng, n, max_word_len)
+        same = rewrite_a.a_equal(y, z)
+        if rewrite_a.a_equal(x + y, x + z) != same:
+            failures.append((x, y, z, same))
+    return Report(samples, failures)
+
+
+HARNESS_PAIRS = [(verify_garside, reference_verify_garside),
+                 (check_lambda_identity, reference_check_lambda_identity),
+                 (left_cancel_harness, reference_left_cancel_harness)]
+
+
+def wrong_on_fifth_lengths(reduce_steps):
+    """A deterministic wrong reducer: drops the last letter of words whose
+    length is a positive multiple of 5 before reducing."""
+    def steps(word):
+        w = tuple(word)
+        return reduce_steps(w[:-1] if w and len(w) % 5 == 0 else w)
+    return steps
+
+
+@pytest.mark.parametrize("harness,reference", HARNESS_PAIRS,
+                         ids=[h.__name__ for h, _ in HARNESS_PAIRS])
+def test_sampled_harnesses_equal_their_per_check_bodies(harness, reference):
+    for n in range(1, 6):
+        for seed in range(4):
+            for samples in (0, 1, 7, 200):
+                assert harness(n, samples, seed) == reference(n, samples, seed), \
+                    (n, seed, samples)
+
+
+@pytest.mark.parametrize("harness,reference", HARNESS_PAIRS,
+                         ids=[h.__name__ for h, _ in HARNESS_PAIRS])
+def test_sampled_harnesses_report_a_wrong_reducer_alike(harness, reference, monkeypatch):
+    monkeypatch.setattr(rewrite_a, "a_reduce_steps",
+                        wrong_on_fifth_lengths(rewrite_a.a_reduce_steps))
+    for n in (2, 3, 4):
+        for seed in (0, 1):
+            rep = harness(n, 200, seed)
+            assert rep.failures, (n, seed)
+            assert rep == reference(n, 200, seed), (n, seed)
+
+
+@pytest.mark.parametrize("harness,reference", HARNESS_PAIRS,
+                         ids=[h.__name__ for h, _ in HARNESS_PAIRS])
+def test_sampled_harnesses_reduce_each_word_once(harness, reference, monkeypatch):
+    """Outside `a_equal`, no word is reduced twice within one harness call,
+    and the words reduced are the ones the per-check body reduces."""
+    log = []
+    inside = [0]
+    equal_calls = [0]
+    reduce_steps = rewrite_a.a_reduce_steps
+    a_equal = garside.a_equal
+
+    def logged(word):
+        log.append((tuple(word), inside[0] > 0))
+        return reduce_steps(word)
+
+    def counted_equal(u, v):
+        equal_calls[0] += 1
+        inside[0] += 1
+        try:
+            return a_equal(u, v)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(rewrite_a, "a_reduce_steps", logged)
+    monkeypatch.setattr(garside, "a_equal", counted_equal)
+    for n in (1, 3, 4):
+        for seed in (0, 2):
+            del log[:]
+            equal_calls[0] = 0
+            rep = harness(n, 200, seed)
+            outside = [w for w, in_equal in log if not in_equal]
+            assert len(outside) == len(set(outside)), (n, seed)
+            assert equal_calls[0] == (n if harness is check_lambda_identity else 0)
+            first = log[:]
+            # nothing is kept across calls: the next call reduces them all again
+            del log[:]
+            assert harness(n, 200, seed) == rep and log == first
+            del log[:]
+            assert reference(n, 200, seed) == rep
+            assert {w for w, _ in first} == {w for w, _ in log}, (n, seed)
+
+
+@pytest.mark.parametrize("harness", [verify_garside, check_lambda_identity,
+                                     garside_harness])
+def test_garside_harnesses_refuse_a_negative_sample_count(harness, monkeypatch):
+    def no_reduce(word):
+        raise AssertionError("a word was reduced")
+    monkeypatch.setattr(rewrite_a, "a_reduce_steps", no_reduce)
+    for samples in (-1, -200):
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            harness(3, samples)

@@ -63,6 +63,22 @@ def test_bad_trace_is_refused_before_any_run(trace, monkeypatch, capsys):
     assert "error: --trace " + trace in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("note", ["workloads=x", "topic=x", "parent_commit=x", "command=x",
+                                  "machine=x", "scaling=x", "traced_verify=x",
+                                  "traced_=x", "foo", "change"])
+def test_a_note_that_would_overwrite_results_is_refused_before_any_run(
+        note, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=1", "--note", "change=fine", "--note", note]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "error: --note " + note in capsys.readouterr().err
+
+
 def fake_runs(digests):
     """A run_bench that prints the next of `digests` as its inputs_sha256."""
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
@@ -100,6 +116,19 @@ def test_pairs_keep_their_inputs_digest(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     pairs = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["verify"]["pairs"]
     assert [p["inputs_sha256"] for p in pairs] == ["aa", "bb"]
+
+
+def test_notes_are_stored_beside_the_results(tmp_path, monkeypatch):
+    run, _ = fake_runs(["aa", "aa"])
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=7", "--note", "change=what changed",
+            "--note", "identity=a=b"]
+    assert bench_pairs.main(argv) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["change"] == "what changed" and out["identity"] == "a=b"
+    assert len(out["workloads"]["verify"]["pairs"]) == 1
 
 
 

@@ -214,3 +214,40 @@ def test_parse_word_accepts_only_ascii_numerals():
 def test_alternating_refuses_a_negative_length():
     with pytest.raises(ValueError, match="length must be nonnegative"):
         alternating(1, 2, -1)
+
+
+def randint_word(rng, rank, max_len, min_len=0):
+    """random_word as drawn through randint, one call per letter."""
+    n = rng.randint(min_len, max_len)
+    return tuple(rng.randint(1, rank) for _ in range(n))
+
+
+def test_random_word_draws_what_randint_draws():
+    for seed in range(50):
+        cases = [(rank, min_len, min_len + (7 * rank + seed) % 40)
+                 for rank in range(1, 61) for min_len in range(4)]
+        cases += [(rank, seed % 4, 3200)
+                  for rank in (1 + seed % 60, 2 ** (seed % 6), 60 - seed % 7)]
+        rng, ref = random.Random(seed), random.Random(seed)
+        for rank, min_len, max_len in cases:
+            w = random_word(rng, rank, max_len, min_len)
+            assert w == randint_word(ref, rank, max_len, min_len), (seed, rank)
+            assert rng.getstate() == ref.getstate(), (seed, rank, min_len, max_len)
+            assert min_len <= len(w) <= max_len
+            assert all(type(x) is int and 1 <= x <= rank for x in w)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((0, 3), "rank"), ((-2, 3), "rank"),
+    ((3, 2, -3), "min_len"), ((3, 4, -1), "min_len"),
+    ((3, 2, 5), "max_len"), ((3, -1), "max_len"),
+    ((3.0, 4), "rank"), ((True, 4), "rank"), (("3", 4), "rank"),
+    ((3, 4.0), "max_len"), ((3, False), "max_len"), ((3, None), "max_len"),
+    ((3, 4, 1.0), "min_len"), ((3, 4, True), "min_len"),
+])
+def test_random_word_refuses_bad_arguments_before_any_draw(args, name):
+    rng = random.Random(7)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match=name):
+        random_word(rng, *args)
+    assert rng.getstate() == before

@@ -35,7 +35,10 @@ list of random letters at ranks 6, 20 and 50 and lengths 400 to 3200,
 before and after: per cell the median over words of the best of a few
 calls, then the lesser of two processes per side, run in the order
 parent, change, change, parent.  ``--note`` stores a line of text under
-its key; ``change`` describes the change.  Exits non-zero if a run fails
+its key; ``change`` describes the change.  A note without ``=``, or one
+whose key is another key the file fills in itself (``topic``,
+``parent_commit``, ``command``, ``machine``, ``workloads``, ``scaling``,
+``traced_*``), is refused before anything runs.  Exits non-zero if a run fails
 or an op fails, and stops with an error naming the workload and seed when
 the two sides of a pair print different ``inputs_sha256`` digests of their
 op pools, since their numbers would then measure different inputs, or
@@ -54,6 +57,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+#: keys the file fills in itself, besides ``traced_<NAME>``; a note may not
+#: replace them (``change`` is left to a note)
+OWN_KEYS = ("topic", "parent_commit", "command", "machine", "workloads", "scaling")
 
 SCALE_RANKS = "6,20,50"
 SCALE_LENGTHS = "400,800,1600,3200"
@@ -340,6 +347,12 @@ def main(argv=None) -> int:
             error = scale_error(checkout, args.scale)
             if error:
                 parser.error("--scale %s: %s" % (args.scale, error))
+    for note in args.note:
+        key, eq, _ = note.partition("=")
+        if not eq:
+            parser.error("--note %s: not KEY=TEXT" % note)
+        if key in OWN_KEYS or key.startswith("traced_"):
+            parser.error("--note %s: %r is one of the file's own keys" % (note, key))
 
     out = {
         "topic": args.topic,
