@@ -185,29 +185,14 @@ def upper_bound_census(p: Presentation,
                              % (max_len, len(t), t))
     first_class, _ = congruence_closure(p, first, max_len)
     second_class, _ = congruence_closure(p, second, max_len)
-    failures = []
-    checks = 0
-    expected = set()
-    for k in range(max(0, max_len - len(first)) + 1):
-        expected.add((3,) * k + first)
-    for w in sorted(first_class):
-        checks += 1
-        if w not in expected:
-            failures.append(("shape", w))
-    for w in sorted(expected):
-        checks += 1
-        if w not in first_class:
-            failures.append(("missing", w))
-    for w in sorted(second_class):
-        checks += 1
-        if w[:len(first)] == first:
-            failures.append(("prefix", w))
-    checks += 1
-    for w in sorted(first_class & second_class):
-        failures.append(("overlap", w))
-    return Report(checks, failures, {"max_len": max_len,
-                                     "first_class": first_class,
-                                     "second_class": second_class})
+    expected = {(3,) * k + first for k in range(max_len - len(first) + 1)}
+    failures = [("shape", w) for w in sorted(first_class - expected)]
+    failures += [("missing", w) for w in sorted(expected - first_class)]
+    failures += [("prefix", w) for w in sorted(second_class) if w[:len(first)] == first]
+    failures += [("overlap", w) for w in sorted(first_class & second_class)]
+    return Report(len(first_class) + len(expected) + len(second_class) + 1, failures,
+                  {"max_len": max_len, "first_class": first_class,
+                   "second_class": second_class})
 
 
 def cube_counterexample(budget: int = 10000, max_len: int = 9) -> Report:

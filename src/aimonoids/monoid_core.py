@@ -196,7 +196,7 @@ class Presentation:
         """(lhs, rhs, len(lhs), len(rhs) - len(lhs), x) for each of the
         `rewrites`, in their order: x is the letter when both sides are
         powers of one letter, else -1.  None when `rewrites` is.  Found on
-        the first search, as `pumps` is."""
+        first use by the search or the sampler, as `pumps` is."""
         if self.rewrites is None:
             return None
         return tuple((lhs, rhs, len(lhs), len(rhs) - len(lhs),
@@ -265,14 +265,17 @@ def _oracle_words(p: Presentation, *words) -> list:
     return [bytes(w) for w in checked]
 
 
-def _sites(w: bytes, subs):
-    """Every rewrite site (i, lhs, rhs) of `subs` in w, by rewrite, then by
-    position; the search order, witness chains and random choices follow it."""
-    for lhs, rhs in subs:
-        i = w.find(lhs)
-        while i != -1:
-            yield i, lhs, rhs
-            i = w.find(lhs, i + 1)
+def _sites(w: bytes, steps, room: int):
+    """Every rewrite site (i, lhs, rhs) in w of the rewrites `steps`
+    (`Presentation.search_rewrites`) that lengthen a word by at most `room`,
+    by rewrite, then by position; the search order, witness chains and
+    random choices follow it."""
+    for lhs, rhs, _, growth, _ in steps:
+        if growth <= room:
+            i = w.find(lhs)
+            while i != -1:
+                yield i, lhs, rhs
+                i = w.find(lhs, i + 1)
 
 
 def _image(q: tuple, w) -> int:
@@ -454,19 +457,22 @@ def one_step_related(p: Presentation, u, v) -> bool:
     """Whether v arises from u by one relation replacement (either direction)."""
     bu, bv = _oracle_words(p, u, v)
     return any(bu[:i] + rhs + bu[i + len(lhs):] == bv
-               for i, lhs, rhs in _sites(bu, p.rewrites))
+               for i, lhs, rhs in _sites(bu, p.search_rewrites, len(bv) - len(bu)))
 
 
 def random_rewrite(p: Presentation, word, rng, steps: int,
                    max_len: int | None = None) -> Word:
-    """Apply up to `steps` random relation replacements, either direction."""
+    """Apply up to `steps` random relation replacements, either direction,
+    within max_len letters; bad bounds are refused before any draw."""
     w, = _oracle_words(p, word)
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
+        raise ValueError(f"steps must be a nonnegative int, got {steps!r}")
     if max_len is None:
         max_len = len(w) + 2 * steps + 4
+    if max_len < len(w):
+        raise ValueError("max_len below the start word length")
     for _ in range(steps):
-        room = max_len - len(w)
-        sites = list(_sites(w, [(lhs, rhs) for lhs, rhs in p.rewrites
-                                if len(rhs) - len(lhs) <= room]))
+        sites = list(_sites(w, p.search_rewrites, max_len - len(w)))
         if not sites:
             break
         i, lhs, rhs = rng.choice(sites)

@@ -184,7 +184,6 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn,
     """
     failures = []
     by_family = {}
-    checked = 0
     reduct = {}
 
     def rewritten(lhs):
@@ -196,7 +195,6 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn,
     for t in triples:
         v = rewritten(t.q + t.r) + t.s
         w = t.q + rewritten(t.r + t.s)
-        checked += 1
         by_family[t.family] = by_family.get(t.family, 0) + 1
         if reduce_fn(v) != reduce_fn(w):
             failures.append((t.q + t.r + t.s, v, w))
@@ -212,9 +210,9 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn,
                         if reducts[i] is None:
                             reducts[i] = apply_fn(w0, ms[i])
                             forms[i] = reduce_fn(reducts[i])
-                    checked += 1
                     by_family["disjoint"] = by_family.get("disjoint", 0) + 1
                     if forms[x] != forms[y]:
                         failures.append((w0, reducts[x], reducts[y]))
+    checked = sum(by_family.values())
     return Report(checked, failures,
                   {"pairs_checked": checked, "by_family": by_family})

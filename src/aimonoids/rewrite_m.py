@@ -203,17 +203,7 @@ def m_equal(u, v) -> bool:
 
 def _words_up_to(letters, cap: int):
     """All words of length <= cap over the alphabet, shortest first."""
-    letters = tuple(letters)
-    out = [()]
-    layer = [()]
-    for _ in range(cap):
-        layer = [w + (x,) for w in layer for x in letters]
-        out.extend(layer)
-    return out
-
-
-def _segment(i: int, y, z) -> Word:
-    return tuple(y) + (i, i - 1) + tuple(z)
+    return [w for k in range(cap + 1) for w in product(letters, repeat=k)]
 
 
 def _interleave_assignments(lo: int, hi: int, n: int, cap: int):
@@ -231,7 +221,7 @@ def _stair_segments(lo: int, hi: int, assign) -> Word:
     out = []
     for i in range(lo, hi + 1):
         y, z = assign[i]
-        out.extend(_segment(i, y, z))
+        out += (*y, i, i - 1, *z)
     return tuple(out)
 
 
@@ -297,8 +287,6 @@ def verify_sink(n: int, trials: int = 500, seed: int = 0) -> Report:
     Checks the one-sided generator identities exactly, then random two-sided
     products.  One check per trial; the details are `n` and `trials`.
     """
-    if n < 1:
-        raise ValueError("rank must be positive")
     nab = nabla(n)
     target = m_reduce(nab)
     failures = []

@@ -237,3 +237,91 @@ def test_a_second_relation_on_a_pair_is_refused_either_way_round():
     swapped = Presentation(2, (((1, 2, 1), (2, 1, 2)), ((2, 1), (1, 2))))
     with pytest.raises(ValueError, match="two relations on the pair 1, 2"):
         complement_table(swapped)
+
+
+# ---------------------------------------------------------------------------
+# failure branches under injected closures
+
+
+def reference_census(first, first_class, second_class, max_len):
+    """(checks, failures) of the census, one word at a time."""
+    failures = []
+    checks = 0
+    expected = set()
+    for k in range(max(0, max_len - len(first)) + 1):
+        expected.add((3,) * k + first)
+    for w in sorted(first_class):
+        checks += 1
+        if w not in expected:
+            failures.append(("shape", w))
+    for w in sorted(expected):
+        checks += 1
+        if w not in first_class:
+            failures.append(("missing", w))
+    for w in sorted(second_class):
+        checks += 1
+        if w[:len(first)] == first:
+            failures.append(("prefix", w))
+    checks += 1
+    for w in sorted(first_class & second_class):
+        failures.append(("overlap", w))
+    return checks, failures
+
+
+def inject_closures(monkeypatch, classes):
+    import aimonoids.cube as cube_module
+    monkeypatch.setattr(cube_module, "congruence_closure",
+                        lambda p, start, max_len: (classes[tuple(start)], True))
+
+
+def test_census_reports_each_kind_of_failure_in_order(monkeypatch):
+    inject_closures(monkeypatch, {
+        (2, 3, 2): frozenset({(2, 3, 2), (3, 2, 3, 2), (1, 2, 3, 2)}),
+        (3, 1): frozenset({(2, 3, 2, 1), (1, 2, 3, 2), (3, 1)})})
+    rep = upper_bound_census(cube_presentation(), ((2, 3, 2), (3, 1)), max_len=5)
+    assert rep.failures == [("shape", (1, 2, 3, 2)), ("missing", (3, 3, 2, 3, 2)),
+                            ("prefix", (2, 3, 2, 1)), ("overlap", (1, 2, 3, 2))]
+    assert rep.checks_run == 10
+
+
+def test_census_matches_its_per_word_loops_under_injected_closures(monkeypatch):
+    import random
+    from aimonoids.monoid_core import congruence_closure
+    p = cube_presentation()
+    first, second = (2, 3, 2), (3, 1, 2, 3, 2, 1, 2)
+    rng = random.Random(0)
+    kinds = set()
+    failing = 0
+    for max_len in (7, 8, 9, 10):
+        true_first, _ = congruence_closure(p, first, max_len)
+        true_second, _ = congruence_closure(p, second, max_len)
+        for _ in range(45):
+            a, b = set(true_first), set(true_second)
+            for _ in range(rng.randint(0, 2)):
+                a.discard(rng.choice(sorted(a)))  # missing
+            for _ in range(rng.randint(0, 2)):  # shape
+                a.add(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, max_len))))
+            for _ in range(rng.randint(0, 2)):  # prefix
+                b.add(first + tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))))
+            if rng.random() < 0.5:  # overlap
+                b.add(rng.choice(sorted(a)))
+            inject_closures(monkeypatch, {first: frozenset(a), second: frozenset(b)})
+            rep = upper_bound_census(p, max_len=max_len)
+            checks, failures = reference_census(first, a, b, max_len)
+            assert (rep.checks_run, rep.failures) == (checks, failures), max_len
+            assert (rep.first_class, rep.second_class) == (a, b)
+            kinds.update(f[0] for f in failures)
+            failing += bool(failures)
+    assert kinds == {"shape", "missing", "prefix", "overlap"}
+    assert 0 < failing < 180
+
+
+def test_cube_counterexample_reports_a_cube_condition_that_holds(monkeypatch):
+    import aimonoids.cube as cube_module
+    from aimonoids.cube import cube_counterexample
+    from aimonoids.monoid_core import OracleVerdict
+    monkeypatch.setattr(cube_module, "bfs_equal",
+                        lambda p, u, v: OracleVerdict(EQUAL, (tuple(u), tuple(v))))
+    rep = cube_counterexample()
+    assert rep.failures == [("cube-condition-held", (3, 2, 1), (3, 2, 1, 2))]
+    assert rep.verdict == EQUAL and rep.checks_run == 66

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 from aimonoids import garside, rewrite_a
 from aimonoids.garside import (check_lambda_identity, garside_cofactor,
@@ -7,7 +8,7 @@ from aimonoids.garside import (check_lambda_identity, garside_cofactor,
 from aimonoids.monoid_core import Report, ai_presentation, chain_ci_matrix, \
     random_rewrite
 from aimonoids.rewrite_a import a_equal, a_reduce
-from aimonoids.words import descending_run, random_word
+from aimonoids.words import descending_run, random_word, validate_word
 
 import pytest
 
@@ -314,3 +315,108 @@ def test_garside_harnesses_refuse_a_negative_sample_count(harness, monkeypatch):
     for samples in (-1, -200):
         with pytest.raises(ValueError, match="samples must be nonnegative"):
             harness(3, samples)
+
+
+# ---------------------------------------------------------------------------
+# the maps around nabla read one count of x1
+
+
+def reference_pi(word):
+    w = validate_word(word)
+    return (1,) * sum(1 for x in w if x == 1)
+
+
+def reference_lambda_n(word, n):
+    w = validate_word(word, n)
+    out = []
+    run = descending_run(n + 1, 1)
+    for x in w:
+        if x == 1:
+            out.extend(run)
+    return tuple(out)
+
+
+def reference_cofactor(x, n):
+    if n < 1:
+        raise ValueError("rank must be positive")
+    x = validate_word(x, n)
+    m = len(reference_pi(x))
+    k = (m + n - 1) // n + 1
+    return k, (1,) * ((k - 1) * n - m) + nabla(n)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_maps_match_their_letter_loops_on_short_words():
+    for n in range(1, 5):
+        for length in range(6):
+            for w in product(range(1, n + 1), repeat=length):
+                assert pi(w) == reference_pi(w)
+                assert lambda_n(w, n) == reference_lambda_n(w, n), (w, n)
+                assert garside_cofactor(w, n) == reference_cofactor(w, n), (w, n)
+
+
+BAD_PAIRS = [((), 0), ((1,), 0), ((), -1), ((1,), -1), ((5,), 3), ((5,), -1),
+             ((0,), 2), ((0,), -1), ((True,), 2), ((1.0,), 2), ((2,), 1.5),
+             ((1,), 1.5), ([1, "1"], 2), (None, 2)]
+
+
+@pytest.mark.parametrize("word, n", BAD_PAIRS)
+def test_maps_raise_as_their_letter_loops_do(word, n):
+    assert outcome(lambda_n, word, n) == outcome(reference_lambda_n, word, n)
+    assert outcome(garside_cofactor, word, n) == outcome(reference_cofactor, word, n)
+    assert outcome(pi, word) == outcome(reference_pi, word)
+
+
+def reference_lambda_loop(n, samples, seed):
+    """check_lambda_identity as per-check bodies, drawing u through the
+    module's random_rewrite so that an injected one is seen."""
+    nab = nabla(n)
+    failures = []
+    checks = 0
+    for a in range(1, n + 1):
+        checks += 1
+        if not a_equal((a,) + nab, nab + reference_lambda_n((a,), n)):
+            failures.append(("generator", (a,)))
+    rng = random.Random(seed)
+    p = ai_presentation(chain_ci_matrix(n))
+    for _ in range(samples):
+        x = random_word(rng, n, 8)
+        checks += 1
+        if not a_equal(x + nab, nab + reference_lambda_n(x, n)):
+            failures.append(("word", x))
+        u = garside.random_rewrite(p, x, rng, rng.randint(0, 4))
+        checks += 1
+        if not a_equal(reference_lambda_n(x, n), reference_lambda_n(u, n)):
+            failures.append(("well-defined", x, u))
+    return Report(checks, failures)
+
+
+def test_well_defined_check_reports_a_rewrite_that_adds_an_x1(monkeypatch):
+    rewrite = garside.random_rewrite
+
+    def one_more_x1(p, x, rng, steps):
+        return rewrite(p, x, rng, steps) + (1,) * (steps % 2)
+    monkeypatch.setattr(garside, "random_rewrite", one_more_x1)
+    rep = check_lambda_identity(2, 4, 0)
+    assert rep == Report(10, [("well-defined", (2, 1, 2, 2, 2, 2), (2, 1, 2, 2, 2, 2, 1))])
+    for n in (1, 3, 4):
+        for seed in (0, 1):
+            rep = check_lambda_identity(n, 50, seed)
+            assert rep.failures and rep == reference_lambda_loop(n, 50, seed), (n, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chain_relations_keep_the_count_of_x1(n):
+    # the premise of the well-defined check: lambda(u) and lambda(x) are one word
+    p = ai_presentation(chain_ci_matrix(n))
+    rng = random.Random(n)
+    for _ in range(300):
+        x = random_word(rng, n, 8)
+        u = random_rewrite(p, x, rng, rng.randint(0, 6))
+        assert u.count(1) == x.count(1) and lambda_n(u, n) == lambda_n(x, n)

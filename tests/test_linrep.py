@@ -293,3 +293,29 @@ def test_verify_linrep_output_pinned(capsys, tmp_path):
         assert _without_elapsed(capsys.readouterr().out) == (
             '{"command": "verify linrep", "params": {%s}, "checks_run": %d, '
             '"failures": [], elapsed}\n' % (json_params, checks))
+
+
+def test_verify_representation_reports_each_closed_form_failure(monkeypatch):
+    monkeypatch.setattr(linrep, "check_alternating_action", lambda m, a, b, n: n != 2)
+    monkeypatch.setattr(linrep, "check_difference_recursion", lambda m, a, b, n: n != 3)
+    monkeypatch.setattr(linrep, "check_mixed_difference", lambda m, a, b, c, n: n != 1)
+    rep = verify_representation(CHAIN3)
+    assert rep.checks_run == 99
+    assert rep.failures[:6] == [("alternating-action", 1, 2, 2),
+                                ("difference-recursion", 1, 2, 3),
+                                ("mixed-difference", 1, 2, 3, 1),
+                                ("alternating-action", 1, 3, 2),
+                                ("difference-recursion", 1, 3, 3),
+                                ("mixed-difference", 1, 3, 2, 1)]
+    assert len(rep.failures) == 18
+
+
+def test_difference_recursion_fails_on_a_wrong_difference(monkeypatch):
+    difference = linrep._difference
+    # the difference vector of every even length replaced by e itself
+    monkeypatch.setattr(linrep, "_difference", lambda e, a, b, n, matrix:
+                        difference(e, a, b, n, matrix) if n % 2 else e)
+    assert [check_difference_recursion(ASYM2, 1, 2, p) for p in range(1, 5)] == [False] * 4
+    rep = verify_representation(ASYM2)
+    assert rep.failures == [("difference-recursion", 1, 2, p) for p in range(1, 5)] + \
+        [("difference-recursion", 2, 1, p) for p in range(1, 6)]

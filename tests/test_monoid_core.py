@@ -792,3 +792,56 @@ def test_is_lattice_false_without_a_meet_or_a_join():
     assert not is_lattice(order(3, {(1, 0), (2, 0)}))
     # both bounds make it a lattice
     assert is_lattice(order(4, {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}))
+
+
+@pytest.mark.parametrize("steps, max_len, message", [
+    (3, 2, "max_len below the start word length"),
+    (0, 4, "max_len below the start word length"),
+    (-2, None, "steps must be a nonnegative int, got -2"),
+    (-1, 9, "steps must be a nonnegative int, got -1"),
+    (2.5, None, "steps must be a nonnegative int, got 2.5"),
+    (2.0, 9, "steps must be a nonnegative int, got 2.0"),
+    (True, None, "steps must be a nonnegative int, got True"),
+    ("2", 9, "steps must be a nonnegative int, got '2'"),
+])
+def test_random_rewrite_refuses_bad_bounds_before_any_draw(steps, max_len, message):
+    p = ci_presentation(chain_ci_matrix(3))
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_rewrite(p, (1, 2, 1, 2, 1), rng, steps, max_len=max_len)
+    assert rng.getstate() == state
+    # a bound equal to the word's length is no contradiction
+    assert len(random_rewrite(p, (1, 2, 1, 2, 1), rng, 3, max_len=5)) <= 5
+
+
+def test_rank2_harness_reports_both_failures(monkeypatch):
+    from aimonoids.monoid_core import rank2_harness
+    monkeypatch.setattr(monoid_core, "rank2_monoid", lambda k, l: rank2_monoid(k, k))
+    monkeypatch.setattr(monoid_core, "is_lattice", lambda order: False)
+    rep = rank2_harness(3, 4)
+    assert rep.failures == ["size 6, expected 7", "left division is not a lattice order"]
+    assert rep.checks_run == 2 and rep.lattice is False
+
+
+def test_reversal_check_reports_pairs_the_oracle_separates(monkeypatch):
+    monkeypatch.setattr(monoid_core, "bfs_equal",
+                        lambda *args, **kwargs: OracleVerdict(DISTINCT_WITHIN_BOUND))
+    rep = reversal_respects_congruence(chain_ci_matrix(3), samples=2, seed=0)
+    assert rep == Report(2, [((2, 1, 2, 2, 3, 3, 3), (2, 2, 1, 2, 2, 3), DISTINCT_WITHIN_BOUND),
+                             ((2, 1), (2, 1, 1, 1), DISTINCT_WITHIN_BOUND)])
+
+
+def test_action_harness_reports_both_braid_identities(monkeypatch):
+    from aimonoids.monoid_core import action_harness
+    # idempotent, but neither braid identity holds
+    f = {(0, 0): (0, 1), (0, 1): (0, 1), (1, 0): (1, 0), (1, 1): (0, 1)}
+    monkeypatch.setattr(monoid_core, "pair_collapse_action",
+                        lambda carrier, n: TupleAction(tuple(range(carrier)), f, n))
+    rep = action_harness(2, 2)
+    assert rep == Report(20, [
+        "braid identity f1 f2 f1 != f2 f1 f2 f1 at (0, 0, 0)",
+        "braid identity f1 f2 f1 != f1 f2 f1 f2 at (0, 0, 1)",
+        "braid identity f1 f2 f1 != f1 f2 f1 f2 at (0, 1, 1)",
+        "braid identity f1 f2 f1 != f2 f1 f2 f1 at (1, 1, 1)",
+        "braid identity f1 f2 f1 != f1 f2 f1 f2 at (1, 1, 1)"])

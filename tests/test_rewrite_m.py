@@ -258,3 +258,45 @@ def test_sink_and_witness_refuse_bad_sizes():
 def test_word_entry_points_refuse_what_m_reduce_refuses(entry, word):
     with pytest.raises(ValueError, match="letters must be positive integers"):
         entry(word)
+
+
+def layered_words_up_to(letters, cap):
+    """Words of length <= cap, built one layer per length."""
+    letters = tuple(letters)
+    out = [()]
+    layer = [()]
+    for _ in range(cap):
+        layer = [w + (x,) for w in layer for x in letters]
+        out.extend(layer)
+    return out
+
+
+def test_words_up_to_matches_the_layered_construction():
+    from aimonoids.rewrite_m import _words_up_to
+    for alphabet in ((), (4,), (2, 5), (3, 1, 2)):
+        for cap in range(4):
+            assert _words_up_to(alphabet, cap) == layered_words_up_to(alphabet, cap)
+            assert _words_up_to(range(1, len(alphabet) + 1), cap) == \
+                layered_words_up_to(range(1, len(alphabet) + 1), cap)
+
+
+def test_verify_sink_reports_each_kind_of_failure(monkeypatch):
+    import aimonoids.rewrite_m as rewrite_m
+    monkeypatch.setattr(rewrite_m, "m_reduce", tuple)  # reduces nothing
+    rep = verify_sink(2, 3, 0)
+    assert rep.failures == [((1,), ()), ((), (1,)), ((2,), ()), ((), (2,)),
+                            ((2, 1, 2, 2, 2, 2), (2, 1, 1, 2, 1, 1, 2)),
+                            ((1, 2, 1, 1, 2, 2, 1, 2), (2, 1, 2, 2, 2, 1)),
+                            ((1, 1, 2, 1, 2, 2, 1, 2), (1,))]
+    assert rep.checks_run == 3
+
+
+def test_verify_sink_refuses_a_bad_rank_before_reducing(monkeypatch):
+    import aimonoids.rewrite_m as rewrite_m
+
+    def no_reduce(word):
+        raise AssertionError("a word was reduced")
+    monkeypatch.setattr(rewrite_m, "m_reduce", no_reduce)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            verify_sink(n)

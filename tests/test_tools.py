@@ -265,3 +265,36 @@ def test_every_run_compiles_from_source(tmp_path, monkeypatch):
     # each run's cache is its own and is gone afterwards
     assert seen[0][0] != seen[1][0]
     assert not any(cache.exists() for cache, *_ in seen)
+
+
+def test_src_lines_note_is_refused_before_any_run(monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=1", "--note", "src_lines=x"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "error: --note src_lines=x" in capsys.readouterr().err
+
+
+def test_the_file_records_each_checkouts_src_lines(tmp_path, monkeypatch):
+    run, _ = fake_runs(["aa", "aa"])
+    for side, files in (("parent", {"a.py": "x = 1\ny = 2\n", "pkg/b.py": "z = 3\n"}),
+                        ("change", {"a.py": "x = 1\n", "pkg/b.py": "",
+                                    "pkg/notes.txt": "not\ncounted\n"})):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
+        for name, text in files.items():
+            path = tmp_path / side / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--topic", "t", "--workload", "verify=7"]
+    assert bench_pairs.main(argv) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["src_lines"] == {"parent": 3, "change": 1}

@@ -34,12 +34,13 @@ which the two sides can be compared on.
 list of random letters at ranks 6, 20 and 50 and lengths 400 to 3200,
 before and after: per cell the median over words of the best of a few
 calls, then the lesser of two processes per side, run in the order
-parent, change, change, parent.  ``--note`` stores a line of text under
-its key; ``change`` describes the change.  A note without ``=``, or one
-whose key is another key the file fills in itself (``topic``,
-``parent_commit``, ``command``, ``machine``, ``workloads``, ``scaling``,
-``traced_*``), is refused before anything runs.  Exits non-zero if a run fails
-or an op fails, and stops with an error naming the workload and seed when
+parent, change, change, parent.  ``src_lines`` holds the physical lines
+of ``src/**/*.py`` in each checkout, the size that ROADMAP aim 2 counts.
+``--note`` stores a line of text under its key; ``change`` describes the
+change.  A note without ``=``, or one whose key is another key the file
+fills in itself (``topic``, ``parent_commit``, ``command``, ``machine``,
+``src_lines``, ``workloads``, ``scaling``, ``traced_*``), is refused
+before anything runs.  Exits non-zero if a run fails or an op fails, and stops with an error naming the workload and seed when
 the two sides of a pair print different ``inputs_sha256`` digests of their
 op pools, since their numbers would then measure different inputs, or
 when a side prints none (the error names that side too).
@@ -60,7 +61,8 @@ from pathlib import Path
 
 #: keys the file fills in itself, besides ``traced_<NAME>``; a note may not
 #: replace them (``change`` is left to a note)
-OWN_KEYS = ("topic", "parent_commit", "command", "machine", "workloads", "scaling")
+OWN_KEYS = ("topic", "parent_commit", "command", "machine", "src_lines", "workloads",
+            "scaling")
 
 SCALE_RANKS = "6,20,50"
 SCALE_LENGTHS = "400,800,1600,3200"
@@ -289,6 +291,12 @@ def scale(parent: Path, change: Path, spec: str) -> dict:
             for cell, e in best.items()}
 
 
+def src_lines(checkout: Path) -> int:
+    """The physical lines of the Python files under the checkout's src/."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (checkout / "src").rglob("*.py"))
+
+
 def machine() -> str:
     model = platform.machine()
     cpuinfo = Path("/proc/cpuinfo")
@@ -364,6 +372,7 @@ def main(argv=None) -> int:
                    "first when k is odd" % seconds,
         "machine": machine() + "; times are thread CPU time scaled by the "
                    "benchmark's calibration task",
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "workloads": {},
     }
     failed = 0
