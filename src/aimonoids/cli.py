@@ -12,10 +12,12 @@ that returns a `Report`.  The table `_HARNESSES` names that function, the
 options it takes in call order (each under its key in the report's
 params, with its default), and the text lines read off the report's
 details.  The only harness-specific code here is I/O: linrep reads
---matrix (in place of --rank) and rank2 writes --dot.  A harness refuses
-every other option, as a usage error.  Exit codes: 0 for pass or
-"equal", 1 for a property failure or "distinct", 2 for usage and parse
-errors and for a harness that ran no checks.
+--matrix (in place of --rank) and rank2 writes --dot.  `_OPTIONS` declares
+each verify option once; one not given is absent from the parsed namespace,
+and the harness default stands in for it.  A harness refuses every other
+option given, as a usage error.  One parser serves every call in a process.
+Exit codes: 0 for pass or "equal", 1 for a property failure or "distinct",
+2 for usage and parse errors and for a harness that ran no checks.
 `--json` prints a verification report as a single object with the fields
 command, params, checks_run, failures and elapsed_ms; `--seed` makes the
 randomized harnesses reproducible.
@@ -24,6 +26,7 @@ randomized harnesses reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -124,33 +127,47 @@ _HARNESSES = {
 #: the file option of the one harness that takes it
 _FILE_OPTION = {"linrep": "matrix", "rank2": "dot"}
 
+#: every verify option but --json -> (argparse type, help text)
+_OPTIONS = {
+    "rank": (_positive, "letter cap (default depends on the harness)"),
+    "samples": (_positive, "random sample count (default per harness)"),
+    "seed": (int, None),
+    "max_exp": (int, "exponent cap for the confluence-a families"),
+    "max_interleave": (int, "interleave cap for the confluence-m families"),
+    "k": (int, "rank2: first label"),
+    "l": (int, "rank2: second label"),
+    "dot": (str, "rank2: write the Hasse diagram as DOT"),
+    "matrix": (str, "linrep: verify the matrix in this file "
+                    "instead of the chain diagram of --rank"),
+    "budget": (int, "cube: reversing step budget"),
+    "max_len": (int, "cube: census length bound"),
+    "carrier": (_positive, "action: carrier set size"),
+}
+
 
 def _cmd_verify(args) -> int:
     name, options, text_lines = _HARNESSES[args.harness]
-    # every verify option but --json defaults to None: None is "not given"
+    given = vars(args)
     allowed = {o for _, o, _ in options} | {"command", "func", "harness", "json",
                                             _FILE_OPTION.get(args.harness)}
-    refused = sorted("--" + o.replace("_", "-") for o, value in vars(args).items()
-                     if value is not None and o not in allowed)
+    refused = sorted("--" + o.replace("_", "-") for o in given if o not in allowed)
     if refused:
         raise ValueError("verify %s takes no %s" % (args.harness, " or ".join(refused)))
-    params = {key: default if getattr(args, option) is None else getattr(args, option)
-              for key, option, default in options}
+    params = {key: given.get(option, default) for key, option, default in options}
     values = list(params.values())
     start = time.monotonic()
-    if args.harness == "linrep":
-        # the matrix read from --matrix, else the chain diagram of --rank
-        if args.matrix is None:
-            values = [chain_ci_matrix(params["rank"])]
-        elif args.rank is not None:
+    # linrep verifies the matrix read from --matrix, else the chain diagram of --rank
+    if "matrix" in given:
+        if "rank" in given:
             raise ValueError("verify linrep takes --rank or --matrix, not both")
-        else:
-            params = {"matrix": args.matrix}
-            with open(args.matrix, encoding="utf-8") as handle:
-                values = [load_ci_matrix(handle.read())]
+        params = {"matrix": args.matrix}
+        with open(args.matrix, encoding="utf-8") as handle:
+            values = [load_ci_matrix(handle.read())]
+    elif args.harness == "linrep":
+        values = [chain_ci_matrix(params["rank"])]
     rep = globals()[name](*values)
     lines = text_lines(rep.details) if text_lines else []
-    if args.harness == "rank2" and args.dot is not None:
+    if "dot" in given:
         with open(args.dot, "w") as handle:
             handle.write(hasse_dot(rep.order, rep.monoid))
         lines.append("DOT written to %s" % args.dot)
@@ -180,7 +197,9 @@ def _cmd_verify(args) -> int:
     return 0 if rep.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared: do not change it."""
     parser = argparse.ArgumentParser(
         prog="aimonoids",
         description="Normal forms, word problems and verification harnesses "
@@ -188,42 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     reduce_p = sub.add_parser("reduce", help="print the normal form of a word")
-    reduce_p.add_argument("--system", choices=("A", "M"), required=True)
-    reduce_p.add_argument("--rank", type=_positive, required=True)
-    reduce_p.add_argument("word", help="word text, letters separated by spaces")
-    reduce_p.set_defaults(func=_cmd_reduce)
-
     equal_p = sub.add_parser("equal", help="decide whether two words are equal")
-    equal_p.add_argument("--system", choices=("A", "M"), required=True)
-    equal_p.add_argument("--rank", type=_positive, required=True)
+    for word_p, func in ((reduce_p, _cmd_reduce), (equal_p, _cmd_equal)):
+        word_p.add_argument("--system", choices=("A", "M"), required=True)
+        word_p.add_argument("--rank", type=_positive, required=True)
+        word_p.set_defaults(func=func)
+    reduce_p.add_argument("word", help="word text, letters separated by spaces")
     equal_p.add_argument("u")
     equal_p.add_argument("v")
-    equal_p.set_defaults(func=_cmd_equal)
 
     verify_p = sub.add_parser("verify", help="run a verification harness")
     verify_p.add_argument("harness", choices=sorted(_HARNESSES))
-    verify_p.add_argument("--rank", type=_positive, default=None,
-                          help="letter cap (default depends on the harness)")
-    verify_p.add_argument("--samples", type=_positive, default=None,
-                          help="random sample count (default per harness)")
-    verify_p.add_argument("--seed", type=int, default=None)
-    verify_p.add_argument("--max-exp", type=int, default=None,
-                          help="exponent cap for the confluence-a families")
-    verify_p.add_argument("--max-interleave", type=int, default=None,
-                          help="interleave cap for the confluence-m families")
-    verify_p.add_argument("--k", type=int, default=None, help="rank2: first label")
-    verify_p.add_argument("--l", type=int, default=None, help="rank2: second label")
-    verify_p.add_argument("--dot", default=None,
-                          help="rank2: write the Hasse diagram as DOT")
-    verify_p.add_argument("--matrix", default=None,
-                          help="linrep: verify the matrix in this file "
-                               "instead of the chain diagram of --rank")
-    verify_p.add_argument("--budget", type=int, default=None,
-                          help="cube: reversing step budget")
-    verify_p.add_argument("--max-len", type=int, default=None,
-                          help="cube: census length bound")
-    verify_p.add_argument("--carrier", type=_positive, default=None,
-                          help="action: carrier set size")
+    for option, (kind, text) in _OPTIONS.items():
+        verify_p.add_argument("--" + option.replace("_", "-"), type=kind,
+                              default=argparse.SUPPRESS, help=text)
     verify_p.add_argument("--json", action="store_true",
                           help="print the report as one JSON object")
     verify_p.set_defaults(func=_cmd_verify)

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import combinations, product
 from types import MappingProxyType
 
-from .words import Word, alternating, is_numeral, validate_word
+from .words import Word, alternating, is_numeral, random_word, validate_word
 
 INFINITY = math.inf
 
@@ -469,6 +469,8 @@ def random_rewrite(p: Presentation, word, rng, steps: int,
         raise ValueError(f"steps must be a nonnegative int, got {steps!r}")
     if max_len is None:
         max_len = len(w) + 2 * steps + 4
+    elif not isinstance(max_len, int) or isinstance(max_len, bool):
+        raise ValueError(f"max_len must be an int, got {max_len!r}")
     if max_len < len(w):
         raise ValueError("max_len below the start word length")
     for _ in range(steps):
@@ -667,7 +669,7 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
-        base = tuple(rng.randint(1, matrix.size) for _ in range(rng.randint(1, 6)))
+        base = random_word(rng, matrix.size, 6, 1)
         u = random_rewrite(p, base, rng, rng.randint(0, 3))
         v = random_rewrite(p, base, rng, rng.randint(0, 3))
         verdict = bfs_equal(p, u[::-1], v[::-1],

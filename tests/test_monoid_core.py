@@ -845,3 +845,13 @@ def test_action_harness_reports_both_braid_identities(monkeypatch):
         "braid identity f1 f2 f1 != f1 f2 f1 f2 at (0, 1, 1)",
         "braid identity f1 f2 f1 != f2 f1 f2 f1 at (1, 1, 1)",
         "braid identity f1 f2 f1 != f1 f2 f1 f2 at (1, 1, 1)"])
+
+
+@pytest.mark.parametrize("max_len", [5.5, 9.0, "9", True, False])
+def test_random_rewrite_refuses_a_max_len_that_is_not_an_int(max_len):
+    p = ci_presentation(chain_ci_matrix(3))
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=re.escape("max_len must be an int, got %r" % (max_len,))):
+        random_rewrite(p, (1, 2, 1, 2, 1), rng, 3, max_len=max_len)
+    assert rng.getstate() == state
