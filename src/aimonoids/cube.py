@@ -56,9 +56,7 @@ def complement_table(p: Presentation) -> ComplementTable:
     generators.  Writing the relation as s u = t v fixes s \\ t = u and
     t \\ s = v; each s \\ s is empty.
     """
-    entries = {}
-    for s in range(1, p.generators + 1):
-        entries[(s, s)] = ()
+    entries = {(s, s): () for s in range(1, p.generators + 1)}
     for lhs, rhs in p.relations:
         if not lhs or not rhs:
             raise ValueError("not complemented: relation with an empty side")

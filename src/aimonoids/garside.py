@@ -64,8 +64,7 @@ def check_lambda_identity(n: int, samples: int = 100, seed: int = 0) -> Report:
     Also checks that lambda is well defined on the monoid: images of
     equivalent words are equivalent.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    Report.require_nonnegative("samples", samples)
     nab = nabla(n)
     failures = []
     for a in range(1, n + 1):
@@ -105,8 +104,7 @@ def verify_garside(n: int, samples: int = 200, seed: int = 0) -> Report:
     (1) every x has a cofactor y with x y = nabla^k;
     (2) x nabla = nabla lambda(x).
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    Report.require_nonnegative("samples", samples)
     nab = nabla(n)
     rng = random.Random(seed)
     forms = _NormalForms()
@@ -138,16 +136,15 @@ def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
     """
     if n < 1:
         raise ValueError("rank must be positive")
+    Report.require_nonnegative("samples: checks_run", samples)
     rng = random.Random(seed)
     forms = _NormalForms()
     failures = []
     for _ in range(samples):
         x = random_word(rng, n, max_word_len)
         y = random_word(rng, n, max_word_len)
-        if rng.random() < 0.3:
-            z = forms[y]  # force an equal pair
-        else:
-            z = random_word(rng, n, max_word_len)
+        # an equal pair 30% of the time
+        z = forms[y] if rng.random() < 0.3 else random_word(rng, n, max_word_len)
         same = forms[y] == forms[z]
         if (forms[x + y] == forms[x + z]) != same:
             failures.append((x, y, z, same))

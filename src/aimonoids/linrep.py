@@ -135,12 +135,8 @@ def vec_add(u: dict, v: dict) -> dict:
     return out
 
 
-def vec_neg(v: dict) -> dict:
-    return {s: ring_scale(-1, coef) for s, coef in v.items()}
-
-
 def vec_sub(u: dict, v: dict) -> dict:
-    return vec_add(u, vec_neg(v))
+    return vec_add(u, {s: ring_scale(-1, coef) for s, coef in v.items()})
 
 
 def vec_scale(r: dict, v: dict, matrix: CIMatrix) -> dict:

@@ -18,10 +18,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from types import MappingProxyType
 
-from .words import Word, alternating, is_numeral, random_word, validate_word
+from .words import (Word, alternating, is_numeral, random_word, require_ints,
+                    validate_word)
 
 INFINITY = math.inf
 
@@ -382,6 +383,7 @@ def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 1
     (1, 2, 1) and (2, 1, 2, 1) reach each other but give different sets.
     """
     w0, = _oracle_words(p, start)
+    require_ints(max_len=max_len, max_states=max_states)
     if max_len < len(w0):
         raise ValueError("max_len below the start word length")
     if max_states < 1:
@@ -429,6 +431,7 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
     bu, bv = _oracle_words(p, u, v)
     if max_len is None:
         max_len = len(bu) + len(bv) + 4
+    require_ints(max_len=max_len, max_states=max_states)
     if max_len < max(len(bu), len(bv)):
         raise ValueError("max_len smaller than an input word")
     if max_states < 1:
@@ -469,16 +472,16 @@ def random_rewrite(p: Presentation, word, rng, steps: int,
         raise ValueError(f"steps must be a nonnegative int, got {steps!r}")
     if max_len is None:
         max_len = len(w) + 2 * steps + 4
-    elif not isinstance(max_len, int) or isinstance(max_len, bool):
-        raise ValueError(f"max_len must be an int, got {max_len!r}")
+    require_ints(max_len=max_len)
     if max_len < len(w):
         raise ValueError("max_len below the start word length")
     for _ in range(steps):
-        sites = list(_sites(w, p.search_rewrites, max_len - len(w)))
-        if not sites:
+        # randrange(total) draws what rng.choice would on the list of sites
+        total = sum(1 for _ in _sites(w, p.search_rewrites, max_len - len(w)))
+        if not total:
             break
-        i, lhs, rhs = rng.choice(sites)
-        del sites  # so the next step's list does not coexist with this one
+        k = rng.randrange(total)
+        i, lhs, rhs = next(islice(_sites(w, p.search_rewrites, max_len - len(w)), k, None))
         w = w[:i] + rhs + w[i + len(lhs):]
     return tuple(w)
 
@@ -495,9 +498,14 @@ class Report:
     failures: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
+    @staticmethod
+    def require_nonnegative(name: str, count: int) -> None:
+        """Refuse a negative count, naming it; harnesses call this first."""
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
+
     def __post_init__(self):
-        if self.checks_run < 0:
-            raise ValueError(f"checks_run must be nonnegative, got {self.checks_run}")
+        self.require_nonnegative("checks_run", self.checks_run)
 
     @property
     def ok(self) -> bool:

@@ -3,14 +3,14 @@
 In both systems at most one rule occurrence starts at each position; rules
 are the commutation ``x_a x_b -> x_b x_a`` (a - b >= 2) and deletions, each
 removing the span ``match.deleted``.  Each rewriting function takes the
-system's own functions (matcher, deletion scan, apply, reducer) as
+system's own functions (matcher, deletion scanner, apply, reducer) as
 arguments; rewrite_a and rewrite_m pass their module functions on every
 call, so rebinding one is seen here.  Normalizing builds no match: a
-deletion scan reports the deleted span (lo, hi), which with the scan's
-start i names the rule (in M, lo == i is a square run); only the match-at
-functions parse one.  For the overlap audit this module lists the
-commutation left-hand sides and the overlaps of two lists of left-hand
-sides.
+system's scanner runs over the starts itself and reports the first
+deletion as (start, lo, hi), the span w[lo:hi] it removes (in M, lo ==
+start is a square run); only the match-at functions parse one.  For the
+overlap audit this module lists the commutation left-hand sides and the
+overlaps of two lists of left-hand sides.
 """
 
 from __future__ import annotations
@@ -55,40 +55,28 @@ def step(match_at, apply_fn, w) -> Word | None:
     return None
 
 
-def sweep(scan, w: list) -> int:
-    """Greedy left-to-right deletions in place; returns the count.
-
-    scan(w, i) returns the span (lo, hi) that the deletion starting at i
-    removes or, when there is none, the next position (an int) where one
-    can start; every position skipped provably starts none, so the sweep
-    deletes exactly what a scan at every position would.  The sweep
-    deletes w[lo:hi] and scans i again.  A clean sweep on a word with no
-    commutation occurrences certifies the normal form.  Deletions may
-    uncover occurrences to the left; those are picked up by the next round
-    of reduce_steps.
-    """
-    applied = 0
-    i = 0
-    while i < len(w):
-        s = scan(w, i)
-        if s.__class__ is int:
-            i = s
-        else:
-            del w[s[0]:s[1]]
-            applied += 1
-    return applied
-
-
 def reduce_steps(scan, word) -> tuple:
-    """Normal form and the number of single-rule steps taken to reach it."""
+    """Normal form and the number of single-rule steps taken to reach it.
+
+    Each round commute-sorts w, then deletes left to right in place:
+    scan(w, i, stop) returns (start, lo, hi) for the first deletion at a
+    start in [i, stop), else the next start (an int >= stop), skipping only
+    starts that provably start none.  The round deletes w[lo:hi] and scans
+    on from start, one call per deletion and one more; a deletion may
+    uncover one to its left, for the next round.  A round that deletes
+    nothing certifies the normal form.
+    """
     w = list(validate_word(word))
     steps = 0
     while True:
         steps += commute_sort(w)
-        deleted = sweep(scan, w)
-        steps += deleted
-        if not deleted:
+        s = scan(w, 0, len(w))
+        if s.__class__ is int:
             return tuple(w), steps
+        while s.__class__ is not int:
+            del w[s[1]:s[2]]
+            steps += 1
+            s = scan(w, s[0], len(w))
 
 
 def reduce_random(match_at, apply_fn, word, rng) -> tuple:
@@ -182,6 +170,7 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn,
     disjoint pair needs it, not once per pair.  reduce_fn must therefore
     be a function of its word, as a normal form is.
     """
+    Report.require_nonnegative("random_words", random_words)
     failures = []
     by_family = {}
     reduct = {}

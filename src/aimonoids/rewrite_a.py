@@ -19,8 +19,8 @@ w[i] decides the shape (two or more below w[i]: commutation; equal or one
 below: block deletion; anything else: nothing), and within block deletion
 the exponents and the run start are forced by maximality.
 
-The matchers and the rule shapes live here; applying, normalizing and the
-confluence audit are the shared driver in ``rewrite``.
+The matchers, scanner and rule shapes live here; applying, normalizing
+and the confluence audit are the shared driver in ``rewrite``.
 """
 
 from __future__ import annotations
@@ -58,9 +58,11 @@ class AStandardMatch:
         return self.start, self.start + self.exponents[0]
 
 
-def _family_scan(w, i):
-    """The span (i, i + c(1)) that the family occurrence starting at i
-    deletes, else the next start (an int) that may have one.
+def _scan_run(w, i, stop):
+    """Scan the starts i, i + 1, ... below stop for a family occurrence;
+    (start, start, start + c(1)) for the first found, whose leading block
+    w[start:start + c(1)] it deletes, else the next start (an int >= stop)
+    that may have one.
 
     A failed scan has read the block chain x_h^{c(1)} ... x_cur^{c(k)} up to
     position j.  A later start inside the chain reads the rest of the same
@@ -71,32 +73,38 @@ def _family_scan(w, i):
     Otherwise nothing starts before j.
     """
     n = len(w)
-    h = w[i]
-    if i + 4 > n:  # shortest instance is x_{a-1} x_{a-2} x_{a-1} x_{a-2}
-        return n
-    cur = h
-    j = i
-    while True:
-        while j < n and w[j] == cur:
-            j += 1
-        if j >= n:
+    while i < stop:
+        if i + 4 > n:  # shortest instance is x_{a-1} x_{a-2} x_{a-1} x_{a-2}
             return n
-        v = w[j]
-        if v == cur - 1 and cur >= 2:
-            cur -= 1
-            continue
-        break
-    if v == h and cur < h:
-        run_len = h - cur + 1
-        if j + run_len <= n:
-            for t in range(run_len):
-                if w[j + t] != h - t:
-                    break
-            else:
-                return i, w.index(h - 1, i)  # the leading block x_h^{c(1)}
-    if cur < v < h:
-        return w.index(v, i)
-    return j
+        h = w[i]
+        cur = h
+        j = i
+        while True:
+            while j < n and w[j] == cur:
+                j += 1
+            if j >= n:
+                return n
+            v = w[j]
+            if v == cur - 1 and cur >= 2:
+                cur -= 1
+                continue
+            break
+        if v == h and cur < h:
+            run_len = h - cur + 1
+            if j + run_len <= n:
+                for t in range(run_len):
+                    if w[j + t] != h - t:
+                        break
+                else:
+                    return i, i, w.index(h - 1, i)  # the leading block x_h^{c(1)}
+        i = w.index(v, i) if cur < v < h else j
+    return i
+
+
+def _family_scan(w, i):
+    """_scan_run at the one start i: its span (lo, hi), else its next start."""
+    s = _scan_run(w, i, i + 1)
+    return s if s.__class__ is int else s[1:]
 
 
 def _family_match_at(w, i):
@@ -135,7 +143,7 @@ def a_step(w) -> Word | None:
 
 def a_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    return rewrite.reduce_steps(_family_scan, word)
+    return rewrite.reduce_steps(_scan_run, word)
 
 
 def a_reduce(word) -> Word:
@@ -213,6 +221,7 @@ def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
     `reducer` defaults to a_reduce; tests inject a crippled one as a negative
     control.
     """
+    Report.require_nonnegative("random_words", random_words)
     return rewrite.confluence_audit(
         a_critical_pairs(n, max_exponent), a_match_at, a_apply,
         a_reduce if reducer is None else reducer, n, random_words, seed)

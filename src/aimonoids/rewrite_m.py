@@ -20,8 +20,8 @@ each parse is forced, so again at most one rule occurrence per start
 position.  x_a x_a arises as both a degenerate square run and a
 degenerate staircase; it is reported once, as a square run.
 
-The matchers and the rule shapes live here; applying, normalizing and the
-confluence audit are the shared driver in ``rewrite``.
+The matchers, scanner and rule shapes live here; applying, normalizing
+and the confluence audit are the shared driver in ``rewrite``.
 """
 
 from __future__ import annotations
@@ -65,70 +65,64 @@ class MStandardMatch:
         return self.end - 1, self.end
 
 
-def _square_run_scan(w, i):
-    """The span (i, i + 1) that the square run starting at i deletes, else
-    the next start (an int) that may have one.
+def _scan_run(w, i, stop):
+    """Scan the starts i, i + 1, ... below stop for a square run or a
+    staircase; (start, lo, hi) for the first found, where w[lo:hi] is the
+    letter it deletes, else the next start (an int >= stop) that may have
+    one.  A span starting at the start is a square run's first letter; one
+    starting later is a staircase's last x_b.
 
-    A later start p inside the descending run w[i:j] reads the suffix
-    w[p:j] of the same run and must find it again at j, so w[p] must equal
-    w[j]; the last run letter w[j-1] can also begin a staircase.  A run
-    that reaches the end of the word leaves nothing to match.
+    Square run: a later start p inside the descending run w[i:j] reads the
+    suffix w[p:j] of the same run and must find it again at j, so w[p]
+    must equal w[j]; the last run letter w[j-1] can also begin a
+    staircase.  A run that reaches the end of the word leaves nothing to
+    match.  Staircase: a failed scan goes on at i + 1, as another
+    staircase can start inside the stretch it read, so no later start is
+    skipped.
     """
     n = len(w)
-    run = 1
-    while i + run < n and w[i + run] == w[i] - run:
-        run += 1
-    j = i + run
-    if j >= n:
-        return n
-    if j + run <= n and w[i] - run >= 0:
-        for t in range(run):
-            if w[j + t] != w[i] - t:
-                break
+    while i < stop:
+        if i + 1 >= n:
+            return n
+        x = w[i]
+        d = w[i + 1] - x
+        if d >= 1:  # a staircase x_a (y x_{a+1} x_a z) ... x_b
+            j = i + 1
+            seg = x + 1
+            while True:
+                while j < n and w[j] > seg:
+                    j += 1
+                if j + 1 >= n or w[j] != seg or w[j + 1] != seg - 1:
+                    break
+                j += 2
+                while j < n and w[j] <= seg - 2:
+                    j += 1
+                if j >= n or w[j] < seg:
+                    break
+                if w[j] == seg:
+                    return i, j, j + 1
+                seg += 1
+            i += 1
+        elif d >= -1:  # a square run of the descending run from x
+            run = 1
+            while i + run < n and w[i + run] == x - run:
+                run += 1
+            j = i + run
+            if j >= n:
+                return n
+            if w[j:j + run] == w[i:j]:  # the run again
+                return i, i, i + 1
+            p = i + x - w[j]
+            i = p if i < p < j - 1 else j - 1
         else:
-            return i, i + 1
-    p = i + w[i] - w[j]
-    return p if i < p < j - 1 else j - 1
-
-
-def _staircase_scan(w, i):
-    """The span (j, j + 1) of the last letter x_b that the staircase
-    starting at i deletes, else i + 1: another staircase can start inside
-    the stretch a failed scan read, so no later start is skipped."""
-    n = len(w)
-    j = i + 1
-    seg = w[i] + 1
-    while True:
-        while j < n and w[j] > seg:
-            j += 1
-        if j + 1 >= n or w[j] != seg or w[j + 1] != seg - 1:
-            return i + 1
-        j += 2
-        while j < n and w[j] <= seg - 2:
-            j += 1
-        if j >= n:
-            return i + 1
-        v = w[j]
-        if v == seg:
-            return j, j + 1
-        if v > seg:
-            seg += 1
-            continue
-        return i + 1
+            i += 1
+    return i
 
 
 def _deletion_scan(w, i):
-    """The span that the square run or staircase starting at i deletes, else
-    the next start (an int) that may have one.  A span starting at i is a
-    square run's first letter; one starting later is a staircase's last."""
-    if i + 1 >= len(w):
-        return len(w)
-    d = w[i + 1] - w[i]
-    if d >= 1:
-        return _staircase_scan(w, i)
-    if d >= -1:
-        return _square_run_scan(w, i)
-    return i + 1
+    """_scan_run at the one start i: its span (lo, hi), else its next start."""
+    s = _scan_run(w, i, i + 1)
+    return s if s.__class__ is int else s[1:]
 
 
 def _deletion_at(w, i):
@@ -179,7 +173,7 @@ def m_step(w) -> Word | None:
 
 def m_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    return rewrite.reduce_steps(_deletion_scan, word)
+    return rewrite.reduce_steps(_scan_run, word)
 
 
 def m_reduce(word) -> Word:
@@ -272,6 +266,7 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
 def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
                        seed: int = 0, reducer=None) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs."""
+    Report.require_nonnegative("random_words", random_words)
     return rewrite.confluence_audit(
         m_critical_pairs(n, max_interleave), m_match_at, m_apply,
         m_reduce if reducer is None else reducer, n, random_words, seed)
@@ -287,6 +282,7 @@ def verify_sink(n: int, trials: int = 500, seed: int = 0) -> Report:
     Checks the one-sided generator identities exactly, then random two-sided
     products.  One check per trial; the details are `n` and `trials`.
     """
+    Report.require_nonnegative("trials: checks_run", trials)
     nab = nabla(n)
     target = m_reduce(nab)
     failures = []

@@ -30,6 +30,14 @@ def validate_word(word, rank: int | None = None) -> Word:
     return w
 
 
+def require_ints(**bounds) -> None:
+    """Refuse a bound that is not an int (a bool is not one); a plain int
+    passes on one comparison, any other gets the full isinstance test."""
+    for name, x in bounds.items():
+        if x.__class__ is not int and (not isinstance(x, int) or isinstance(x, bool)):
+            raise ValueError(f"{name} must be an int, got {x!r}")
+
+
 def is_numeral(token: str) -> bool:
     """Whether the token is an ASCII numeral: digits 0-9 only, no sign or "_"."""
     return token.isascii() and token.isdigit()
@@ -179,9 +187,7 @@ def random_word(rng, rank: int, max_len: int, min_len: int = 0) -> Word:
     full isinstance test.
     """
     if not (rank.__class__ is max_len.__class__ is min_len.__class__ is int):
-        for name, value in (("rank", rank), ("max_len", max_len), ("min_len", min_len)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        require_ints(rank=rank, max_len=max_len, min_len=min_len)
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if min_len < 0:

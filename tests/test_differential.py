@@ -216,6 +216,78 @@ def test_scan_reports_the_span_of_the_match_at_every_position(system, w):
                 assert span == m.deleted
 
 
+# one scanner call runs over the starts below stop; every i <= stop <= len(w)
+# of words cut to SCAN_RUN_LEN letters, as the pairs grow as its square
+SCAN_RUN_LEN = 60
+RUN_SYSTEMS = {
+    "A": (rewrite_a, rewrite_a._family_scan),
+    "M": (rewrite_m, rewrite_m._deletion_scan),
+}
+
+
+def stepped_scan(one_start, w, i, stop):
+    """Stepping the one-start view from i: (start, lo, hi) of the first
+    span found at a start below stop, else the first start >= stop."""
+    while i < stop:
+        s = one_start(w, i)
+        if s.__class__ is not int:
+            return (i,) + s
+        i = s
+    return i
+
+
+@pytest.mark.parametrize("system", sorted(RUN_SYSTEMS))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(w=sweep_words().map(lambda w: w[:SCAN_RUN_LEN]))
+@example(w=descending_word(SCAN_RUN_LEN))
+@example(w=descending_word(SCAN_RUN_LEN, 7))
+def test_scan_run_steps_the_one_start_view_to_every_stop(system, w):
+    module, one_start = RUN_SYSTEMS[system]
+    for word in (w, commute_sorted(w)):
+        for i in range(len(word) + 1):
+            for stop in range(i, len(word) + 1):
+                assert (module._scan_run(word, i, stop)
+                        == stepped_scan(one_start, word, i, stop)), (i, stop)
+
+
+@pytest.mark.parametrize("system", sorted(RUN_SYSTEMS))
+def test_reducing_calls_the_scanner_once_per_deletion_and_per_round(system, monkeypatch):
+    module, _ = RUN_SYSTEMS[system]
+    reduce_steps = SWEEP_SYSTEMS[system][0]
+    scan_run = module._scan_run
+    calls = []
+    sorts = []
+
+    def counting_scan(w, i, stop):
+        s = scan_run(w, i, stop)
+        calls.append(s.__class__ is not int)
+        return s
+
+    def counting_sort(w):
+        moves = commute_sort(w)
+        sorts.append(moves)
+        return moves
+
+    monkeypatch.setattr(module, "_scan_run", counting_scan)
+    monkeypatch.setattr(rewrite, "commute_sort", counting_sort)
+    rng = random.Random(5)
+    words = [(), (1,), (1, 1), (2, 1, 2, 1), (1, 2, 1, 2), (3, 2, 1, 3, 2, 1, 2),
+             descending_word(400), descending_word(397, 49)]
+    words += [tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 300)))
+              for _ in range(30)]
+    deleted_somewhere = 0
+    for w in words:
+        del calls[:], sorts[:]
+        nf, steps = reduce_steps(w)
+        deletions = sum(calls)
+        # every call but the one ending each round found a deletion
+        assert len(calls) == deletions + len(sorts), w
+        assert steps == deletions + sum(sorts)
+        assert len(nf) < len(w) or deletions == 0
+        deleted_somewhere += deletions > 0
+    assert deleted_somewhere > 20
+
+
 def recording_family_at(w, i):
     """The family occurrence at i, parsed in one pass that records the
     block exponents as it reads them."""

@@ -420,3 +420,12 @@ def test_chain_relations_keep_the_count_of_x1(n):
         x = random_word(rng, n, 8)
         u = random_rewrite(p, x, rng, rng.randint(0, 6))
         assert u.count(1) == x.count(1) and lambda_n(u, n) == lambda_n(x, n)
+
+
+def test_left_cancel_harness_refuses_a_negative_sample_count_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done")
+    monkeypatch.setattr(garside, "a_reduce", no_work)
+    monkeypatch.setattr(garside, "random_word", no_work)
+    with pytest.raises(ValueError, match="samples: checks_run must be nonnegative, got -5"):
+        left_cancel_harness(3, -5)

@@ -855,3 +855,62 @@ def test_random_rewrite_refuses_a_max_len_that_is_not_an_int(max_len):
     with pytest.raises(ValueError, match=re.escape("max_len must be an int, got %r" % (max_len,))):
         random_rewrite(p, (1, 2, 1, 2, 1), rng, 3, max_len=max_len)
     assert rng.getstate() == state
+
+
+def test_random_rewrite_holds_no_list_of_sites():
+    # 20,000 sites of 1 -> 11: a list of (i, lhs, rhs) sites would take
+    # about 2 MB, the word and one neighbour about 40 kB
+    p = Presentation(1, (((1,), (1, 1)),))
+    rng = random.Random(0)
+    tracemalloc.start()
+    try:
+        w = random_rewrite(p, (1,) * 20_000, rng, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(w) == {1} and abs(len(w) - 20_000) <= 2
+    assert peak < 1_000_000
+
+
+def choice_random_rewrite(p, word, rng, steps, max_len):
+    """random_rewrite as a uniform choice from the list of every site."""
+    w = bytes(word)
+    for _ in range(steps):
+        sites = list(monoid_core._sites(w, p.search_rewrites, max_len - len(w)))
+        if not sites:
+            break
+        i, lhs, rhs = rng.choice(sites)
+        w = w[:i] + rhs + w[i + len(lhs):]
+    return tuple(w)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_rewrite_draws_what_a_choice_from_the_site_list_draws(seed):
+    gen = random.Random(seed)
+    n = gen.randint(2, 4)
+    p = (ci_presentation if seed % 2 else ai_presentation)(chain_ci_matrix(n))
+    word = random_word(gen, n, 12)
+    steps = gen.randint(0, 12)
+    max_len = len(word) + gen.randint(0, 6)
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert (random_rewrite(p, word, rng, steps, max_len)
+            == choice_random_rewrite(p, word, ref, steps, max_len))
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("bound", [2.5, 9.0, "9", True, None])
+def test_oracle_bounds_that_are_not_ints_are_refused(bound):
+    p = ci_presentation(chain_ci_matrix(3))
+    message = re.escape("must be an int, got %r" % (bound,))
+    if bound is not None:
+        with pytest.raises(ValueError, match="max_len " + message):
+            bfs_equal(p, (1,), (1, 1), max_len=bound)
+    with pytest.raises(ValueError, match="max_states " + message):
+        bfs_equal(p, (1,), (1, 1), max_states=bound)
+    with pytest.raises(ValueError, match="max_len " + message):
+        congruence_closure(p, (1,), bound)
+    with pytest.raises(ValueError, match="max_states " + message):
+        congruence_closure(p, (1,), 3, max_states=bound)
+    # the fast path leaves int bounds as they were
+    assert bfs_equal(p, (1,), (1, 1), max_len=2, max_states=10).status == EQUAL
+    assert congruence_closure(p, (1,), 3, max_states=10)[0] == {(1,), (1, 1), (1, 1, 1)}

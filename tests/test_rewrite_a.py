@@ -210,3 +210,13 @@ def test_family_scan_skips_a_chain_of_ones_to_its_end():
 def test_word_entry_points_refuse_what_a_reduce_refuses(entry, word):
     with pytest.raises(ValueError, match="letters must be positive integers"):
         entry(word)
+
+
+def test_a_confluence_audit_refuses_negative_random_words_before_any_work(monkeypatch):
+    from aimonoids import rewrite_a
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done")
+    monkeypatch.setattr(rewrite_a, "a_critical_pairs", no_work)
+    with pytest.raises(ValueError, match="random_words must be nonnegative, got -1"):
+        rewrite_a.a_confluence_audit(3, 1, -1)

@@ -300,3 +300,18 @@ def test_verify_sink_refuses_a_bad_rank_before_reducing(monkeypatch):
     for n in (0, -3):
         with pytest.raises(ValueError, match="rank must be positive"):
             verify_sink(n)
+
+
+def test_negative_sample_counts_are_refused_before_any_work(monkeypatch):
+    from aimonoids import rewrite, rewrite_m
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done")
+    for name in ("m_reduce", "m_critical_pairs", "nabla"):
+        monkeypatch.setattr(rewrite_m, name, no_work)
+    with pytest.raises(ValueError, match="trials: checks_run must be nonnegative, got -1"):
+        verify_sink(3, -1)
+    with pytest.raises(ValueError, match="random_words must be nonnegative, got -1"):
+        m_confluence_audit(3, 1, -1)
+    with pytest.raises(ValueError, match="random_words must be nonnegative, got -2"):
+        rewrite.confluence_audit([], m_match_at, no_work, no_work, 3, -2, 0)

@@ -298,3 +298,28 @@ def test_the_file_records_each_checkouts_src_lines(tmp_path, monkeypatch):
     assert bench_pairs.main(argv) == 0
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert out["src_lines"] == {"parent": 3, "change": 1}
+
+
+def test_scale_probe_times_the_descending_words(tmp_path):
+    # a stand-in function that records every word the probe hands it
+    log = tmp_path / "words.txt"
+    (tmp_path / "probe_target.py").write_text(
+        "def record(w):\n"
+        "    with open(%r, 'a') as f:\n"
+        "        f.write(repr(w) + '\\n')\n" % str(log))
+    proc = bench_pairs.subprocess.run(
+        [bench_pairs.sys.executable, "-c", bench_pairs.SCALE_PROBE, str(tmp_path),
+         "probe_target:record", "6", "7,60", "2", "3"],
+        capture_output=True, text=True, check=True)
+    table = json.loads(proc.stdout)
+    assert sorted(table) == ["desc L 60", "desc L 7", "rank 6 L 60", "rank 6 L 7"]
+    assert all(ms >= 0 for ms in table.values())
+    words = [eval(line) for line in log.read_text().splitlines()]
+    # two random words per rank cell, then one descending word per length,
+    # each timed three times
+    assert len(words) == 3 * (2 * 2 + 2)
+    desc = {len(w): w for w in words[-6:]}
+    assert desc == {length: [(length - i) % 50 + 1 for i in range(length)]
+                    for length in (7, 60)}
+    assert desc[60][:12] == [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 50]
+    assert all(max(w) <= 6 for w in words[:12])

@@ -32,10 +32,14 @@ metric whose BENCHMARK.json unit is ``count`` divided by ``trace.ops``,
 which the two sides can be compared on.
 ``--scale MODULE:FUNC`` adds a table of the function's time on a fresh
 list of random letters at ranks 6, 20 and 50 and lengths 400 to 3200,
-before and after: per cell the median over words of the best of a few
-calls, then the lesser of two processes per side, run in the order
-parent, change, change, parent.  ``src_lines`` holds the physical lines
-of ``src/**/*.py`` in each checkout, the size that ROADMAP aim 2 counts.
+and on the descending words ((L - i) mod 50) + 1, i < L, of the same
+lengths L (cells ``desc L``), before and after, in thread CPU time, which
+a busy shared machine disturbs less than wall time: per random cell the
+median over words of the best of a few calls, per descending cell the
+best of those calls, then the least of four processes per side, run in
+the order parent, change, change, parent, twice.  ``src_lines`` holds the
+physical lines of ``src/**/*.py`` in each checkout, the size that ROADMAP
+aim 2 counts.
 ``--note`` stores a line of text under its key; ``change`` describes the
 change.  A note without ``=``, or one whose key is another key the file
 fills in itself (``topic``, ``parent_commit``, ``command``, ``machine``,
@@ -80,21 +84,25 @@ src, spec, ranks, lengths, words, calls = sys.argv[1:]
 sys.path.insert(0, src)
 module, name = spec.split(":")
 func = getattr(importlib.import_module(module), name)
+
+def best(word):
+    times = []
+    for _ in range(int(calls)):
+        w = list(word)
+        t0 = time.thread_time()
+        func(w)
+        times.append(time.thread_time() - t0)
+    return min(times) * 1e3
+
 table = {}
 for rank in map(int, ranks.split(",")):
     for length in map(int, lengths.split(",")):
         rng = random.Random(rank * 100003 + length)
-        best = []
-        for _ in range(int(words)):
-            word = [rng.randint(1, rank) for _ in range(length)]
-            times = []
-            for _ in range(int(calls)):
-                w = list(word)
-                t0 = time.perf_counter()
-                func(w)
-                times.append(time.perf_counter() - t0)
-            best.append(min(times))
-        table["rank %d L %d" % (rank, length)] = statistics.median(best) * 1e3
+        cell = [best([rng.randint(1, rank) for _ in range(length)])
+                for _ in range(int(words))]
+        table["rank %d L %d" % (rank, length)] = statistics.median(cell)
+for length in map(int, lengths.split(",")):
+    table["desc L %d" % length] = best([(length - i) % 50 + 1 for i in range(length)])
 print(json.dumps(table))
 """
 
@@ -278,7 +286,7 @@ def traced(checkout: Path, workload: str, seed: int, seconds: float,
 
 def scale(parent: Path, change: Path, spec: str) -> dict:
     best = {}
-    for side in ("parent", "change", "change", "parent"):
+    for side in ("parent", "change", "change", "parent") * 2:
         checkout = parent if side == "parent" else change
         proc = run_from_source(
             [sys.executable, "-c", SCALE_PROBE, str(checkout / "src"), spec,
