@@ -136,7 +136,7 @@ def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
     """
     if n < 1:
         raise ValueError("rank must be positive")
-    Report.require_nonnegative("samples: checks_run", samples)
+    Report.require_nonnegative("samples", samples)
     rng = random.Random(seed)
     forms = _NormalForms()
     failures = []

@@ -31,10 +31,6 @@ EQUAL = "equal"
 DISTINCT_WITHIN_BOUND = "distinct-within-bound"
 INCONCLUSIVE = "inconclusive"
 
-# a bfs_equal search that can reach at most this many words runs even when
-# a rank-2 quotient separates its words, and reports its count of states
-_SHORT_SEARCH = 1000
-
 
 @dataclass(frozen=True)
 class CIMatrix:
@@ -292,20 +288,6 @@ def _image(q: tuple, w) -> int:
     return e
 
 
-def _may_search_long(letters: int, max_len: int, max_states: int) -> bool:
-    """Whether a search from a word over `letters` letters may reach more
-    than _SHORT_SEARCH words: its state cap does not stop it sooner, and more
-    than that many words of length <= max_len use only those letters."""
-    if max_states <= _SHORT_SEARCH:
-        return False
-    words = 0
-    for n in range(max_len + 1):
-        words += letters ** n
-        if words > _SHORT_SEARCH:
-            return True
-    return False
-
-
 def _search(steps, start: bytes, max_len: int, max_states: int,
             target: bytes | None = None):
     """Breadth-first closure of `start` under the rewrites `steps`
@@ -409,11 +391,8 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
     cheaper first:
     - the letter set, the image in the free semilattice on the generators:
       a homomorphism because every relation keeps its letter set;
-    - the verified rank-2 quotients `p.quotients`, but only when the search
-      could reach more than _SHORT_SEARCH words (both max_states and the
-      number of words of length <= max_len over u's letters exceed it); a
-      shorter search runs and reports its count.
-    The search would say the same:
+    - the verified rank-2 quotients `p.quotients`.
+    The search would say the same at every max_len and max_states:
     - v is unreachable: phi(P') = phi(R') for every relation P' = R', so
       phi(x P' y) = phi(x R' y), and every word reached has u's image.
     - The closure cannot be complete: pumping u reaches words of every
@@ -438,11 +417,9 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
         raise ValueError("max_states must be positive")
     if bu == bv:
         return OracleVerdict(EQUAL, (tuple(bu),))
-    letters = set(bu)
     if p.pumps and any(x in bu for x in p.pumps) and (
-            letters != set(bv)
-            or _may_search_long(len(letters), max_len, max_states)
-            and any(_image(q, bu) != _image(q, bv) for q in p.quotients)):
+            set(bu) != set(bv)
+            or any(_image(q, bu) != _image(q, bv) for q in p.quotients)):
         return OracleVerdict(INCONCLUSIVE)
     parent, complete, hit = _search(p.search_rewrites, bu, max_len, max_states, target=bv)
     if hit:
@@ -539,6 +516,7 @@ def rank2_monoid(k: int, l: int) -> FiniteMonoid:
     the sink Delta = [a,b;k] = [b,a;l].  Size k + l.  Only |k - l| <= 1 is
     meaningful; other inputs are refused.
     """
+    require_ints(k=k, l=l)
     if k < 2 or l < 2:
         raise ValueError("need k, l >= 2")
     if abs(k - l) > 1:

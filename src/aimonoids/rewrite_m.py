@@ -282,7 +282,7 @@ def verify_sink(n: int, trials: int = 500, seed: int = 0) -> Report:
     Checks the one-sided generator identities exactly, then random two-sided
     products.  One check per trial; the details are `n` and `trials`.
     """
-    Report.require_nonnegative("trials: checks_run", trials)
+    Report.require_nonnegative("trials", trials)
     nab = nabla(n)
     target = m_reduce(nab)
     failures = []

@@ -159,7 +159,7 @@ def test_left_cancel_rejects_nonpositive_rank():
 def test_garside_entry_points_refuse_bad_sizes():
     with pytest.raises(ValueError, match="rank must be positive"):
         garside_cofactor((), 0)
-    with pytest.raises(ValueError, match="checks_run must be nonnegative, got -5"):
+    with pytest.raises(ValueError, match="^samples must be nonnegative, got -5$"):
         left_cancel_harness(3, -5)
 
 
@@ -427,5 +427,5 @@ def test_left_cancel_harness_refuses_a_negative_sample_count_before_any_work(mon
         raise AssertionError("work was done")
     monkeypatch.setattr(garside, "a_reduce", no_work)
     monkeypatch.setattr(garside, "random_word", no_work)
-    with pytest.raises(ValueError, match="samples: checks_run must be nonnegative, got -5"):
+    with pytest.raises(ValueError, match="^samples must be nonnegative, got -5$"):
         left_cancel_harness(3, -5)

@@ -142,6 +142,13 @@ def test_rank2_monoid_sizes():
         rank2_monoid(2, 4)
 
 
+@pytest.mark.parametrize("k, l, name, bad", [(2.0, 3, "k", 2.0), (3, 4.0, "l", 4.0),
+                                             (True, 2, "k", True), ("3", 3, "k", "3")])
+def test_rank2_monoid_refuses_labels_that_are_not_ints(k, l, name, bad):
+    with pytest.raises(ValueError, match=re.escape("%s must be an int, got %r" % (name, bad))):
+        rank2_monoid(k, l)
+
+
 def rank2_presentation(k, l):
     # squares are forced by "generated by two idempotents"
     return Presentation(2, (
@@ -605,8 +612,13 @@ def test_settled_exit_boundaries():
     # an empty u holds no pump: its closure is {()} and complete
     verdict = bfs_equal(m3, (), (1,))
     assert verdict.status == DISTINCT_WITHIN_BOUND and verdict.states_explored == 1
-    # same letters, or no pump in u: the search decides
-    assert bfs_equal(m3, (1, 2), (2, 1, 2), max_states=20).states_explored == 20
+    # a verified quotient separates 1 2 from 2 1 2: settled at any cap
+    verdict = bfs_equal(m3, (1, 2), (2, 1, 2), max_states=20)
+    assert verdict == OracleVerdict(INCONCLUSIVE) and verdict.states_explored == 0
+    # same letters and one image in every quotient, or no pump in u: the
+    # search decides
+    verdict = bfs_equal(m3, (1, 2, 1, 2), (2, 1, 2, 1), max_states=20)
+    assert verdict == OracleVerdict(INCONCLUSIVE) and verdict.states_explored == 20
     assert bfs_equal(m3, (1, 3), (3, 1)).status == EQUAL
     # a letter-dropping relation: 1 -> 1 2 reaches a new letter
     dropping = Presentation(2, (((1, 1), (1,)), ((1, 2), (1,))))
@@ -643,9 +655,13 @@ def test_oracle_verdict_counts_states_without_changing_equality():
     verdict = bfs_equal(a2, (1,), (2,))
     assert verdict == OracleVerdict(DISTINCT_WITHIN_BOUND)
     assert verdict.states_explored == 1
-    # the same letters: the search runs through 121, 2121, ..., 2^5 121
-    words, _ = congruence_closure(a2, (1, 2, 1), 8)
+    # rank2_monoid(3, 4) separates 1 2 1 from 1 2: settled without a search
     verdict = bfs_equal(a2, (1, 2, 1), (1, 2), max_len=8)
+    assert verdict == OracleVerdict(INCONCLUSIVE) and verdict.states_explored == 0
+    # the same letters and one image in every quotient (1 is idempotent
+    # there, not in A): the search runs through 121, 2121, ..., 2^5 121
+    words, _ = congruence_closure(a2, (1, 2, 1), 8)
+    verdict = bfs_equal(a2, (1, 2, 1), (1, 1, 2, 1), max_len=8)
     assert verdict.status == INCONCLUSIVE
     assert verdict.states_explored == len(words) == 6
     assert OracleVerdict(EQUAL, ((1,),), 7) == OracleVerdict(EQUAL, ((1,),))
@@ -708,24 +724,18 @@ def test_quotient_settled_query_never_searches(monkeypatch):
     queries = ((m4, (1, 2), (2, 1, 2)), (m4, (1, 2, 1, 2), (2, 1, 2)),
                (m4, (2, 3, 4, 3), (3, 2, 3, 4)), (a4, (1, 2, 1), (1, 2)),
                (cube_presentation(), (2, 3, 2, 1), (3, 2, 1)))
-    # a state cap of 1000 leaves the search short: it runs, to the cap or
-    # through the words of the class within the length bound
-    assert [bfs_equal(*q, max_states=1000).states_explored
-            for q in queries] == [36, 1000, 1000, 7, 8]
 
     def no_search(*args, **kwargs):
         raise AssertionError("a settled query searched")
 
     monkeypatch.setattr(monoid_core, "_search", no_search)
-    for q in queries:
-        for cap in (1001, 10**6):
-            verdict = bfs_equal(*q, max_states=cap)
-            assert verdict == OracleVerdict(INCONCLUSIVE) and verdict.states_explored == 0
-    # a length bound that leaves room for fewer words searches: 2^0 + ... + 2^9
-    # = 1023 words of length <= 9 over {1, 2}, and 511 of length <= 8
-    assert bfs_equal(m4, (1, 2), (2, 1, 2), max_len=9).states_explored == 0
-    with pytest.raises(AssertionError, match="a settled query searched"):
-        bfs_equal(m4, (1, 2), (2, 1, 2), max_len=8)
+    # settled at every bound: the tightest length, 8, 9 and the default,
+    # each under a cap of 1, 5, 1000, 1001 and 10^6
+    for p, u, v in queries:
+        for max_len in (max(len(u), len(v)), 8, 9, None):
+            for cap in (1, 5, 1000, 1001, 10**6):
+                verdict = bfs_equal(p, u, v, max_len, cap)
+                assert verdict == OracleVerdict(INCONCLUSIVE) and verdict.states_explored == 0
 
 
 def test_presentation_copy_and_pickle_keep_the_quotients():

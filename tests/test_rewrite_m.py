@@ -247,7 +247,7 @@ def test_m_critical_pairs_refuse_a_bad_rank_or_cap():
 def test_sink_and_witness_refuse_bad_sizes():
     with pytest.raises(ValueError, match="rank must be positive"):
         verify_sink(0)
-    with pytest.raises(ValueError, match="checks_run must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="^trials must be nonnegative, got -1$"):
         verify_sink(3, -1)
     with pytest.raises(ValueError, match="k must be nonnegative"):
         infiniteness_witness(-1)
@@ -309,7 +309,7 @@ def test_negative_sample_counts_are_refused_before_any_work(monkeypatch):
         raise AssertionError("work was done")
     for name in ("m_reduce", "m_critical_pairs", "nabla"):
         monkeypatch.setattr(rewrite_m, name, no_work)
-    with pytest.raises(ValueError, match="trials: checks_run must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="^trials must be nonnegative, got -1$"):
         verify_sink(3, -1)
     with pytest.raises(ValueError, match="random_words must be nonnegative, got -1"):
         m_confluence_audit(3, 1, -1)

@@ -63,6 +63,23 @@ def test_bad_trace_is_refused_before_any_run(trace, monkeypatch, capsys):
     assert "error: --trace " + trace in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, first, again", [
+    ("--workload", "oracle=1-2", "oracle=3-4"), ("--workload", "verify=1", "verify=1"),
+    ("--trace", "oracle=1", "oracle=2")])
+def test_a_workload_or_trace_named_twice_is_refused_before_any_run(
+        option, first, again, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "wordproblem=1", option, first, option, again]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    name = again.partition("=")[0]
+    assert "error: %s %s: %r is named twice" % (option, again, name) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("note", ["workloads=x", "topic=x", "parent_commit=x", "command=x",
                                   "machine=x", "scaling=x", "traced_verify=x",
                                   "traced_=x", "foo", "change"])

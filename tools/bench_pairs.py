@@ -12,10 +12,12 @@ checkout for the change's BENCHMARK.json ``run_seconds``, one process at a
 time, the parent first in odd pairs and the change first in even ones.
 Every run compiles the package from source (see ``run_from_source``), as
 a fresh checkout does.
-A NAME missing from BENCHMARK.json, an empty SEEDS, a range whose end
-precedes its start, a ``--trace`` whose NAME is unknown or whose SEED is
-not one seed, or a ``--scale`` MODULE:FUNC that does not import in both
-checkouts is refused before anything runs.
+A NAME missing from BENCHMARK.json, a NAME given twice to ``--workload``
+or twice to ``--trace`` (the second would replace the first's results),
+an empty SEEDS, a range whose end precedes its start, a ``--trace`` whose
+NAME is unknown or whose SEED is not one seed, or a ``--scale``
+MODULE:FUNC that does not import in both checkouts is refused before
+anything runs.
 The file keeps every pair and, for each end-to-end metric of
 BENCHMARK.json, the quartiles of each side, the ratio of the medians, the
 number of pairs in which the change was better and a verdict (see
@@ -345,6 +347,8 @@ def main(argv=None) -> int:
         if name not in known:
             parser.error("--workload %s: no workload %r in BENCHMARK.json (%s)"
                          % (entry, name, ", ".join(known)))
+        if name in dict(plan):
+            parser.error("--workload %s: %r is named twice" % (entry, name))
         try:
             plan.append((name, parse_seeds(seeds)))
         except ValueError as exc:
@@ -357,6 +361,8 @@ def main(argv=None) -> int:
                          % (entry, name, ", ".join(known)))
         if not seed.isdigit():
             parser.error("--trace %s: %r is not a seed" % (entry, seed))
+        if name in dict(traces):
+            parser.error("--trace %s: %r is named twice" % (entry, name))
         traces.append((name, int(seed)))
     if args.scale:
         for checkout in (parent, change):
