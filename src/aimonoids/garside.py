@@ -10,7 +10,9 @@ with the oracle module's `random_rewrite`, and as every relation on the
 chain keeps the number of x1, its well-defined check compares equal words.
 Each sampled harness reduces each distinct word once per call (see
 `_NormalForms`); the exact generator identities of `check_lambda_identity`
-go through `a_equal`.
+go through `a_equal`.  `left_cancel_harness` compares its words as
+`a_equal` does: a pair that differs in its letter set or its count of x1
+is distinct without a reduction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .monoid_core import Report, ai_presentation, chain_ci_matrix, random_rewrite
-from .rewrite_a import a_equal, a_reduce
+from .rewrite_a import _separated, a_equal, a_reduce
 from .words import Word, descending_run, nabla, random_word, validate_word
 
 
@@ -50,6 +52,10 @@ class _NormalForms(dict):
     def __missing__(self, word):
         form = self[word] = a_reduce(word)
         return form
+
+    def equal(self, u, v) -> bool:
+        """a_equal(u, v) on valid words, each form reduced once."""
+        return not _separated(u, v) and self[u] == self[v]
 
 
 def lambda_n(word, n: int) -> Word:
@@ -132,7 +138,8 @@ def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
     """x y = x z forces y = z; sampled through normal forms.
 
     Equal pairs double as a congruence sanity check (x y = x z must hold
-    when y = z).
+    when y = z).  Both comparisons are a_equal's (`_NormalForms.equal`):
+    a pair that its invariants separate is distinct and is not reduced.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -145,7 +152,7 @@ def left_cancel_harness(n: int, samples: int = 1000, seed: int = 0,
         y = random_word(rng, n, max_word_len)
         # an equal pair 30% of the time
         z = forms[y] if rng.random() < 0.3 else random_word(rng, n, max_word_len)
-        same = forms[y] == forms[z]
-        if (forms[x + y] == forms[x + z]) != same:
+        same = forms.equal(y, z)
+        if forms.equal(x + y, x + z) != same:
             failures.append((x, y, z, same))
     return Report(samples, failures)

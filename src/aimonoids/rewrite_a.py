@@ -31,7 +31,7 @@ from itertools import product
 from . import rewrite
 from .monoid_core import Report
 from .rewrite import COMMUTATION
-from .words import Word, descending_run
+from .words import Word, descending_run, validate_word
 
 FAMILY = "family"
 
@@ -156,9 +156,28 @@ def a_reduce_random(word, rng) -> tuple:
     return rewrite.reduce_random(a_match_at, a_apply, word, rng)
 
 
+def _separated(u, v) -> bool:
+    """Whether the words u and v differ in A's invariants: the count of x1
+    or the letter set (see a_equal)."""
+    return u.count(1) != v.count(1) or set(u) != set(v)
+
+
 def a_equal(u, v) -> bool:
-    """Word problem: compare normal forms."""
-    return a_reduce(u) == a_reduce(v)
+    """Word problem: compare normal forms, once the invariants agree.
+
+    Every rule keeps a word's letter set and its count of x1: a
+    commutation permutes letters, and a block deletion removes the
+    leading block x_{a-1}^{c(1)} while the run (x_a, x_{a-b}] after it
+    still holds x_{a-1}, with a - 1 >= b >= 2, so no x1 is removed.  So a
+    word's normal form has its invariants, and when those of u and v
+    differ, so do their normal forms: the answer is a_reduce(u) ==
+    a_reduce(v) without either reduction.  Every relation of
+    ai_presentation keeps both invariants too, so such a pair is distinct
+    in the monoid whether or not the rules are confluent.  Both words are
+    validated first, u before v, so a bad letter raises as a_reduce would.
+    """
+    u, v = validate_word(u), validate_word(v)
+    return not _separated(u, v) and a_reduce(u) == a_reduce(v)
 
 
 # ---------------------------------------------------------------------------

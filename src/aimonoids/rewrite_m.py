@@ -33,7 +33,8 @@ from itertools import product
 from . import rewrite
 from .monoid_core import Report
 from .rewrite import COMMUTATION
-from .words import Word, descending_run, nabla, random_word
+from .words import (Word, descending_run, nabla, random_word, require_ints,
+                    validate_word)
 
 SQUARE_RUN = "square-run"
 STAIRCASE = "staircase"
@@ -187,8 +188,21 @@ def m_reduce_random(word, rng) -> tuple:
 
 
 def m_equal(u, v) -> bool:
-    """Word problem: compare normal forms."""
-    return m_reduce(u) == m_reduce(v)
+    """Word problem: compare normal forms, once the letter sets agree.
+
+    Every rule keeps a word's letter set: a commutation permutes letters,
+    a square run deletes its first letter x_{a-1} while the second run
+    (x_a, x_b] still holds it, and a staircase deletes its trailing x_b
+    while its last stair y_b x_b x_{b-1} z_b still holds it.  So a word's
+    normal form has its letter set, and when the sets of u and v differ,
+    so do their normal forms: the answer is m_reduce(u) == m_reduce(v)
+    without either reduction.  Every relation of ci_presentation keeps
+    the letter set too, so such a pair is distinct in the monoid whether
+    or not the rules are confluent.  Both words are validated first, u
+    before v, so a bad letter raises as m_reduce would.
+    """
+    u, v = validate_word(u), validate_word(v)
+    return set(u) == set(v) and m_reduce(u) == m_reduce(v)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +320,7 @@ def infiniteness_witness(k: int, rank: int = 3) -> bool:
     The powers are pairwise distinct normal forms, so the monoid on three
     or more generators has infinitely many elements.
     """
+    require_ints(k=k, rank=rank)
     if rank < 3:
         raise ValueError("the probe word needs rank at least 3")
     if k < 0:

@@ -70,6 +70,7 @@ def descending_run(a: int, b: int) -> Word:
 
 def nabla(n: int) -> Word:
     """The Garside word x1 (x2,x1] (x3,x1] ... (x_{n+1},x1], of length n(n+1)/2."""
+    require_ints(n=n)
     if n < 1:
         raise ValueError("rank must be positive")
     out = []

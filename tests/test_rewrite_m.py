@@ -315,3 +315,17 @@ def test_negative_sample_counts_are_refused_before_any_work(monkeypatch):
         m_confluence_audit(3, 1, -1)
     with pytest.raises(ValueError, match="random_words must be nonnegative, got -2"):
         rewrite.confluence_audit([], m_match_at, no_work, no_work, 3, -2, 0)
+
+
+@pytest.mark.parametrize("k, rank, name", [(1.5, 3, "k"), (2.0, 3, "k"), (True, 3, "k"),
+                                           (2, 3.5, "rank"), (2, 3.0, "rank"),
+                                           (2, True, "rank"), (1.5, 2.5, "k")])
+def test_infiniteness_witness_refuses_sizes_that_are_not_ints(k, rank, name, monkeypatch):
+    from aimonoids import rewrite_m
+
+    def no_work(*args):
+        raise AssertionError("a word was scanned")
+    monkeypatch.setattr(rewrite_m, "m_matches", no_work)
+    with pytest.raises(ValueError) as exc:
+        infiniteness_witness(k, rank=rank)
+    assert str(exc.value) == "%s must be an int, got %r" % (name, k if name == "k" else rank)

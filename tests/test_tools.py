@@ -340,3 +340,16 @@ def test_scale_probe_times_the_descending_words(tmp_path):
                     for length in (7, 60)}
     assert desc[60][:12] == [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 50]
     assert all(max(w) <= 6 for w in words[:12])
+
+
+def test_a_note_key_given_twice_is_refused_before_any_run(monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=1", "--note", "why=first", "--note", "change=x",
+            "--note", "why=second"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "error: --note why=second: 'why' is named twice" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from aimonoids.words import (alternating, b_equivalent, b_reduced_form,
                              commute_sort, descending_run, descent_inversions,
-                             format_word, parse_word, random_word,
+                             format_word, nabla, parse_word, random_word,
                              validate_word)
 
 
@@ -251,3 +251,10 @@ def test_random_word_refuses_bad_arguments_before_any_draw(args, name):
     with pytest.raises(ValueError, match=name):
         random_word(rng, *args)
     assert rng.getstate() == before
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, 1.5, "3", None])
+def test_nabla_refuses_a_size_that_is_not_an_int(n):
+    with pytest.raises(ValueError) as exc:
+        nabla(n)
+    assert str(exc.value) == "n must be an int, got %r" % (n,)

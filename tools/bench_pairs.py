@@ -45,11 +45,13 @@ aim 2 counts.
 ``--note`` stores a line of text under its key; ``change`` describes the
 change.  A note without ``=``, or one whose key is another key the file
 fills in itself (``topic``, ``parent_commit``, ``command``, ``machine``,
-``src_lines``, ``workloads``, ``scaling``, ``traced_*``), is refused
-before anything runs.  Exits non-zero if a run fails or an op fails, and stops with an error naming the workload and seed when
-the two sides of a pair print different ``inputs_sha256`` digests of their
-op pools, since their numbers would then measure different inputs, or
-when a side prints none (the error names that side too).
+``src_lines``, ``workloads``, ``scaling``, ``traced_*``), or one whose
+key is given twice (the second text would replace the first), is
+refused before anything runs.  Exits non-zero if a run fails or an op
+fails, and stops with an error naming the workload and seed when the two
+sides of a pair print different ``inputs_sha256`` digests of their op
+pools, since their numbers would then measure different inputs, or when
+a side prints none (the error names that side too).
 """
 
 from __future__ import annotations
@@ -369,12 +371,16 @@ def main(argv=None) -> int:
             error = scale_error(checkout, args.scale)
             if error:
                 parser.error("--scale %s: %s" % (args.scale, error))
+    keys = set()
     for note in args.note:
         key, eq, _ = note.partition("=")
         if not eq:
             parser.error("--note %s: not KEY=TEXT" % note)
         if key in OWN_KEYS or key.startswith("traced_"):
             parser.error("--note %s: %r is one of the file's own keys" % (note, key))
+        if key in keys:
+            parser.error("--note %s: %r is named twice" % (note, key))
+        keys.add(key)
 
     out = {
         "topic": args.topic,
