@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .monoid_core import Report, ai_presentation, chain_ci_matrix, random_rewrite
 from .rewrite_a import _separated, a_equal, a_reduce
-from .words import Word, descending_run, nabla, random_word, validate_word
+from .words import (Word, descending_run, nabla, random_word, require_ints,
+                    validate_word)
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class _NormalForms(dict):
 
 def lambda_n(word, n: int) -> Word:
     """Endomorphism sending x1 to the full run x_n ... x1 and killing the rest."""
+    require_ints(n=n)
     w = validate_word(word, n)
     return descending_run(n + 1, 1) * w.count(1)
 
@@ -96,6 +98,7 @@ def garside_cofactor(x, n: int) -> tuple:
     Only the number m of occurrences of the letter 1 matters:
     k = ceil(m/n) + 1 and y pads with 1s before a final nabla.
     """
+    require_ints(n=n)
     if n < 1:
         raise ValueError("rank must be positive")
     m = validate_word(x, n).count(1)

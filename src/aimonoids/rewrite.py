@@ -8,9 +8,13 @@ arguments; rewrite_a and rewrite_m pass their module functions on every
 call, so rebinding one is seen here.  Normalizing builds no match: a
 system's scanner runs over the starts itself and reports the first
 deletion as (start, lo, hi), the span w[lo:hi] it removes (in M, lo ==
-start is a square run); only the match-at functions parse one.  For the
-overlap audit this module lists the commutation left-hand sides and the
-overlaps of two lists of left-hand sides.
+start is a square run); only the match-at functions parse one.
+Normalizing commute-sorts the word, then runs rounds that delete left to
+right and commute-sort again; the word problem (`equal`) runs the rounds
+of both words in lockstep and stops as soon as the two words agree, as
+from then on they reduce alike.  For the overlap audit this module lists
+the commutation left-hand sides and the overlaps of two lists of
+left-hand sides.
 """
 
 from __future__ import annotations
@@ -55,28 +59,78 @@ def step(match_at, apply_fn, w) -> Word | None:
     return None
 
 
-def reduce_steps(scan, word) -> tuple:
-    """Normal form and the number of single-rule steps taken to reach it.
+def _round(scan, w) -> int:
+    """One round on the commute-sorted list w, in place: delete left to
+    right, then commute-sort for the next round; the steps taken, 0 iff w
+    is its normal form.
 
-    Each round commute-sorts w, then deletes left to right in place:
     scan(w, i, stop) returns (start, lo, hi) for the first deletion at a
     start in [i, stop), else the next start (an int >= stop), skipping only
     starts that provably start none.  The round deletes w[lo:hi] and scans
     on from start, one call per deletion and one more; a deletion may
     uncover one to its left, for the next round.  A round that deletes
-    nothing certifies the normal form.
+    nothing certifies the normal form and sorts nothing.
+    """
+    deleted = 0
+    s = scan(w, 0, len(w))
+    while s.__class__ is not int:
+        del w[s[1]:s[2]]
+        deleted += 1
+        s = scan(w, s[0], len(w))
+    return deleted and deleted + commute_sort(w)
+
+
+def reduce_steps(scan, word) -> tuple:
+    """Normal form and the number of single-rule steps taken to reach it:
+    commute-sort w, then run rounds (`_round`) until one deletes nothing.
     """
     w = list(validate_word(word))
-    steps = 0
+    steps = commute_sort(w)
     while True:
-        steps += commute_sort(w)
-        s = scan(w, 0, len(w))
-        if s.__class__ is int:
+        taken = _round(scan, w)
+        if not taken:
             return tuple(w), steps
-        while s.__class__ is not int:
-            del w[s[1]:s[2]]
-            steps += 1
-            s = scan(w, s[0], len(w))
+        steps += taken
+
+
+def equal(scan, u, v) -> bool:
+    """reduce_steps(scan, u)[0] == reduce_steps(scan, v)[0], for words
+    already validated, with the two reductions run in lockstep: both words
+    are commute-sorted, then a round runs on u, then one on v, and so on.
+    After each commute_sort the two current lists are compared, and equal
+    lists answer True; once both sides have reached their normal forms,
+    the answer is whether those are equal.
+
+    Proof.  A round reads nothing but the list (the scanner reads it, the
+    deletions cut it, commute_sort sorts it in place) and leaves nothing
+    for the next round but the list, so once a round has started, all
+    that follows depends only on the list at that moment.  Every list
+    compared is one that its side has just commute-sorted, or its normal
+    form, and commute_sort moves nothing on a list it has sorted.  So
+    reduce_steps from a compared list runs, after a first commute_sort
+    that moves nothing, the rounds that its side has still to run, and
+    reaches that side's normal form.  Two equal lists therefore have one
+    normal form, that of u and that of v; and if the lists never agree,
+    both sides end on their normal forms, which are compared.  No step
+    appeals to confluence: the answer is the comparison of the two
+    reductions for any scanner.  Only the current lists are compared, so
+    a pair meets early when its reductions agree at the same round, or
+    when v's is one round ahead of u's.
+    """
+    a, b = list(u), list(v)
+    commute_sort(a)
+    commute_sort(b)
+    a_more = b_more = True
+    while a != b:
+        if not (a_more or b_more):
+            return False
+        if a_more:
+            a_more = _round(scan, a) > 0
+            if a == b:
+                return True
+        if b_more:
+            b_more = _round(scan, b) > 0
+    return True
 
 
 def reduce_random(match_at, apply_fn, word, rng) -> tuple:

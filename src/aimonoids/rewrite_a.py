@@ -174,10 +174,14 @@ def a_equal(u, v) -> bool:
     a_reduce(v) without either reduction.  Every relation of
     ai_presentation keeps both invariants too, so such a pair is distinct
     in the monoid whether or not the rules are confluent.  Both words are
-    validated first, u before v, so a bad letter raises as a_reduce would.
+    validated first, u before v, so a bad letter raises as a_reduce would,
+    and only there.  A pair the invariants do not separate is reduced in
+    lockstep by `rewrite.equal`, which stops as soon as the two words
+    agree and answers a_reduce(u) == a_reduce(v) exactly (the proof is
+    in its docstring).
     """
     u, v = validate_word(u), validate_word(v)
-    return not _separated(u, v) and a_reduce(u) == a_reduce(v)
+    return not _separated(u, v) and rewrite.equal(_scan_run, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -199,10 +199,13 @@ def m_equal(u, v) -> bool:
     without either reduction.  Every relation of ci_presentation keeps
     the letter set too, so such a pair is distinct in the monoid whether
     or not the rules are confluent.  Both words are validated first, u
-    before v, so a bad letter raises as m_reduce would.
+    before v, so a bad letter raises as m_reduce would, and only there.  A
+    pair with one letter set is reduced in lockstep by `rewrite.equal`,
+    which stops as soon as the two words agree and answers m_reduce(u) ==
+    m_reduce(v) exactly (the proof is in its docstring).
     """
     u, v = validate_word(u), validate_word(v)
-    return set(u) == set(v) and m_reduce(u) == m_reduce(v)
+    return set(u) == set(v) and rewrite.equal(_scan_run, u, v)
 
 
 # ---------------------------------------------------------------------------

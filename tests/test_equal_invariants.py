@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from aimonoids import cli, rewrite_a, rewrite_m
+from aimonoids import cli, rewrite, rewrite_a, rewrite_m
 from aimonoids.monoid_core import (ai_presentation, chain_ci_matrix, ci_presentation,
                                    random_rewrite)
 from aimonoids.rewrite_a import a_equal, a_reduce
@@ -98,10 +98,12 @@ def test_equal_on_the_wordproblem_pool():
 
 
 def test_a_separated_pair_is_never_reduced(monkeypatch):
-    def no_reduce(word):
+    def no_reduce(*args):
         raise AssertionError("a word was reduced")
-    monkeypatch.setattr(rewrite_a, "a_reduce", no_reduce)
-    monkeypatch.setattr(rewrite_m, "m_reduce", no_reduce)
+    monkeypatch.setattr(rewrite, "equal", no_reduce)
+    monkeypatch.setattr(rewrite, "reduce_steps", no_reduce)
+    monkeypatch.setattr(rewrite_a, "_scan_run", no_reduce)
+    monkeypatch.setattr(rewrite_m, "_scan_run", no_reduce)
     assert a_equal((1, 2), (1, 3)) is False
     assert a_equal((1, 2, 1), (2, 1, 2)) is False  # two x1 against one
     assert m_equal((1,), (2,)) is False
