@@ -14,7 +14,8 @@ right and commute-sort again; the word problem (`equal`) runs the rounds
 of both words in lockstep and stops as soon as the two words agree, as
 from then on they reduce alike.  For the overlap audit this module lists
 the commutation left-hand sides and the overlaps of two lists of
-left-hand sides.
+left-hand sides; the audit joins each critical pair's two reducts in the
+same lockstep, and reduces each reduct of a random word once.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def checked_lefts(match_at, lefts):
     return lefts
 
 
-def confluence_audit(triples, match_at, apply_fn, reduce_fn,
+def confluence_audit(triples, match_at, apply_fn, reduce_fn, join,
                      n: int, random_words: int, seed: int) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
@@ -219,10 +220,18 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn,
     The rewriting is done once per call: the triples share a few left-hand
     sides (at most one per rule), so each distinct q*r or r*s is parsed
     with `full_span` and rewritten once and its reduct looked up after
-    that; both words of every triple still go to reduce_fn.  In a random
-    word each match is rewritten, and its reduct reduced, the first time a
-    disjoint pair needs it, not once per pair.  reduce_fn must therefore
-    be a function of its word, as a normal form is.
+    that.  A triple's two words v = rewritten(q r) s and w = q
+    rewritten(r s) are then joined by join(v, w), which must answer
+    reduce_fn(v) == reduce_fn(w).  The systems pass `equal` on their
+    scanner, which runs the two reductions in lockstep and stops where
+    they meet; its proof shows the answer is exactly the comparison of
+    the two normal forms for any scanner, confluent rules or not, so the
+    audit counts and reports the same failures as if it reduced both.
+    In a random word each match is rewritten, and its reduct reduced
+    once by reduce_fn, the first time a disjoint pair needs it, not once
+    per pair: those normal forms are shared by the pairs of the word.
+    reduce_fn must therefore be a function of its word, as a normal form
+    is.
     """
     Report.require_nonnegative("random_words", random_words)
     failures = []
@@ -239,7 +248,7 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn,
         v = rewritten(t.q + t.r) + t.s
         w = t.q + rewritten(t.r + t.s)
         by_family[t.family] = by_family.get(t.family, 0) + 1
-        if reduce_fn(v) != reduce_fn(w):
+        if not join(v, w):
             failures.append((t.q + t.r + t.s, v, w))
     rng = random.Random(seed)
     for _ in range(random_words):

@@ -242,9 +242,19 @@ def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
     `reducer` defaults to a_reduce; tests inject a crippled one as a negative
-    control.
+    control.  By default a critical pair is joined by `rewrite.equal` on
+    _scan_run, which answers a_reduce(v) == a_reduce(w) exactly; with a
+    reducer it is joined by reducer(v) == reducer(w).
     """
     Report.require_nonnegative("random_words", random_words)
+    if reducer is None:
+        reducer = a_reduce
+
+        def join(v, w):
+            return rewrite.equal(_scan_run, v, w)
+    else:
+        def join(v, w):
+            return reducer(v) == reducer(w)
     return rewrite.confluence_audit(
-        a_critical_pairs(n, max_exponent), a_match_at, a_apply,
-        a_reduce if reducer is None else reducer, n, random_words, seed)
+        a_critical_pairs(n, max_exponent), a_match_at, a_apply, reducer, join,
+        n, random_words, seed)

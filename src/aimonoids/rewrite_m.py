@@ -282,11 +282,24 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
 
 def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
                        seed: int = 0, reducer=None) -> Report:
-    """Join both one-step reducts of every overlap, plus random disjoint pairs."""
+    """Join both one-step reducts of every overlap, plus random disjoint pairs.
+
+    By default a critical pair is joined by `rewrite.equal` on _scan_run,
+    which answers m_reduce(v) == m_reduce(w) exactly; with a reducer it is
+    joined by reducer(v) == reducer(w).
+    """
     Report.require_nonnegative("random_words", random_words)
+    if reducer is None:
+        reducer = m_reduce
+
+        def join(v, w):
+            return rewrite.equal(_scan_run, v, w)
+    else:
+        def join(v, w):
+            return reducer(v) == reducer(w)
     return rewrite.confluence_audit(
-        m_critical_pairs(n, max_interleave), m_match_at, m_apply,
-        m_reduce if reducer is None else reducer, n, random_words, seed)
+        m_critical_pairs(n, max_interleave), m_match_at, m_apply, reducer, join,
+        n, random_words, seed)
 
 
 # ---------------------------------------------------------------------------

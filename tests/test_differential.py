@@ -28,8 +28,10 @@ family, the multiset of triples the hand-written overlap loops gave, and
 every overlap of the bounded rule lists must join, listed or not.
 The confluence audits must report what an audit that rewrites every
 triple and every random pair afresh reports, also under a crippled
-reducer, while parsing each left-hand side once and reducing each match's
-reduct in a random word once.
+reducer and beyond rank 4, while parsing each left-hand side once and
+reducing each match's reduct in a random word once.  A's relations are
+among M's, so reducing a word in A first must not change its M normal
+form.
 """
 
 import random
@@ -1101,13 +1103,14 @@ def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
     random_word = rewrite.random_word
     monkeypatch.setattr(rewrite, "full_span", parse)
     monkeypatch.setattr(rewrite, "random_word", draw)
-    rep = rewrite.confluence_audit(triples, match_at, rewrite_once, reducer, n, 200, 7)
+    rep = rewrite.confluence_audit(triples, match_at, rewrite_once, reducer,
+                                   lambda v, w: reducer(v) == reducer(w), n, 200, 7)
     assert rep.ok
     first_word = next(k for k, e in enumerate(log) if e[0] == "word")
     lefts = {t.q + t.r for t in triples} | {t.r + t.s for t in triples}
     parsed = Counter(e[1] for e in log[:first_word] if e[0] == "full_span")
     assert set(parsed) == lefts and set(parsed.values()) == {1}
-    # each triple still reduces both of its words
+    # with a join built on the reducer, each triple reduces both of its words
     reduced = [e[1] for e in log[:first_word] if e[0] == "reduce"]
     assert len(reduced) == 2 * len(triples)
     # within one random word, each match is rewritten and its reduct
@@ -1121,3 +1124,24 @@ def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
                 == Counter(e[1] for e in log[lo:hi] if e[0] == "reduce"))
         disjoint += bool(applied)
     assert disjoint > 0
+
+
+@pytest.mark.parametrize("system, n, cap", [("A", 6, 2), ("M", 5, 1)])
+def test_default_audit_matches_the_reference_beyond_rank_4(system, n, cap):
+    # the default audit joins each triple in lockstep; the reference
+    # reduces both of its words
+    audit, pairs, match_at, apply_fn, reduce_fn, _ = AUDITS[system]
+    rep = audit(n, cap, 200, 0)
+    expected = reference_confluence_audit(pairs(n, cap), match_at, apply_fn,
+                                          reduce_fn, n, 200, 0)
+    assert (rep.checks_run, rep.failures, rep.details) == expected
+
+
+def test_reducing_in_a_first_keeps_the_m_normal_form():
+    # ai_presentation's relations are a subset of ci_presentation's, so a
+    # word and its A normal form are equal in M
+    rng = random.Random(7)
+    for _ in range(4000):
+        rank, length = rng.randint(1, 8), rng.randint(0, 60)
+        w = tuple(rng.randint(1, rank) for _ in range(length))
+        assert m_reduce(a_reduce(w)) == m_reduce(w), w
