@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .monoid_core import EQUAL, Presentation, Report, bfs_equal, congruence_closure
-from .words import validate_word
+from .words import require_ints, validate_word
 
 COMPLETE = "complete"
 STEP_BUDGET_EXCEEDED = "step-budget-exceeded"
@@ -106,6 +106,7 @@ def reverse(u, v, table: ComplementTable, budget: int = 10000) -> ReversalOutcom
     one is positive; its replacement goes back on the unread stack, ahead
     of everything to its right.
     """
+    require_ints(budget=budget)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     u, v = tuple(u), tuple(v)

@@ -477,7 +477,9 @@ class Report:
 
     @staticmethod
     def require_nonnegative(name: str, count: int) -> None:
-        """Refuse a negative count, naming it; harnesses call this first."""
+        """Refuse a count that is not an int (a bool is not one) or is
+        negative, naming it; harnesses call this first."""
+        require_ints(**{name: count})
         if count < 0:
             raise ValueError(f"{name} must be nonnegative, got {count}")
 
@@ -643,6 +645,7 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
     Only meaningful when no pair has m(a,b) + m(b,a) congruent to 1 mod 4;
     matrices violating that are refused outright.
     """
+    require_ints(samples=samples)
     _require_ci(matrix)
     for a, b in combinations(range(1, matrix.size + 1), 2):
         k, l = matrix.m[(a, b)], matrix.m[(b, a)]
@@ -736,6 +739,7 @@ def tuple_action_failures(act: TupleAction) -> list:
 def action_harness(n: int, carrier: int) -> Report:
     """The action checks of `pair_collapse_action(carrier, n)`: one
     idempotence check per pair, two braid comparisons per triple."""
+    Report.require_nonnegative("carrier", carrier)
     act = pair_collapse_action(carrier, n)
     return Report(carrier ** 2 + 2 * carrier ** 3, tuple_action_failures(act))
 

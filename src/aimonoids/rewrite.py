@@ -3,12 +3,12 @@
 In both systems at most one rule occurrence starts at each position; rules
 are the commutation ``x_a x_b -> x_b x_a`` (a - b >= 2) and deletions, each
 removing the span ``match.deleted``.  Each rewriting function takes the
-system's own functions (matcher, deletion scanner, apply, reducer) as
-arguments; rewrite_a and rewrite_m pass their module functions on every
-call, so rebinding one is seen here.  Normalizing builds no match: a
-system's scanner runs over the starts itself and reports the first
-deletion as (start, lo, hi), the span w[lo:hi] it removes (in M, lo ==
-start is a square run); only the match-at functions parse one.
+system's own functions (matcher, deletion scanner, apply) as arguments;
+rewrite_a and rewrite_m pass their module functions on every call, so
+rebinding one is seen here.  Normalizing builds no match: a system's
+scanner runs over the starts itself and reports the first deletion as
+(start, lo, hi), the span w[lo:hi] it removes (in M, lo == start is a
+square run); only the match-at functions parse one.
 Normalizing commute-sorts the word, then runs rounds that delete left to
 right and commute-sort again; the word problem (`equal`) runs the rounds
 of both words in lockstep and stops as soon as the two words agree, as
@@ -210,7 +210,7 @@ def checked_lefts(match_at, lefts):
     return lefts
 
 
-def confluence_audit(triples, match_at, apply_fn, reduce_fn, join,
+def confluence_audit(triples, match_at, apply_fn, scan,
                      n: int, random_words: int, seed: int) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
@@ -221,17 +221,14 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn, join,
     sides (at most one per rule), so each distinct q*r or r*s is parsed
     with `full_span` and rewritten once and its reduct looked up after
     that.  A triple's two words v = rewritten(q r) s and w = q
-    rewritten(r s) are then joined by join(v, w), which must answer
-    reduce_fn(v) == reduce_fn(w).  The systems pass `equal` on their
-    scanner, which runs the two reductions in lockstep and stops where
-    they meet; its proof shows the answer is exactly the comparison of
-    the two normal forms for any scanner, confluent rules or not, so the
-    audit counts and reports the same failures as if it reduced both.
-    In a random word each match is rewritten, and its reduct reduced
-    once by reduce_fn, the first time a disjoint pair needs it, not once
-    per pair: those normal forms are shared by the pairs of the word.
-    reduce_fn must therefore be a function of its word, as a normal form
-    is.
+    rewritten(r s) are then decided by `equal(scan, v, w)`, which runs the
+    two reductions in lockstep and stops where they meet; its proof shows
+    the answer is exactly reduce_steps(scan, v)[0] == reduce_steps(scan,
+    w)[0] for any scanner, confluent rules or not, so the audit counts and
+    reports the same failures as if it reduced both.  In a random word
+    each match is rewritten, and its reduct reduced once by reduce_steps,
+    the first time a disjoint pair needs it, not once per pair: those
+    normal forms are shared by the pairs of the word.
     """
     Report.require_nonnegative("random_words", random_words)
     failures = []
@@ -248,7 +245,7 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn, join,
         v = rewritten(t.q + t.r) + t.s
         w = t.q + rewritten(t.r + t.s)
         by_family[t.family] = by_family.get(t.family, 0) + 1
-        if not join(v, w):
+        if not equal(scan, v, w):
             failures.append((t.q + t.r + t.s, v, w))
     rng = random.Random(seed)
     for _ in range(random_words):
@@ -261,7 +258,7 @@ def confluence_audit(triples, match_at, apply_fn, reduce_fn, join,
                     for i in (x, y):
                         if reducts[i] is None:
                             reducts[i] = apply_fn(w0, ms[i])
-                            forms[i] = reduce_fn(reducts[i])
+                            forms[i] = reduce_steps(scan, reducts[i])[0]
                     by_family["disjoint"] = by_family.get("disjoint", 0) + 1
                     if forms[x] != forms[y]:
                         failures.append((w0, reducts[x], reducts[y]))

@@ -238,23 +238,15 @@ def a_critical_pairs(n: int, max_exponent: int = 2) -> list:
 
 
 def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
-                       seed: int = 0, reducer=None) -> Report:
+                       seed: int = 0) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
-    `reducer` defaults to a_reduce; tests inject a crippled one as a negative
-    control.  By default a critical pair is joined by `rewrite.equal` on
-    _scan_run, which answers a_reduce(v) == a_reduce(w) exactly; with a
-    reducer it is joined by reducer(v) == reducer(w).
+    The driver decides each critical pair by `rewrite.equal` on _scan_run,
+    which answers a_reduce(v) == a_reduce(w) exactly, and reduces each
+    random reduct by `rewrite.reduce_steps` on it, as a_reduce does;
+    _scan_run is read at call time, so rebinding it is seen here.
     """
     Report.require_nonnegative("random_words", random_words)
-    if reducer is None:
-        reducer = a_reduce
-
-        def join(v, w):
-            return rewrite.equal(_scan_run, v, w)
-    else:
-        def join(v, w):
-            return reducer(v) == reducer(w)
     return rewrite.confluence_audit(
-        a_critical_pairs(n, max_exponent), a_match_at, a_apply, reducer, join,
+        a_critical_pairs(n, max_exponent), a_match_at, a_apply, _scan_run,
         n, random_words, seed)

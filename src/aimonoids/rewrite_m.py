@@ -281,24 +281,17 @@ def m_critical_pairs(n: int, max_interleave: int = 1) -> list:
 
 
 def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
-                       seed: int = 0, reducer=None) -> Report:
+                       seed: int = 0) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
-    By default a critical pair is joined by `rewrite.equal` on _scan_run,
-    which answers m_reduce(v) == m_reduce(w) exactly; with a reducer it is
-    joined by reducer(v) == reducer(w).
+    The driver decides each critical pair by `rewrite.equal` on _scan_run,
+    which answers m_reduce(v) == m_reduce(w) exactly, and reduces each
+    random reduct by `rewrite.reduce_steps` on it, as m_reduce does;
+    _scan_run is read at call time, so rebinding it is seen here.
     """
     Report.require_nonnegative("random_words", random_words)
-    if reducer is None:
-        reducer = m_reduce
-
-        def join(v, w):
-            return rewrite.equal(_scan_run, v, w)
-    else:
-        def join(v, w):
-            return reducer(v) == reducer(w)
     return rewrite.confluence_audit(
-        m_critical_pairs(n, max_interleave), m_match_at, m_apply, reducer, join,
+        m_critical_pairs(n, max_interleave), m_match_at, m_apply, _scan_run,
         n, random_words, seed)
 
 

@@ -57,6 +57,12 @@ def test_reverse_trivial_and_budget():
         reverse((1,), (2,), TABLE, budget=0)
 
 
+@pytest.mark.parametrize("budget", [2.5, True])
+def test_reverse_refuses_a_budget_that_is_not_an_int(budget):
+    with pytest.raises(ValueError, match=re.escape(f"budget must be an int, got {budget!r}")):
+        reverse((1, 2), (3, 2), TABLE, budget)
+
+
 def test_reverse_transpose_duality():
     words = [w for k in range(4) for w in product((1, 2, 3), repeat=k)]
     for u in words:

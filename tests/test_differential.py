@@ -27,15 +27,16 @@ The critical-pair families derived from the rule lists must be, family by
 family, the multiset of triples the hand-written overlap loops gave, and
 every overlap of the bounded rule lists must join, listed or not.
 The confluence audits must report what an audit that rewrites every
-triple and every random pair afresh reports, also under a crippled
-reducer and beyond rank 4, while parsing each left-hand side once and
-reducing each match's reduct in a random word once.  A's relations are
-among M's, so reducing a word in A first must not change its M normal
-form.
+triple and every random pair afresh reports, also under a normalizer
+crippled to skip commute_sort and beyond rank 4, while parsing each
+left-hand side once and reducing each match's reduct in a random word
+once.  A's relations are among M's, so reducing a word in A first must
+not change its M normal form.
 """
 
 import random
 from collections import Counter
+from contextlib import nullcontext
 from itertools import combinations, product
 from unittest import mock
 
@@ -1040,16 +1041,10 @@ def reference_confluence_audit(triples, match_at, apply_fn, reduce_fn,
     return checked, failures, {"pairs_checked": checked, "by_family": by_family}
 
 
-def without_commutations(match_at, apply_fn):
-    """A crippled reducer that applies only deletions (a negative control)."""
-    def reduce_fn(w):
-        w = tuple(w)
-        while True:
-            ms = [m for m in rewrite.matches(match_at, w) if m.kind != rewrite.COMMUTATION]
-            if not ms:
-                return w
-            w = apply_fn(w, ms[0])
-    return reduce_fn
+def without_commute_sort():
+    """A normalizer that applies only deletions (a negative control): the
+    driver's commute_sort moves nothing."""
+    return mock.patch.object(rewrite, "commute_sort", lambda w: 0)
 
 
 AUDITS = {
@@ -1059,19 +1054,23 @@ AUDITS = {
           m_reduce, [(n, L) for n in (3, 4) for L in (0, 1)]),
 }
 
+#: system -> the scanner its audit passes to the driver
+SCANS = {"A": rewrite_a._scan_run, "M": rewrite_m._scan_run}
+
 
 @pytest.mark.parametrize("system", sorted(AUDITS))
 def test_confluence_audit_matches_the_per_pair_reference(system):
     audit, pairs, match_at, apply_fn, reduce_fn, sizes = AUDITS[system]
-    crippled = without_commutations(match_at, apply_fn)
     for (n, cap), seed in product(sizes, range(3)):
-        # the crippled reducer is slow, so it gets fewer random words
-        for reducer, samples in ((None, 200), (crippled, 40)):
-            rep = audit(n, cap, samples, seed, reducer)
-            expected = reference_confluence_audit(
-                pairs(n, cap), match_at, apply_fn, reducer or reduce_fn, n, samples, seed)
+        # the crippled normalizer gets fewer random words, to keep the test short
+        for crippled, samples in ((False, 200), (True, 40)):
+            with without_commute_sort() if crippled else nullcontext():
+                rep = audit(n, cap, samples, seed)
+                expected = reference_confluence_audit(
+                    pairs(n, cap), match_at, apply_fn, reduce_fn, n, samples, seed)
             assert (rep.checks_run, rep.failures, rep.details) == expected, (n, cap, seed)
-    assert not audit(4, 1, 20, 0, crippled).ok
+    with without_commute_sort():
+        assert not audit(4, 1, 20, 0).ok
 
 
 @pytest.mark.parametrize("system", sorted(AUDITS))
@@ -1090,9 +1089,9 @@ def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
         log.append(("apply", (w, m), v))
         return v
 
-    def reducer(w):
+    def reduce(scan, w):
         log.append(("reduce", w))
-        return reduce_fn(w)
+        return reduce_steps(scan, w)
 
     def draw(*args):
         w = random_word(*args)
@@ -1100,19 +1099,20 @@ def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
         return w
 
     full_span = rewrite.full_span
+    reduce_steps = rewrite.reduce_steps
     random_word = rewrite.random_word
     monkeypatch.setattr(rewrite, "full_span", parse)
+    monkeypatch.setattr(rewrite, "reduce_steps", reduce)
     monkeypatch.setattr(rewrite, "random_word", draw)
-    rep = rewrite.confluence_audit(triples, match_at, rewrite_once, reducer,
-                                   lambda v, w: reducer(v) == reducer(w), n, 200, 7)
+    rep = rewrite.confluence_audit(triples, match_at, rewrite_once, SCANS[system],
+                                   n, 200, 7)
     assert rep.ok
     first_word = next(k for k, e in enumerate(log) if e[0] == "word")
     lefts = {t.q + t.r for t in triples} | {t.r + t.s for t in triples}
     parsed = Counter(e[1] for e in log[:first_word] if e[0] == "full_span")
     assert set(parsed) == lefts and set(parsed.values()) == {1}
-    # with a join built on the reducer, each triple reduces both of its words
-    reduced = [e[1] for e in log[:first_word] if e[0] == "reduce"]
-    assert len(reduced) == 2 * len(triples)
+    # the triples are joined in lockstep: none reaches reduce_steps
+    assert not [e for e in log[:first_word] if e[0] == "reduce"]
     # within one random word, each match is rewritten and its reduct
     # reduced at most once
     words = [k for k, e in enumerate(log) if e[0] == "word"] + [len(log)]

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pickle
 import random
 import re
@@ -753,6 +754,33 @@ def test_a_report_refuses_a_negative_check_count():
         Report(-1)
     with pytest.raises(ValueError, match="checks_run must be nonnegative, got -1"):
         reversal_respects_congruence(chain_ci_matrix(3), -1)
+
+
+@pytest.mark.parametrize("module, harness, args, name, count", [
+    ("rewrite_a", "a_confluence_audit", {"n": 3, "random_words": 2.5}, "random_words", 2.5),
+    ("rewrite_m", "m_confluence_audit", {"n": 3, "random_words": True}, "random_words", True),
+    ("rewrite_m", "verify_sink", {"n": 3, "trials": True}, "trials", True),
+    ("garside", "check_lambda_identity", {"n": 3, "samples": True}, "samples", True),
+    ("garside", "verify_garside", {"n": 3, "samples": 2.0}, "samples", 2.0),
+    ("garside", "left_cancel_harness", {"n": 3, "samples": 1.5}, "samples", 1.5),
+    ("monoid_core", "action_harness", {"n": 3, "carrier": 2.5}, "carrier", 2.5),
+    ("monoid_core", "reversal_respects_congruence",
+     {"matrix": chain_ci_matrix(3), "samples": 2.5}, "samples", 2.5),
+    ("monoid_core", "Report", {"checks_run": True}, "checks_run", True),
+])
+def test_harness_counts_must_be_ints(module, harness, args, name, count):
+    # a bool or a float count used to run (True samples ran one) or to
+    # fail with a TypeError from range()
+    call = getattr(importlib.import_module(f"aimonoids.{module}"), harness)
+    with pytest.raises(ValueError) as exc:
+        call(**args)
+    assert str(exc.value) == f"{name} must be an int, got {count!r}"
+
+
+def test_action_harness_checks_its_carrier_first():
+    from aimonoids.monoid_core import action_harness
+    with pytest.raises(ValueError, match="^carrier must be nonnegative, got -2$"):
+        action_harness(3, -2)
 
 
 def test_oracle_bounds_are_refused():

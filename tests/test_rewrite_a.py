@@ -113,19 +113,14 @@ def test_confluence_audit_clean():
     assert all(v > 0 for v in rep.by_family.values())
 
 
-def test_confluence_audit_negative_control():
-    # a reducer that never commutes cannot join the mixed-letter overlaps
-    def family_only(w):
-        w = tuple(w)
-        while True:
-            ms = [m for m in a_matches(w) if m.kind == FAMILY]
-            if not ms:
-                return w
-            w = a_apply(w, ms[0])
+def test_confluence_audit_negative_control(monkeypatch):
+    # a normalizer that never commute-sorts cannot join the mixed-letter overlaps
+    from aimonoids import rewrite
 
-    rep = a_confluence_audit(4, max_exponent=1, random_words=0,
-                             reducer=family_only)
+    monkeypatch.setattr(rewrite, "commute_sort", lambda w: 0)
+    rep = a_confluence_audit(4, max_exponent=1, random_words=0)
     assert not rep.ok
+    assert (rep.checks_run, len(rep.failures)) == (21, 15)
 
 
 def test_termination_budget():
