@@ -645,7 +645,7 @@ def reversal_respects_congruence(matrix: CIMatrix, samples: int = 100,
     Only meaningful when no pair has m(a,b) + m(b,a) congruent to 1 mod 4;
     matrices violating that are refused outright.
     """
-    require_ints(samples=samples)
+    Report.require_nonnegative("samples", samples)
     _require_ci(matrix)
     for a, b in combinations(range(1, matrix.size + 1), 2):
         k, l = matrix.m[(a, b)], matrix.m[(b, a)]

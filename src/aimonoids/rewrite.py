@@ -10,12 +10,14 @@ scanner runs over the starts itself and reports the first deletion as
 (start, lo, hi), the span w[lo:hi] it removes (in M, lo == start is a
 square run); only the match-at functions parse one.
 Normalizing commute-sorts the word, then runs rounds that delete left to
-right and commute-sort again; the word problem (`equal`) runs the rounds
-of both words in lockstep and stops as soon as the two words agree, as
-from then on they reduce alike.  For the overlap audit this module lists
-the commutation left-hand sides and the overlaps of two lists of
-left-hand sides; the audit joins each critical pair's two reducts in the
-same lockstep, and reduces each reduct of a random word once.
+right and commute-sort again; each round hands the scanner a table of
+the word's descending runs, which M's scanner crosses in one step.  The
+word problem (`equal`) runs the rounds of both words in lockstep and
+stops as soon as the two words agree, as from then on they reduce
+alike.  For the overlap audit this module lists the commutation
+left-hand sides and the overlaps of two lists of left-hand sides; the
+audit joins each critical pair's two reducts in the same lockstep, and
+reduces each reduct of a random word once.
 """
 
 from __future__ import annotations
@@ -60,63 +62,122 @@ def step(match_at, apply_fn, w) -> Word | None:
     return None
 
 
-def _round(scan, w) -> int:
+#: Rounds on words shorter than this share the all-ones run table instead
+#: of building one.  A table for every word made `verify sink` and `verify
+#: confluence-m` 3-6% slower (rank 4, thread time, 2-CPU x86 box); from 64
+#: letters on, random words of ranks 6 and 20 break even, and the
+#: descending words ((L - i) mod 50) + 1 gain, x1.2 at L = 100.
+RUN_TABLE_MIN = 64
+_ONES = [1] * RUN_TABLE_MIN
+
+
+def ones(n: int) -> list:
+    """The shared all-ones run table, grown to at least n entries; no round
+    writes it."""
+    if len(_ONES) < n:
+        _ONES.extend([1] * (n - len(_ONES)))
+    return _ONES
+
+
+def run_lengths(w) -> list:
+    """The run table of w: entry k is the length of the descending run
+    w[k], w[k] - 1, ... from k."""
+    runs = []
+    r = below = 0
+    for x in reversed(w):
+        r = r + 1 if x == below + 1 else 1
+        runs.append(r)
+        below = x
+    runs.reverse()
+    return runs
+
+
+def _round(scan, w, tabled=False) -> int:
     """One round on the commute-sorted list w, in place: delete left to
     right, then commute-sort for the next round; the steps taken, 0 iff w
     is its normal form.
 
-    scan(w, i, stop) returns (start, lo, hi) for the first deletion at a
-    start in [i, stop), else the next start (an int >= stop), skipping only
-    starts that provably start none.  The round deletes w[lo:hi] and scans
-    on from start, one call per deletion and one more; a deletion may
-    uncover one to its left, for the next round.  A round that deletes
-    nothing certifies the normal form and sorts nothing.
+    scan(w, runs, i, stop) returns (start, lo, hi) for the first deletion
+    at a start in [i, stop), else the next start (an int >= stop),
+    skipping only starts that provably start none.  The round deletes
+    w[lo:hi] and scans on from start, one call per deletion and one more;
+    a deletion may uncover one to its left, for the next round.  A round
+    that deletes nothing certifies the normal form and sorts nothing.
+
+    runs is the round's run table, a lower bound: entry k is at least 1
+    and at most the length of the descending run w[k], w[k] - 1, ... from
+    k.  A tabled round on a word of RUN_TABLE_MIN letters or more builds
+    the exact table (`run_lengths`); any other gets the shared all-ones
+    table, which holds for every word and is never written.  The round
+    keeps its own table a lower bound through each deletion: it deletes
+    runs[lo:hi], which leaves the entries from lo on those of the same
+    runs after hi, and caps each entry k < lo whose run reached lo (k +
+    runs[k] > lo) to lo - k, as w[lo] is now another letter.  Those are
+    the entries from lo - 1 down to the first that does not reach lo: an
+    entry exceeds the next by at most one (true of the exact table, and
+    kept by the deletion and the cap), so below it none reaches lo.
     """
+    if len(w) < RUN_TABLE_MIN:
+        runs = _ONES
+    else:
+        runs = run_lengths(w) if tabled else ones(len(w))
     deleted = 0
-    s = scan(w, 0, len(w))
+    s = scan(w, runs, 0, len(w))
     while s.__class__ is not int:
-        del w[s[1]:s[2]]
+        start, lo, hi = s
+        del w[lo:hi]
+        if runs is not _ONES:
+            del runs[lo:hi]
+            k = lo - 1
+            while k >= 0 and runs[k] > lo - k:
+                runs[k] = lo - k
+                k -= 1
         deleted += 1
-        s = scan(w, s[0], len(w))
+        s = scan(w, runs, start, len(w))
     return deleted and deleted + commute_sort(w)
 
 
-def reduce_steps(scan, word) -> tuple:
+def reduce_steps(scan, word, tabled=False) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it:
-    commute-sort w, then run rounds (`_round`) until one deletes nothing.
+    commute-sort w, then run rounds (`_round`, tabled or not) until one
+    deletes nothing.
     """
     w = list(validate_word(word))
     steps = commute_sort(w)
     while True:
-        taken = _round(scan, w)
+        taken = _round(scan, w, tabled)
         if not taken:
             return tuple(w), steps
         steps += taken
 
 
-def equal(scan, u, v) -> bool:
-    """reduce_steps(scan, u)[0] == reduce_steps(scan, v)[0], for words
-    already validated, with the two reductions run in lockstep: both words
-    are commute-sorted, then a round runs on u, then one on v, and so on.
-    After each commute_sort the two current lists are compared, and equal
-    lists answer True; once both sides have reached their normal forms,
-    the answer is whether those are equal.
+def equal(scan, u, v, tabled=False) -> bool:
+    """reduce_steps(scan, u, tabled)[0] == reduce_steps(scan, v,
+    tabled)[0], for words already validated, with the two reductions run
+    in lockstep: both words are commute-sorted, then a round runs on u,
+    then one on v, and so on.  After each commute_sort the two current
+    lists are compared, and v's is also compared with the list u had
+    before its last round; equal lists answer True.  Once both sides have
+    reached their normal forms, the answer is whether those are equal.
 
-    Proof.  A round reads nothing but the list (the scanner reads it, the
-    deletions cut it, commute_sort sorts it in place) and leaves nothing
-    for the next round but the list, so once a round has started, all
-    that follows depends only on the list at that moment.  Every list
-    compared is one that its side has just commute-sorted, or its normal
-    form, and commute_sort moves nothing on a list it has sorted.  So
-    reduce_steps from a compared list runs, after a first commute_sort
-    that moves nothing, the rounds that its side has still to run, and
-    reaches that side's normal form.  Two equal lists therefore have one
-    normal form, that of u and that of v; and if the lists never agree,
-    both sides end on their normal forms, which are compared.  No step
-    appeals to confluence: the answer is the comparison of the two
-    reductions for any scanner.  Only the current lists are compared, so
-    a pair meets early when its reductions agree at the same round, or
-    when v's is one round ahead of u's.
+    Proof.  A round reads nothing but the list (it builds its run table
+    from the list, the scanner reads both, the deletions cut them,
+    commute_sort sorts the list in place) and leaves nothing for the next
+    round but the list, so once a round has started, all that follows
+    depends only on the list at that moment.  Every list compared is one
+    that its side has commute-sorted: the current list just after a
+    commute_sort, or its normal form, and u's list before its last round,
+    which the commute_sort before that round sorted.  commute_sort moves
+    nothing on a list it has sorted, so reduce_steps from a compared list
+    runs, after a first commute_sort that moves nothing, the rounds that
+    its side ran or has still to run from there, and reaches that side's
+    normal form.  Two equal lists therefore have one normal form, that of
+    u and that of v; and if the lists never agree, both sides end on
+    their normal forms, which are compared.  No step appeals to
+    confluence: the answer is the comparison of the two reductions for
+    any scanner.  A pair meets early when its reductions agree at the
+    same round, when v's is one round ahead of u's, or when it is one
+    round behind; the last costs a copy of u's list per round of u.
     """
     a, b = list(u), list(v)
     commute_sort(a)
@@ -126,11 +187,14 @@ def equal(scan, u, v) -> bool:
         if not (a_more or b_more):
             return False
         if a_more:
-            a_more = _round(scan, a) > 0
+            before = a[:]
+            a_more = _round(scan, a, tabled) > 0
             if a == b:
                 return True
         if b_more:
-            b_more = _round(scan, b) > 0
+            b_more = _round(scan, b, tabled) > 0
+            if b == before:
+                return True
     return True
 
 

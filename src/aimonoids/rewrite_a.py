@@ -58,7 +58,7 @@ class AStandardMatch:
         return self.start, self.start + self.exponents[0]
 
 
-def _scan_run(w, i, stop):
+def _scan_run(w, runs, i, stop):
     """Scan the starts i, i + 1, ... below stop for a family occurrence;
     (start, start, start + c(1)) for the first found, whose leading block
     w[start:start + c(1)] it deletes, else the next start (an int >= stop)
@@ -70,7 +70,8 @@ def _scan_run(w, i, stop):
     letter and it reads two blocks or more: only in the block of letter
     w[j], and only when cur < w[j] < h; the block's first position is the
     leftmost such start, the first w[j] after i, as the chain descends.
-    Otherwise nothing starts before j.
+    Otherwise nothing starts before j.  The run table runs (see
+    `rewrite._round`) is not read: A's rounds pass the all-ones table.
     """
     n = len(w)
     while i < stop:
@@ -103,7 +104,7 @@ def _scan_run(w, i, stop):
 
 def _family_scan(w, i):
     """_scan_run at the one start i: its span (lo, hi), else its next start."""
-    s = _scan_run(w, i, i + 1)
+    s = _scan_run(w, rewrite.ones(len(w)), i, i + 1)
     return s if s.__class__ is int else s[1:]
 
 

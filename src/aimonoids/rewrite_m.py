@@ -66,7 +66,7 @@ class MStandardMatch:
         return self.end - 1, self.end
 
 
-def _scan_run(w, i, stop):
+def _scan_run(w, runs, i, stop):
     """Scan the starts i, i + 1, ... below stop for a square run or a
     staircase; (start, lo, hi) for the first found, where w[lo:hi] is the
     letter it deletes, else the next start (an int >= stop) that may have
@@ -80,6 +80,27 @@ def _scan_run(w, i, stop):
     match.  Staircase: a failed scan goes on at i + 1, as another
     staircase can start inside the stretch it read, so no later start is
     skipped.
+
+    runs is a run table of w (see `rewrite._round`): runs[k] >= 1 letters
+    of the descending run w[k], w[k] - 1, ... from k, perhaps fewer than
+    it has.  The scan uses an entry only to cross, in one step, letters
+    that its reading one by one would cross, and then reads on one by one
+    from there:
+    * a y-stretch at level seg runs to the first letter <= seg.  At its
+      letter c = w[j] > seg the run from j holds c, c - 1, ..., so its
+      first min(runs[j], c - seg) letters are above seg; when runs[j] >
+      c - seg, its letter at j + c - seg is seg, which ends the stretch.
+    * a z-stretch runs to the first letter > seg - 2.  The run from its
+      letter w[j] <= seg - 2 holds smaller letters only, so the runs[j]
+      letters from j all lie in it.
+    * a square run's first runs[i] letters descend from x, so reading the
+      run may start after them; the run again must begin with x.
+    Every stretch and run so ends where the reading one by one ends, and
+    the scan reads the letters it would read without a table from there:
+    its result does not depend on the table.  A shorter entry only makes
+    a shorter step, and an all-ones table reads every letter, so the
+    one-start view (_deletion_scan) passes one and reads only as far as
+    its start needs.
     """
     n = len(w)
     while i < stop:
@@ -91,13 +112,22 @@ def _scan_run(w, i, stop):
             j = i + 1
             seg = x + 1
             while True:
-                while j < n and w[j] > seg:
-                    j += 1
+                if j < n and w[j] > seg:  # y: a run from c holds seg at c - seg
+                    r = runs[j]
+                    if r > 1:
+                        c = w[j] - seg
+                        j += r if r < c else c
+                    else:
+                        j += 1
+                    while j < n and w[j] > seg:
+                        j += 1
                 if j + 1 >= n or w[j] != seg or w[j + 1] != seg - 1:
                     break
                 j += 2
-                while j < n and w[j] <= seg - 2:
-                    j += 1
+                if j < n and w[j] <= seg - 2:  # z: the run from w[j] lies in it
+                    j += runs[j]
+                    while j < n and w[j] <= seg - 2:
+                        j += 1
                 if j >= n or w[j] < seg:
                     break
                 if w[j] == seg:
@@ -105,13 +135,13 @@ def _scan_run(w, i, stop):
                 seg += 1
             i += 1
         elif d >= -1:  # a square run of the descending run from x
-            run = 1
+            run = runs[i]  # the table's part of the run from x
             while i + run < n and w[i + run] == x - run:
                 run += 1
             j = i + run
             if j >= n:
                 return n
-            if w[j:j + run] == w[i:j]:  # the run again
+            if w[j] == x and w[j:j + run] == w[i:j]:  # the run again
                 return i, i, i + 1
             p = i + x - w[j]
             i = p if i < p < j - 1 else j - 1
@@ -122,7 +152,7 @@ def _scan_run(w, i, stop):
 
 def _deletion_scan(w, i):
     """_scan_run at the one start i: its span (lo, hi), else its next start."""
-    s = _scan_run(w, i, i + 1)
+    s = _scan_run(w, rewrite.ones(len(w)), i, i + 1)
     return s if s.__class__ is int else s[1:]
 
 
@@ -174,7 +204,7 @@ def m_step(w) -> Word | None:
 
 def m_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    return rewrite.reduce_steps(_scan_run, word)
+    return rewrite.reduce_steps(_scan_run, word, tabled=True)
 
 
 def m_reduce(word) -> Word:
@@ -205,7 +235,7 @@ def m_equal(u, v) -> bool:
     m_reduce(v) exactly (the proof is in its docstring).
     """
     u, v = validate_word(u), validate_word(v)
-    return set(u) == set(v) and rewrite.equal(_scan_run, u, v)
+    return set(u) == set(v) and rewrite.equal(_scan_run, u, v, tabled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +317,9 @@ def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
     The driver decides each critical pair by `rewrite.equal` on _scan_run,
     which answers m_reduce(v) == m_reduce(w) exactly, and reduces each
     random reduct by `rewrite.reduce_steps` on it, as m_reduce does;
-    _scan_run is read at call time, so rebinding it is seen here.
+    _scan_run is read at call time, so rebinding it is seen here.  Its
+    rounds are not tabled: the audit's words are far shorter than
+    rewrite.RUN_TABLE_MIN, and no table changes a scan's result.
     """
     Report.require_nonnegative("random_words", random_words)
     return rewrite.confluence_audit(

@@ -249,7 +249,7 @@ def test_scan_run_steps_the_one_start_view_to_every_stop(system, w):
     for word in (w, commute_sorted(w)):
         for i in range(len(word) + 1):
             for stop in range(i, len(word) + 1):
-                assert (module._scan_run(word, i, stop)
+                assert (module._scan_run(word, rewrite.run_lengths(word), i, stop)
                         == stepped_scan(one_start, word, i, stop)), (i, stop)
 
 
@@ -261,8 +261,8 @@ def test_reducing_calls_the_scanner_once_per_deletion_and_per_round(system, monk
     calls = []
     sorts = []
 
-    def counting_scan(w, i, stop):
-        s = scan_run(w, i, stop)
+    def counting_scan(w, runs, i, stop):
+        s = scan_run(w, runs, i, stop)
         calls.append(s.__class__ is not int)
         return s
 

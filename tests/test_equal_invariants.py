@@ -8,8 +8,6 @@ a bad letter must raise as the reducers do.
 
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -79,15 +77,8 @@ def test_equal_is_the_comparison_of_normal_forms(rank):
     assert {"same set", "other set", "other x1 count", "related A", "related M"} <= kinds
 
 
-def test_equal_on_the_wordproblem_pool():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        from workloads import WordProblem
-    finally:
-        sys.path.pop(0)
-    workload = WordProblem()
-    workload.setup()
-    ops = [op for op in workload.generate(0) if op.kind.endswith("equal")]
+def test_equal_on_the_wordproblem_pool(wordproblem_pool):
+    ops = [op for op in wordproblem_pool if op.kind.endswith("equal")]
     assert len(ops) == 640
     for op in ops:
         u, v = op.args

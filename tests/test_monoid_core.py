@@ -752,7 +752,7 @@ def test_a_report_refuses_a_negative_check_count():
     assert Report(0).ok and Report(0).checks_run == 0
     with pytest.raises(ValueError, match="checks_run must be nonnegative, got -1"):
         Report(-1)
-    with pytest.raises(ValueError, match="checks_run must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
         reversal_respects_congruence(chain_ci_matrix(3), -1)
 
 

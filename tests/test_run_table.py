@@ -1,0 +1,227 @@
+"""M's staircase scan crosses descending runs in one step, from the round's run table.
+
+`rewrite._round` hands the scanner a table whose entry k is a lower bound
+on the length of the descending run from k.  At every start and stop the
+scanner must give exactly what the scan that reads letter by letter gives
+(a copy of it is kept here), with the exact table, an all-ones table or
+any lower bound.  The round must keep its table a lower bound through
+every deletion, and M reductions of the benchmark's ops must keep their
+normal form, steps, commute_sort calls and scanner calls.  `rewrite.equal`
+also meets pairs whose second word lags the first by one round.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_differential import descending_word, sweep_words
+
+from aimonoids import rewrite, rewrite_m
+from aimonoids.rewrite import run_lengths
+from aimonoids.rewrite_m import _scan_run, m_equal, m_reduce_steps
+from aimonoids.words import commute_sort
+
+
+def letter_scan(w, i, stop):
+    """rewrite_m._scan_run as it was before the run table: every stretch
+    and run is read one letter at a time."""
+    n = len(w)
+    while i < stop:
+        if i + 1 >= n:
+            return n
+        x = w[i]
+        d = w[i + 1] - x
+        if d >= 1:
+            j = i + 1
+            seg = x + 1
+            while True:
+                while j < n and w[j] > seg:
+                    j += 1
+                if j + 1 >= n or w[j] != seg or w[j + 1] != seg - 1:
+                    break
+                j += 2
+                while j < n and w[j] <= seg - 2:
+                    j += 1
+                if j >= n or w[j] < seg:
+                    break
+                if w[j] == seg:
+                    return i, j, j + 1
+                seg += 1
+            i += 1
+        elif d >= -1:
+            run = 1
+            while i + run < n and w[i + run] == x - run:
+                run += 1
+            j = i + run
+            if j >= n:
+                return n
+            if w[j:j + run] == w[i:j]:
+                return i, i, i + 1
+            p = i + x - w[j]
+            i = p if i < p < j - 1 else j - 1
+        else:
+            i += 1
+    return i
+
+
+def letter_reduce(word):
+    """(normal form, steps, commute_sort calls, scanner calls) of the
+    reduction by letter_scan, in the rounds of `rewrite._round`."""
+    w = list(word)
+    steps, sorts, scans = commute_sort(w), 1, 0
+    while True:
+        deleted = 0
+        s = letter_scan(w, 0, len(w))
+        scans += 1
+        while s.__class__ is not int:
+            del w[s[1]:s[2]]
+            deleted += 1
+            s = letter_scan(w, s[0], len(w))
+            scans += 1
+        if not deleted:
+            return tuple(w), steps, sorts, scans
+        steps += deleted + commute_sort(w)
+        sorts += 1
+
+
+def exact_runs(w):
+    """The run table of w, read one run at a time from each position."""
+    out = []
+    for k in range(len(w)):
+        r = 1
+        while k + r < len(w) and w[k + r] == w[k] - r:
+            r += 1
+        out.append(r)
+    return out
+
+
+def letters(rng, rank, length):
+    """A word of `length` letters drawn uniformly from 1..rank."""
+    return tuple(rng.randint(1, rank) for _ in range(length))
+
+
+# a scan at every start and stop of a word costs its length squared
+SCAN_LEN = 60
+
+
+def cut(rng, w):
+    """w commute-sorted, less 0-4 letters at random: a list as a round
+    scans it after its deletions."""
+    w = list(w)
+    commute_sort(w)
+    for _ in range(min(len(w), rng.randint(0, 4))):
+        del w[rng.randrange(len(w))]
+    return w
+
+
+def test_run_lengths_is_the_run_table():
+    rng = random.Random(3)
+    words = [(), (1,), (2, 1), (1, 2), (3, 2, 1, 3, 2, 1, 2), descending_word(120),
+             descending_word(97, 7)]
+    words += [letters(rng, rank, rng.randint(0, 200)) for rank in (2, 6, 20)
+              for _ in range(20)]
+    for w in words:
+        assert run_lengths(list(w)) == exact_runs(w)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(w=sweep_words().map(lambda w: w[:SCAN_LEN]), seed=st.integers(0, 2**32 - 1))
+@example(w=descending_word(SCAN_LEN), seed=0)
+@example(w=descending_word(SCAN_LEN, 7), seed=1)
+def test_the_table_scan_is_the_letter_scan_at_every_start_and_stop(w, seed):
+    rng = random.Random(seed)
+    for word in (list(w), cut(rng, w)):
+        exact = exact_runs(word)
+        tables = (exact, [1] * len(word), [rng.randint(1, r) for r in exact])
+        for i in range(len(word) + 1):
+            for stop in range(i, len(word) + 1):
+                expected = letter_scan(word, i, stop)
+                for table in tables:
+                    assert _scan_run(word, table, i, stop) == expected, (i, stop, table)
+
+
+def checking_scan(seen):
+    """_scan_run, after checking that the round's table is a lower bound
+    on the list's runs in which each entry exceeds the next by at most
+    one; counts the calls in `seen` that got the round's own table."""
+    def scan(w, runs, i, stop):
+        exact = run_lengths(w)
+        assert len(runs) >= len(w)
+        assert all(1 <= r <= e for r, e in zip(runs, exact))
+        assert all(a <= b + 1 for a, b in zip(runs, runs[1:len(w)]))
+        seen[runs is not rewrite._ONES] += 1
+        return _scan_run(w, runs, i, stop)
+    return scan
+
+
+def test_the_round_keeps_its_table_a_lower_bound_through_every_deletion():
+    rng = random.Random(11)
+    words = [descending_word(length) for length in (200, 400, 800, 1600)]
+    words += [descending_word(length, 49) for length in (250, 900)]
+    words += [letters(rng, rank, length) for rank in (6, 20)
+              for length in (64, 100, 400, 1600)]
+    seen = [0, 0]
+    for w in words:
+        nf, steps = rewrite.reduce_steps(checking_scan(seen), w, tabled=True)
+        assert (nf, steps) == m_reduce_steps(w)
+    # most calls got a table of the round's own, cut by its deletions
+    assert seen[1] > 3000 and seen[1] > 10 * seen[0], seen
+
+
+def counted_m_reduce(word, monkeypatch):
+    """(normal form, steps, commute_sort calls, scanner calls) of m_reduce_steps."""
+    counts = [0, 0]
+
+    def sort(w):
+        counts[0] += 1
+        return commute_sort(w)
+
+    def scan(w, runs, i, stop):
+        counts[1] += 1
+        return _scan_run(w, runs, i, stop)
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "commute_sort", sort)
+        m.setattr(rewrite_m, "_scan_run", scan)
+        nf, steps = m_reduce_steps(word)
+    return (nf, steps, *counts)
+
+
+@pytest.mark.parametrize("family", ["rank6", "rank20", "descending"])
+def test_m_reductions_of_the_benchmark_ops_are_those_of_the_letter_scan(
+        family, wordproblem_pool, monkeypatch):
+    # every third M op of the family in the seed-0 pool, both words of the
+    # equal ops; the descending words are the rank-50 ones
+    ops = [op for op in wordproblem_pool
+           if op.kind.startswith("m_") and op.info["family"] == family][::3]
+    words = [w for op in ops for w in op.args]
+    assert len(words) > 20
+    assert any(len(w) >= 1000 for w in words)
+    for w in words:
+        assert counted_m_reduce(w, monkeypatch) == letter_reduce(w), len(w)
+
+
+def test_equal_meets_the_lagging_descending_pairs_of_the_benchmark(
+        wordproblem_pool, monkeypatch):
+    # the related M pairs of descending words, in the seed-0 pool: 4 of them
+    # first share a list at rounds (i, i + 1) of (u, v), for i = 0, 2, 5
+    # and 19, and each meets there, after 2 + 2 (i + 1) commute_sorts
+    pairs = [op.args for op in wordproblem_pool if op.kind == "m_equal"
+             and op.info["family"] == "descending" and op.info["related"]]
+    assert len(pairs) == 16
+    sorts = [0]
+
+    def sort(w):
+        sorts[0] += 1
+        return commute_sort(w)
+    monkeypatch.setattr(rewrite, "commute_sort", sort)
+    assert all(m_equal(u, v) for u, v in pairs)
+    lockstep = sorts[0]
+    sorts[0] = 0
+    for u, v in pairs:
+        m_reduce_steps(u)
+        m_reduce_steps(v)
+    # the two full reductions make 528 commute_sorts; a lockstep that
+    # compares only the current lists makes 474, 18 more
+    assert (lockstep, sorts[0]) == (456, 528)

@@ -318,28 +318,62 @@ def test_the_file_records_each_checkouts_src_lines(tmp_path, monkeypatch):
 
 
 def test_scale_probe_times_the_descending_words(tmp_path):
-    # a stand-in function that records every word the probe hands it
-    log = tmp_path / "words.txt"
-    (tmp_path / "probe_target.py").write_text(
-        "def record(w):\n"
-        "    with open(%r, 'a') as f:\n"
-        "        f.write(repr(w) + '\\n')\n" % str(log))
+    # a stand-in module in each checkout that records every word the probe
+    # hands it, and which side ran
+    order = tmp_path / "order.txt"
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "probe_target.py").write_text(
+            "def record(w):\n"
+            "    with open(%r, 'a') as f:\n"
+            "        f.write(repr(w) + '\\n')\n"
+            "    with open(%r, 'a') as f:\n"
+            "        f.write(%r + '\\n')\n"
+            % (str(tmp_path / ("words_%s.txt" % side)), str(order), side))
     proc = bench_pairs.subprocess.run(
-        [bench_pairs.sys.executable, "-c", bench_pairs.SCALE_PROBE, str(tmp_path),
+        [bench_pairs.sys.executable, "-c", bench_pairs.SCALE_PROBE,
+         str(tmp_path / "parent"), str(tmp_path / "change"),
          "probe_target:record", "6", "7,60", "2", "3"],
         capture_output=True, text=True, check=True)
-    table = json.loads(proc.stdout)
-    assert sorted(table) == ["desc L 60", "desc L 7", "rank 6 L 60", "rank 6 L 7"]
-    assert all(ms >= 0 for ms in table.values())
-    words = [eval(line) for line in log.read_text().splitlines()]
-    # two random words per rank cell, then one descending word per length,
-    # each timed three times
-    assert len(words) == 3 * (2 * 2 + 2)
-    desc = {len(w): w for w in words[-6:]}
-    assert desc == {length: [(length - i) % 50 + 1 for i in range(length)]
-                    for length in (7, 60)}
-    assert desc[60][:12] == [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 50]
-    assert all(max(w) <= 6 for w in words[:12])
+    tables = json.loads(proc.stdout)
+    assert sorted(tables) == ["change", "parent"]
+    for side, table in tables.items():
+        assert sorted(table) == ["desc L 60", "desc L 7", "rank 6 L 60", "rank 6 L 7"]
+        assert all(ms >= 0 for ms in table.values())
+        words = [eval(line) for line in (tmp_path / ("words_%s.txt" % side)).read_text().splitlines()]
+        # two random words per rank cell, then one descending word per length,
+        # each timed three times
+        assert len(words) == 3 * (2 * 2 + 2)
+        desc = {len(w): w for w in words[-6:]}
+        assert desc == {length: [(length - i) % 50 + 1 for i in range(length)]
+                        for length in (7, 60)}
+        assert desc[60][:12] == [11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 50]
+        assert all(max(w) <= 6 for w in words[:12])
+    assert ((tmp_path / "words_parent.txt").read_text()
+            == (tmp_path / "words_change.txt").read_text())
+    # both sides time each call of a word in turn, the first alternating
+    sides = order.read_text().split()
+    assert [tuple(sides[k:k + 2]) for k in range(0, len(sides), 2)] == [
+        ("parent", "change"), ("change", "parent")] * 9
+
+
+def test_scale_keeps_the_least_time_of_each_side_over_its_processes(monkeypatch):
+    runs = iter([{"parent": {"desc L 7": 2.0}, "change": {"desc L 7": 1.5}},
+                 {"parent": {"desc L 7": 1.0}, "change": {"desc L 7": 3.0}},
+                 {"parent": {"desc L 7": 4.0}, "change": {"desc L 7": 0.5}},
+                 {"parent": {"desc L 7": 1.2}, "change": {"desc L 7": 0.9}}])
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, json.dumps(next(runs)), "")
+    monkeypatch.setattr(bench_pairs, "run_from_source", run)
+    cells = bench_pairs.scale(Path("/p"), Path("/c"), "m:f")
+    assert cells == {"desc L 7": {"parent_ms": 1.0, "change_ms": 0.5,
+                                  "change_over_parent": 0.5}}
+    # one process per pass, each loading both checkouts
+    assert len(argvs) == bench_pairs.SCALE_PROCESSES == 4
+    assert all(argv[3:6] == ["/p/src", "/c/src", "m:f"] for argv in argvs)
 
 
 def test_a_note_key_given_twice_is_refused_before_any_run(monkeypatch, capsys):

@@ -38,8 +38,12 @@ and on the descending words ((L - i) mod 50) + 1, i < L, of the same
 lengths L (cells ``desc L``), before and after, in thread CPU time, which
 a busy shared machine disturbs less than wall time: per random cell the
 median over words of the best of a few calls, per descending cell the
-best of those calls, then the least of four processes per side, run in
-the order parent, change, change, parent, twice.  ``src_lines`` holds the
+best of those calls, then the least of SCALE_PROCESSES processes.  Each
+process loads both checkouts, the package of MODULE from each under a
+name of its own, and times every call on both sides in turn, the side
+that goes first alternating, so that the two sides of a cell share the
+process and its moment (cells of one checkout swing up to 1.5x between
+processes).  ``src_lines`` holds the
 physical lines of ``src/**/*.py`` in each checkout, the size that ROADMAP
 aim 2 counts.
 ``--note`` stores a line of text under its key; ``change`` describes the
@@ -74,39 +78,62 @@ OWN_KEYS = ("topic", "parent_commit", "command", "machine", "src_lines", "worklo
 
 SCALE_RANKS = "6,20,50"
 SCALE_LENGTHS = "400,800,1600,3200"
+#: processes of the scaling probe, each timing both sides
+SCALE_PROCESSES = 4
 SCALING_LINE = re.compile(
     r"scaling (\S+) (\S+)\s+len\s+(\d+)-(\d+)\s+p50\s+([\d.]+) ms\s+\(n=(\d+)\)")
 INPUTS_LINE = re.compile(r"inputs_sha256 (\S+)")
 #: fewer pairs than this never read as a gain
 MIN_PAIRS = 10
 
-# Run in a fresh interpreter inside one checkout: argv is the source
-# directory, MODULE:FUNC, ranks, lengths, words per cell, calls per word.
+# Run in a fresh interpreter: argv is the parent's and the change's source
+# directories, MODULE:FUNC, ranks, lengths, words per cell, calls per word.
+# MODULE's top-level package (or module) is loaded from each checkout under
+# a name of its own; prints {"parent": table, "change": table}.
 SCALE_PROBE = """
-import importlib, json, random, statistics, sys, time
-src, spec, ranks, lengths, words, calls = sys.argv[1:]
-sys.path.insert(0, src)
+import importlib, importlib.util, itertools, json, os, random, statistics, sys, time
+parent, change, spec, ranks, lengths, words, calls = sys.argv[1:]
 module, name = spec.split(":")
-func = getattr(importlib.import_module(module), name)
+top, _, rest = module.partition(".")
+
+def load(src, side):
+    alias = "_%s_%s" % (side, top)
+    package = os.path.join(src, top)
+    init = os.path.join(package, "__init__.py")
+    if os.path.isfile(init):
+        found = importlib.util.spec_from_file_location(
+            alias, init, submodule_search_locations=[package])
+    else:
+        found = importlib.util.spec_from_file_location(alias, package + ".py")
+    sys.modules[alias] = importlib.util.module_from_spec(found)
+    found.loader.exec_module(sys.modules[alias])
+    return getattr(importlib.import_module(alias + ("." + rest if rest else "")), name)
+
+funcs = {"parent": load(parent, "parent"), "change": load(change, "change")}
+turns = itertools.cycle([("parent", "change"), ("change", "parent")])
 
 def best(word):
-    times = []
+    times = {side: [] for side in funcs}
     for _ in range(int(calls)):
-        w = list(word)
-        t0 = time.thread_time()
-        func(w)
-        times.append(time.thread_time() - t0)
-    return min(times) * 1e3
+        for side in next(turns):
+            w = list(word)
+            t0 = time.thread_time()
+            funcs[side](w)
+            times[side].append(time.thread_time() - t0)
+    return {side: min(ts) * 1e3 for side, ts in times.items()}
 
-table = {}
+table = {side: {} for side in funcs}
 for rank in map(int, ranks.split(",")):
     for length in map(int, lengths.split(",")):
         rng = random.Random(rank * 100003 + length)
         cell = [best([rng.randint(1, rank) for _ in range(length)])
                 for _ in range(int(words))]
-        table["rank %d L %d" % (rank, length)] = statistics.median(cell)
+        for side in funcs:
+            table[side]["rank %d L %d" % (rank, length)] = statistics.median(
+                c[side] for c in cell)
 for length in map(int, lengths.split(",")):
-    table["desc L %d" % length] = best([(length - i) % 50 + 1 for i in range(length)])
+    for side, ms in best([(length - i) % 50 + 1 for i in range(length)]).items():
+        table[side]["desc L %d" % length] = ms
 print(json.dumps(table))
 """
 
@@ -290,14 +317,14 @@ def traced(checkout: Path, workload: str, seed: int, seconds: float,
 
 def scale(parent: Path, change: Path, spec: str) -> dict:
     best = {}
-    for side in ("parent", "change", "change", "parent") * 2:
-        checkout = parent if side == "parent" else change
+    for _ in range(SCALE_PROCESSES):
         proc = run_from_source(
-            [sys.executable, "-c", SCALE_PROBE, str(checkout / "src"), spec,
-             SCALE_RANKS, SCALE_LENGTHS, "5", "3"], check=True)
-        for cell, ms in json.loads(proc.stdout).items():
-            entry = best.setdefault(cell, {})
-            entry[side] = min(entry.get(side, ms), ms)
+            [sys.executable, "-c", SCALE_PROBE, str(parent / "src"), str(change / "src"),
+             spec, SCALE_RANKS, SCALE_LENGTHS, "5", "3"], check=True)
+        for side, table in json.loads(proc.stdout).items():
+            for cell, ms in table.items():
+                entry = best.setdefault(cell, {})
+                entry[side] = min(entry.get(side, ms), ms)
     return {cell: {"parent_ms": round(e["parent"], 3), "change_ms": round(e["change"], 3),
                    "change_over_parent": round(e["change"] / e["parent"], 3)}
             for cell, e in best.items()}
