@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from types import MappingProxyType
 
 from .words import (Word, alternating, is_numeral, random_word, require_ints,
@@ -453,13 +454,21 @@ def random_rewrite(p: Presentation, word, rng, steps: int,
     if max_len < len(w):
         raise ValueError("max_len below the start word length")
     for _ in range(steps):
-        # randrange(total) draws what rng.choice would on the list of sites
-        total = sum(1 for _ in _sites(w, p.search_rewrites, max_len - len(w)))
-        if not total:
+        # one pass: the site positions in `_sites` order, and per rewrite the
+        # count up to its last; randrange(n) draws as rng.choice on n sites
+        at, ends = array("l"), []
+        for lhs, rhs, _, growth, _ in p.search_rewrites:
+            i = w.find(lhs) if growth <= max_len - len(w) else -1
+            if i != -1:
+                while i != -1:
+                    at.append(i)
+                    i = w.find(lhs, i + 1)
+                ends.append((len(at), lhs, rhs))
+        if not at:
             break
-        k = rng.randrange(total)
-        i, lhs, rhs = next(islice(_sites(w, p.search_rewrites, max_len - len(w)), k, None))
-        w = w[:i] + rhs + w[i + len(lhs):]
+        k = rng.randrange(len(at))
+        lhs, rhs = next((lhs, rhs) for end, lhs, rhs in ends if k < end)
+        w = w[:at[k]] + rhs + w[at[k] + len(lhs):]
     return tuple(w)
 
 

@@ -8,10 +8,10 @@ rewrite_a and rewrite_m pass their module functions on every call, so
 rebinding one is seen here.  Normalizing builds no match: a system's
 scanner runs over the starts itself and reports the first deletion as
 (start, lo, hi), the span w[lo:hi] it removes (in M, lo == start is a
-square run); only the match-at functions parse one.
-Normalizing commute-sorts the word, then runs rounds that delete left to
-right and commute-sort again; each round hands the scanner a table of
-the word's descending runs, which M's scanner crosses in one step.  The
+square run); only the match-at functions parse one.  Normalizing
+commute-sorts the word, then runs rounds that delete left to right and
+commute-sort again; each round hands the scanner a table of the word's
+descending runs, which both systems' scanners cross in one step.  The
 word problem (`equal`) runs the rounds of both words in lockstep and
 stops as soon as the two words agree, as from then on they reduce
 alike.  For the overlap audit this module lists the commutation
@@ -64,19 +64,12 @@ def step(match_at, apply_fn, w) -> Word | None:
 
 #: Rounds on words shorter than this share the all-ones run table instead
 #: of building one.  A table for every word made `verify sink` and `verify
-#: confluence-m` 3-6% slower (rank 4, thread time, 2-CPU x86 box); from 64
-#: letters on, random words of ranks 6 and 20 break even, and the
-#: descending words ((L - i) mod 50) + 1 gain, x1.2 at L = 100.
+#: confluence-m` 3-6% slower (rank 4, thread time, 2-CPU x86 box).  From 64
+#: to 400 letters, random words of ranks 6 and 20 pay up to 10% for it in A
+#: and in M, and the descending words ((L - i) mod 50) + 1 gain: A x1.3 at
+#: L = 64 and x2 at 400, M x1.15 and x2.
 RUN_TABLE_MIN = 64
 _ONES = [1] * RUN_TABLE_MIN
-
-
-def ones(n: int) -> list:
-    """The shared all-ones run table, grown to at least n entries; no round
-    writes it."""
-    if len(_ONES) < n:
-        _ONES.extend([1] * (n - len(_ONES)))
-    return _ONES
 
 
 def run_lengths(w) -> list:
@@ -92,7 +85,16 @@ def run_lengths(w) -> list:
     return runs
 
 
-def _round(scan, w, tabled=False) -> int:
+def scan_at(scan, w, i):
+    """scan at the one start i: its span (lo, hi), else its next start,
+    read with the shared all-ones table grown to w's length."""
+    if len(_ONES) < len(w):
+        _ONES.extend([1] * (len(w) - len(_ONES)))
+    s = scan(w, _ONES, i, i + 1)
+    return s if s.__class__ is int else s[1:]
+
+
+def _round(scan, w) -> int:
     """One round on the commute-sorted list w, in place: delete left to
     right, then commute-sort for the next round; the steps taken, 0 iff w
     is its normal form.
@@ -106,8 +108,8 @@ def _round(scan, w, tabled=False) -> int:
 
     runs is the round's run table, a lower bound: entry k is at least 1
     and at most the length of the descending run w[k], w[k] - 1, ... from
-    k.  A tabled round on a word of RUN_TABLE_MIN letters or more builds
-    the exact table (`run_lengths`); any other gets the shared all-ones
+    k.  A round on a word of RUN_TABLE_MIN letters or more builds the
+    exact table (`run_lengths`); a shorter one gets the shared all-ones
     table, which holds for every word and is never written.  The round
     keeps its own table a lower bound through each deletion: it deletes
     runs[lo:hi], which leaves the entries from lo on those of the same
@@ -117,10 +119,7 @@ def _round(scan, w, tabled=False) -> int:
     entry exceeds the next by at most one (true of the exact table, and
     kept by the deletion and the cap), so below it none reaches lo.
     """
-    if len(w) < RUN_TABLE_MIN:
-        runs = _ONES
-    else:
-        runs = run_lengths(w) if tabled else ones(len(w))
+    runs = _ONES if len(w) < RUN_TABLE_MIN else run_lengths(w)
     deleted = 0
     s = scan(w, runs, 0, len(w))
     while s.__class__ is not int:
@@ -137,28 +136,26 @@ def _round(scan, w, tabled=False) -> int:
     return deleted and deleted + commute_sort(w)
 
 
-def reduce_steps(scan, word, tabled=False) -> tuple:
+def reduce_steps(scan, word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it:
-    commute-sort w, then run rounds (`_round`, tabled or not) until one
-    deletes nothing.
-    """
+    commute-sort w, then run rounds (`_round`) until one deletes nothing."""
     w = list(validate_word(word))
     steps = commute_sort(w)
     while True:
-        taken = _round(scan, w, tabled)
+        taken = _round(scan, w)
         if not taken:
             return tuple(w), steps
         steps += taken
 
 
-def equal(scan, u, v, tabled=False) -> bool:
-    """reduce_steps(scan, u, tabled)[0] == reduce_steps(scan, v,
-    tabled)[0], for words already validated, with the two reductions run
-    in lockstep: both words are commute-sorted, then a round runs on u,
-    then one on v, and so on.  After each commute_sort the two current
-    lists are compared, and v's is also compared with the list u had
-    before its last round; equal lists answer True.  Once both sides have
-    reached their normal forms, the answer is whether those are equal.
+def equal(scan, u, v) -> bool:
+    """reduce_steps(scan, u)[0] == reduce_steps(scan, v)[0], for words
+    already validated, with the two reductions run in lockstep: both words
+    are commute-sorted, then a round runs on u, then one on v, and so on.
+    After each commute_sort the two current lists are compared, and v's is
+    also compared with the list u had before its last round; equal lists
+    answer True.  Once both sides have reached their normal forms, the
+    answer is whether those are equal.
 
     Proof.  A round reads nothing but the list (it builds its run table
     from the list, the scanner reads both, the deletions cut them,
@@ -188,11 +185,11 @@ def equal(scan, u, v, tabled=False) -> bool:
             return False
         if a_more:
             before = a[:]
-            a_more = _round(scan, a, tabled) > 0
+            a_more = _round(scan, a) > 0
             if a == b:
                 return True
         if b_more:
-            b_more = _round(scan, b, tabled) > 0
+            b_more = _round(scan, b) > 0
             if b == before:
                 return True
     return True

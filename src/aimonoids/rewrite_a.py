@@ -70,8 +70,17 @@ def _scan_run(w, runs, i, stop):
     letter and it reads two blocks or more: only in the block of letter
     w[j], and only when cur < w[j] < h; the block's first position is the
     leftmost such start, the first w[j] after i, as the chain descends.
-    Otherwise nothing starts before j.  The run table runs (see
-    `rewrite._round`) is not read: A's rounds pass the all-ones table.
+    Otherwise nothing starts before j.
+
+    The scan uses an entry of runs, a lower-bound run table of w (see
+    `rewrite._round`), only to cross in one step letters that reading one
+    by one would cross: where the chain's next block starts with v = cur -
+    1, the letters from j to j + runs[j] - 1 descend, so each is a block
+    of one and the reading reaches j + runs[j] - 1 with cur = w[j] there;
+    and the run (x_a, x_{a-b}] sought at j starts with h, so its first
+    min(runs[j], run_len) letters are those of the run from j.  The
+    chain's end (j, cur, v) and every scan result are so the same for any
+    lower-bound table, and an all-ones table reads every letter.
     """
     n = len(w)
     while i < stop:
@@ -86,14 +95,15 @@ def _scan_run(w, runs, i, stop):
             if j >= n:
                 return n
             v = w[j]
-            if v == cur - 1 and cur >= 2:
-                cur -= 1
+            if v == cur - 1:  # blocks of one letter along the run from j
+                j += runs[j] - 1
+                cur = w[j]
                 continue
             break
         if v == h and cur < h:
             run_len = h - cur + 1
             if j + run_len <= n:
-                for t in range(run_len):
+                for t in range(min(runs[j], run_len), run_len):
                     if w[j + t] != h - t:
                         break
                 else:
@@ -102,16 +112,10 @@ def _scan_run(w, runs, i, stop):
     return i
 
 
-def _family_scan(w, i):
-    """_scan_run at the one start i: its span (lo, hi), else its next start."""
-    s = _scan_run(w, rewrite.ones(len(w)), i, i + 1)
-    return s if s.__class__ is int else s[1:]
-
-
 def _family_match_at(w, i):
     """The family occurrence starting at position i, if any; once the scan
     has found it, its blocks are read again for their exponents."""
-    if _family_scan(w, i).__class__ is int:
+    if rewrite.scan_at(_scan_run, w, i).__class__ is int:
         return None
     h = w[i]
     end = w.index(h, w.index(h - 1, i))  # the blocks x_h ... x_cur end here

@@ -81,11 +81,9 @@ def _scan_run(w, runs, i, stop):
     staircase can start inside the stretch it read, so no later start is
     skipped.
 
-    runs is a run table of w (see `rewrite._round`): runs[k] >= 1 letters
-    of the descending run w[k], w[k] - 1, ... from k, perhaps fewer than
-    it has.  The scan uses an entry only to cross, in one step, letters
-    that its reading one by one would cross, and then reads on one by one
-    from there:
+    The scan uses an entry of runs, a lower-bound run table of w (see
+    `rewrite._round`), only to cross in one step letters that reading one
+    by one would cross, and reads on one by one from there:
     * a y-stretch at level seg runs to the first letter <= seg.  At its
       letter c = w[j] > seg the run from j holds c, c - 1, ..., so its
       first min(runs[j], c - seg) letters are above seg; when runs[j] >
@@ -96,11 +94,9 @@ def _scan_run(w, runs, i, stop):
     * a square run's first runs[i] letters descend from x, so reading the
       run may start after them; the run again must begin with x.
     Every stretch and run so ends where the reading one by one ends, and
-    the scan reads the letters it would read without a table from there:
-    its result does not depend on the table.  A shorter entry only makes
-    a shorter step, and an all-ones table reads every letter, so the
-    one-start view (_deletion_scan) passes one and reads only as far as
-    its start needs.
+    the scan reads on from there as it would without a table: every scan
+    result is the same for any lower-bound table, and an all-ones table
+    (`rewrite.scan_at`'s) reads every letter.
     """
     n = len(w)
     while i < stop:
@@ -150,16 +146,10 @@ def _scan_run(w, runs, i, stop):
     return i
 
 
-def _deletion_scan(w, i):
-    """_scan_run at the one start i: its span (lo, hi), else its next start."""
-    s = _scan_run(w, rewrite.ones(len(w)), i, i + 1)
-    return s if s.__class__ is int else s[1:]
-
-
 def _deletion_at(w, i):
     """The square run or staircase starting at position i, if any; once the
     scan has found it, it is read again for its run or its y and z spans."""
-    span = _deletion_scan(w, i)
+    span = rewrite.scan_at(_scan_run, w, i)
     if span.__class__ is int:
         return None
     lo = span[0]
@@ -204,7 +194,7 @@ def m_step(w) -> Word | None:
 
 def m_reduce_steps(word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it."""
-    return rewrite.reduce_steps(_scan_run, word, tabled=True)
+    return rewrite.reduce_steps(_scan_run, word)
 
 
 def m_reduce(word) -> Word:
@@ -235,7 +225,7 @@ def m_equal(u, v) -> bool:
     m_reduce(v) exactly (the proof is in its docstring).
     """
     u, v = validate_word(u), validate_word(v)
-    return set(u) == set(v) and rewrite.equal(_scan_run, u, v, tabled=True)
+    return set(u) == set(v) and rewrite.equal(_scan_run, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +307,9 @@ def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
     The driver decides each critical pair by `rewrite.equal` on _scan_run,
     which answers m_reduce(v) == m_reduce(w) exactly, and reduces each
     random reduct by `rewrite.reduce_steps` on it, as m_reduce does;
-    _scan_run is read at call time, so rebinding it is seen here.  Its
-    rounds are not tabled: the audit's words are far shorter than
-    rewrite.RUN_TABLE_MIN, and no table changes a scan's result.
+    _scan_run is read at call time, so rebinding it is seen here.  The
+    audit's words are far shorter than rewrite.RUN_TABLE_MIN, so its
+    rounds use the all-ones table, and no table changes a scan's result.
     """
     Report.require_nonnegative("random_words", random_words)
     return rewrite.confluence_audit(

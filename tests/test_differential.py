@@ -191,8 +191,8 @@ def test_descending_word_rounds_pinned(system):
 # deletion scans report spans; only the match-at functions parse matches
 
 SCAN_SYSTEMS = {
-    "A": (rewrite_a._family_scan, _family_match_at),
-    "M": (rewrite_m._deletion_scan, _deletion_at),
+    "A": (rewrite_a, _family_match_at),
+    "M": (rewrite_m, _deletion_at),
 }
 
 
@@ -208,10 +208,10 @@ def commute_sorted(w):
 @example(w=descending_word(400))
 @example(w=descending_word(397, 49))
 def test_scan_reports_the_span_of_the_match_at_every_position(system, w):
-    scan, deletion_at = SCAN_SYSTEMS[system]
+    module, deletion_at = SCAN_SYSTEMS[system]
     for word in (w, commute_sorted(w)):
         for i in range(len(word)):
-            span = scan(word, i)
+            span = rewrite.scan_at(module._scan_run, word, i)
             m = deletion_at(word, i)
             if m is None:
                 assert span.__class__ is int and span > i
@@ -222,17 +222,15 @@ def test_scan_reports_the_span_of_the_match_at_every_position(system, w):
 # one scanner call runs over the starts below stop; every i <= stop <= len(w)
 # of words cut to SCAN_RUN_LEN letters, as the pairs grow as its square
 SCAN_RUN_LEN = 60
-RUN_SYSTEMS = {
-    "A": (rewrite_a, rewrite_a._family_scan),
-    "M": (rewrite_m, rewrite_m._deletion_scan),
-}
+RUN_SYSTEMS = {"A": rewrite_a, "M": rewrite_m}
 
 
-def stepped_scan(one_start, w, i, stop):
-    """Stepping the one-start view from i: (start, lo, hi) of the first
-    span found at a start below stop, else the first start >= stop."""
+def stepped_scan(scan, w, i, stop):
+    """Stepping the one-start view `rewrite.scan_at` of scan from i:
+    (start, lo, hi) of the first span found at a start below stop, else
+    the first start >= stop."""
     while i < stop:
-        s = one_start(w, i)
+        s = rewrite.scan_at(scan, w, i)
         if s.__class__ is not int:
             return (i,) + s
         i = s
@@ -245,17 +243,17 @@ def stepped_scan(one_start, w, i, stop):
 @example(w=descending_word(SCAN_RUN_LEN))
 @example(w=descending_word(SCAN_RUN_LEN, 7))
 def test_scan_run_steps_the_one_start_view_to_every_stop(system, w):
-    module, one_start = RUN_SYSTEMS[system]
+    module = RUN_SYSTEMS[system]
     for word in (w, commute_sorted(w)):
         for i in range(len(word) + 1):
             for stop in range(i, len(word) + 1):
                 assert (module._scan_run(word, rewrite.run_lengths(word), i, stop)
-                        == stepped_scan(one_start, word, i, stop)), (i, stop)
+                        == stepped_scan(module._scan_run, word, i, stop)), (i, stop)
 
 
 @pytest.mark.parametrize("system", sorted(RUN_SYSTEMS))
 def test_reducing_calls_the_scanner_once_per_deletion_and_per_round(system, monkeypatch):
-    module, _ = RUN_SYSTEMS[system]
+    module = RUN_SYSTEMS[system]
     reduce_steps = SWEEP_SYSTEMS[system][0]
     scan_run = module._scan_run
     calls = []

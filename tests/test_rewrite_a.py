@@ -190,11 +190,12 @@ def test_a_critical_pairs_refuse_a_bad_rank_or_cap():
 
 
 def test_family_scan_skips_a_chain_of_ones_to_its_end():
-    from aimonoids.rewrite_a import _family_match_at, _family_scan
+    from aimonoids.rewrite import scan_at
+    from aimonoids.rewrite_a import _family_match_at, _scan_run
     # no block chain starts at a 1; the family at 3 is the next match
     w = (1, 1, 1, 2, 1, 2, 1)
-    assert _family_scan(w, 0) == 3
-    assert _family_scan(w, 3) == (3, 4)
+    assert scan_at(_scan_run, w, 0) == 3
+    assert scan_at(_scan_run, w, 3) == (3, 4)
     m = _family_match_at(w, 3)
     assert m.kind == FAMILY and (m.start, m.end) == (3, 7)
     assert a_reduce_steps(w) == ((1, 1, 1, 1, 2, 1), 1)

@@ -1,13 +1,14 @@
-"""M's staircase scan crosses descending runs in one step, from the round's run table.
+"""Both systems' scanners cross descending runs in one step, from the round's run table.
 
 `rewrite._round` hands the scanner a table whose entry k is a lower bound
-on the length of the descending run from k.  At every start and stop the
-scanner must give exactly what the scan that reads letter by letter gives
-(a copy of it is kept here), with the exact table, an all-ones table or
-any lower bound.  The round must keep its table a lower bound through
-every deletion, and M reductions of the benchmark's ops must keep their
-normal form, steps, commute_sort calls and scanner calls.  `rewrite.equal`
-also meets pairs whose second word lags the first by one round.
+on the length of the descending run from k.  At every start and stop each
+scanner must give exactly what its scan that reads letter by letter gives
+(copies of both are kept here), with the exact table, an all-ones table
+or any lower bound.  The round must keep its table a lower bound through
+every deletion, and A and M reductions of the benchmark's ops must keep
+their normal form, steps, commute_sort calls and scanner calls.
+`rewrite.equal` also meets pairs whose second word lags the first by one
+round.
 """
 
 import random
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_differential import descending_word, sweep_words
 
-from aimonoids import rewrite, rewrite_m
+from aimonoids import rewrite, rewrite_a, rewrite_m
 from aimonoids.rewrite import run_lengths
 from aimonoids.rewrite_m import _scan_run, m_equal, m_reduce_steps
 from aimonoids.words import commute_sort
@@ -65,19 +66,61 @@ def letter_scan(w, i, stop):
     return i
 
 
-def letter_reduce(word):
+def a_letter_scan(w, i, stop):
+    """rewrite_a._scan_run as it was before it read the run table: the
+    block chain is read one block at a time, the run one letter at a
+    time."""
+    n = len(w)
+    while i < stop:
+        if i + 4 > n:
+            return n
+        h = w[i]
+        cur = h
+        j = i
+        while True:
+            while j < n and w[j] == cur:
+                j += 1
+            if j >= n:
+                return n
+            v = w[j]
+            if v == cur - 1 and cur >= 2:
+                cur -= 1
+                continue
+            break
+        if v == h and cur < h:
+            run_len = h - cur + 1
+            if j + run_len <= n:
+                for t in range(run_len):
+                    if w[j + t] != h - t:
+                        break
+                else:
+                    return i, i, w.index(h - 1, i)
+        i = w.index(v, i) if cur < v < h else j
+    return i
+
+
+#: each system's module, its scanner's letter-by-letter reference and its
+#: reduction
+SYSTEMS = {
+    "A": (rewrite_a, a_letter_scan, rewrite_a.a_reduce_steps),
+    "M": (rewrite_m, letter_scan, m_reduce_steps),
+}
+
+
+def letter_reduce(word, scan=letter_scan):
     """(normal form, steps, commute_sort calls, scanner calls) of the
-    reduction by letter_scan, in the rounds of `rewrite._round`."""
+    reduction by the letter-by-letter scan, in the rounds of
+    `rewrite._round`."""
     w = list(word)
     steps, sorts, scans = commute_sort(w), 1, 0
     while True:
         deleted = 0
-        s = letter_scan(w, 0, len(w))
+        s = scan(w, 0, len(w))
         scans += 1
         while s.__class__ is not int:
             del w[s[1]:s[2]]
             deleted += 1
-            s = letter_scan(w, s[0], len(w))
+            s = scan(w, s[0], len(w))
             scans += 1
         if not deleted:
             return tuple(w), steps, sorts, scans
@@ -125,24 +168,43 @@ def test_run_lengths_is_the_run_table():
         assert run_lengths(list(w)) == exact_runs(w)
 
 
-@settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@given(w=sweep_words().map(lambda w: w[:SCAN_LEN]), seed=st.integers(0, 2**32 - 1))
-@example(w=descending_word(SCAN_LEN), seed=0)
-@example(w=descending_word(SCAN_LEN, 7), seed=1)
-def test_the_table_scan_is_the_letter_scan_at_every_start_and_stop(w, seed):
+def scans_alike(scan, reference, w, seed):
+    """scan with the exact, the all-ones and a random lower-bound table
+    gives what reference gives, at every start and stop of w and of a
+    copy cut by `cut`."""
     rng = random.Random(seed)
     for word in (list(w), cut(rng, w)):
         exact = exact_runs(word)
         tables = (exact, [1] * len(word), [rng.randint(1, r) for r in exact])
         for i in range(len(word) + 1):
             for stop in range(i, len(word) + 1):
-                expected = letter_scan(word, i, stop)
+                expected = reference(word, i, stop)
                 for table in tables:
-                    assert _scan_run(word, table, i, stop) == expected, (i, stop, table)
+                    assert scan(word, table, i, stop) == expected, (i, stop, table)
 
 
-def checking_scan(seen):
-    """_scan_run, after checking that the round's table is a lower bound
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(w=sweep_words().map(lambda w: w[:SCAN_LEN]), seed=st.integers(0, 2**32 - 1))
+@example(w=descending_word(SCAN_LEN), seed=0)
+@example(w=descending_word(SCAN_LEN, 7), seed=1)
+def test_the_table_scan_is_the_letter_scan_at_every_start_and_stop(w, seed):
+    scans_alike(_scan_run, letter_scan, w, seed)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(w=sweep_words().map(lambda w: w[:SCAN_LEN]), seed=st.integers(0, 2**32 - 1))
+@example(w=descending_word(SCAN_LEN), seed=0)
+@example(w=descending_word(SCAN_LEN, 7), seed=1)
+# block chains whose blocks lie on descending runs, followed by their
+# run (x_a, x_{a-b}] whole or cut short
+@example(w=(7, 6, 5, 4, 3, 2) * 3 + (6, 5, 4, 4, 3, 3, 7, 6, 5, 4, 3), seed=2)
+@example(w=(9, 8, 8, 7, 6, 5, 4, 9, 8, 7, 6, 5, 3, 9, 8, 7, 6, 5, 4), seed=3)
+def test_a_table_scan_is_the_letter_scan_at_every_start_and_stop(w, seed):
+    scans_alike(rewrite_a._scan_run, a_letter_scan, w, seed)
+
+
+def checking_scan(seen, scan_run):
+    """scan_run, after checking that the round's table is a lower bound
     on the list's runs in which each entry exceeds the next by at most
     one; counts the calls in `seen` that got the round's own table."""
     def scan(w, runs, i, stop):
@@ -151,7 +213,7 @@ def checking_scan(seen):
         assert all(1 <= r <= e for r, e in zip(runs, exact))
         assert all(a <= b + 1 for a, b in zip(runs, runs[1:len(w)]))
         seen[runs is not rewrite._ONES] += 1
-        return _scan_run(w, runs, i, stop)
+        return scan_run(w, runs, i, stop)
     return scan
 
 
@@ -161,16 +223,22 @@ def test_the_round_keeps_its_table_a_lower_bound_through_every_deletion():
     words += [descending_word(length, 49) for length in (250, 900)]
     words += [letters(rng, rank, length) for rank in (6, 20)
               for length in (64, 100, 400, 1600)]
-    seen = [0, 0]
-    for w in words:
-        nf, steps = rewrite.reduce_steps(checking_scan(seen), w, tabled=True)
-        assert (nf, steps) == m_reduce_steps(w)
-    # most calls got a table of the round's own, cut by its deletions
-    assert seen[1] > 3000 and seen[1] > 10 * seen[0], seen
+    # A deletes less often than M, so makes fewer scanner calls
+    least = {"A": 1000, "M": 3000}
+    for system, (module, _, reduce_steps) in SYSTEMS.items():
+        seen = [0, 0]
+        for w in words:
+            nf, steps = rewrite.reduce_steps(checking_scan(seen, module._scan_run), w)
+            assert (nf, steps) == reduce_steps(w), system
+        # most calls got a table of the round's own, cut by its deletions
+        assert seen[1] > least[system] and seen[1] > 10 * seen[0], (system, seen)
 
 
-def counted_m_reduce(word, monkeypatch):
-    """(normal form, steps, commute_sort calls, scanner calls) of m_reduce_steps."""
+def counted_reduce(system, word, monkeypatch):
+    """(normal form, steps, commute_sort calls, scanner calls) of the
+    system's reduce_steps."""
+    module, _, reduce_steps = SYSTEMS[system]
+    scan_run = module._scan_run
     counts = [0, 0]
 
     def sort(w):
@@ -179,27 +247,38 @@ def counted_m_reduce(word, monkeypatch):
 
     def scan(w, runs, i, stop):
         counts[1] += 1
-        return _scan_run(w, runs, i, stop)
+        return scan_run(w, runs, i, stop)
 
     with monkeypatch.context() as m:
         m.setattr(rewrite, "commute_sort", sort)
-        m.setattr(rewrite_m, "_scan_run", scan)
-        nf, steps = m_reduce_steps(word)
+        m.setattr(module, "_scan_run", scan)
+        nf, steps = reduce_steps(word)
     return (nf, steps, *counts)
+
+
+def reductions_are_those_of_the_letter_scan(system, family, pool, monkeypatch):
+    # every third op of the system and family in the seed-0 pool, both
+    # words of the equal ops; the descending words are the rank-50 ones
+    ops = [op for op in pool
+           if op.info["system"] == system and op.info["family"] == family][::3]
+    words = [w for op in ops for w in op.args]
+    assert len(words) > 20
+    assert any(len(w) >= 1000 for w in words)
+    reference = SYSTEMS[system][1]
+    for w in words:
+        assert counted_reduce(system, w, monkeypatch) == letter_reduce(w, reference), len(w)
 
 
 @pytest.mark.parametrize("family", ["rank6", "rank20", "descending"])
 def test_m_reductions_of_the_benchmark_ops_are_those_of_the_letter_scan(
         family, wordproblem_pool, monkeypatch):
-    # every third M op of the family in the seed-0 pool, both words of the
-    # equal ops; the descending words are the rank-50 ones
-    ops = [op for op in wordproblem_pool
-           if op.kind.startswith("m_") and op.info["family"] == family][::3]
-    words = [w for op in ops for w in op.args]
-    assert len(words) > 20
-    assert any(len(w) >= 1000 for w in words)
-    for w in words:
-        assert counted_m_reduce(w, monkeypatch) == letter_reduce(w), len(w)
+    reductions_are_those_of_the_letter_scan("M", family, wordproblem_pool, monkeypatch)
+
+
+@pytest.mark.parametrize("family", ["rank6", "rank20", "descending"])
+def test_a_reductions_of_the_benchmark_ops_are_those_of_the_letter_scan(
+        family, wordproblem_pool, monkeypatch):
+    reductions_are_those_of_the_letter_scan("A", family, wordproblem_pool, monkeypatch)
 
 
 def test_equal_meets_the_lagging_descending_pairs_of_the_benchmark(
