@@ -11,7 +11,10 @@ scanner runs over the starts itself and reports the first deletion as
 square run); only the match-at functions parse one.  Normalizing
 commute-sorts the word, then runs rounds that delete left to right and
 commute-sort again; each round hands the scanner a table of the word's
-descending runs, which both systems' scanners cross in one step.  The
+descending runs, which both systems' scanners cross in one step.  A
+reduction builds that table once: its rounds keep it exact through their
+deletions, and their closing sort visits only the pairs those deletions
+joined and repairs the table where it moved letters.  The
 word problem (`equal`) runs the rounds of both words in lockstep and
 stops as soon as the two words agree, as from then on they reduce
 alike.  For the overlap audit this module lists the commutation
@@ -26,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .monoid_core import Report
-from .words import Word, commute_sort, random_word, validate_word
+from .words import Word, _rerun, commute_sort, random_word, run_lengths, validate_word
 
 COMMUTATION = "commutation"
 
@@ -72,19 +75,6 @@ RUN_TABLE_MIN = 64
 _ONES = [1] * RUN_TABLE_MIN
 
 
-def run_lengths(w) -> list:
-    """The run table of w: entry k is the length of the descending run
-    w[k], w[k] - 1, ... from k."""
-    runs = []
-    r = below = 0
-    for x in reversed(w):
-        r = r + 1 if x == below + 1 else 1
-        runs.append(r)
-        below = x
-    runs.reverse()
-    return runs
-
-
 def scan_at(scan, w, i):
     """scan at the one start i: its span (lo, hi), else its next start,
     read with the shared all-ones table grown to w's length."""
@@ -94,7 +84,7 @@ def scan_at(scan, w, i):
     return s if s.__class__ is int else s[1:]
 
 
-def _round(scan, w) -> int:
+def _round(scan, w, runs=None) -> int:
     """One round on the commute-sorted list w, in place: delete left to
     right, then commute-sort for the next round; the steps taken, 0 iff w
     is its normal form.
@@ -106,43 +96,116 @@ def _round(scan, w) -> int:
     a deletion may uncover one to its left, for the next round.  A round
     that deletes nothing certifies the normal form and sorts nothing.
 
-    runs is the round's run table, a lower bound: entry k is at least 1
-    and at most the length of the descending run w[k], w[k] - 1, ... from
-    k.  A round on a word of RUN_TABLE_MIN letters or more builds the
-    exact table (`run_lengths`); a shorter one gets the shared all-ones
-    table, which holds for every word and is never written.  The round
-    keeps its own table a lower bound through each deletion: it deletes
-    runs[lo:hi], which leaves the entries from lo on those of the same
-    runs after hi, and caps each entry k < lo whose run reached lo (k +
-    runs[k] > lo) to lo - k, as w[lo] is now another letter.  Those are
-    the entries from lo - 1 down to the first that does not reach lo: an
-    entry exceeds the next by at most one (true of the exact table, and
-    kept by the deletion and the cap), so below it none reaches lo.
+    runs is the run table of w, which the round hands the scanner and
+    keeps for the next round: `run_lengths` of w, or an empty list that
+    the round fills first (None: a table of the round's own).  A round on
+    fewer than RUN_TABLE_MIN letters leaves it alone and gets the shared
+    all-ones table, which holds for every word and is never written.  The
+    scanner needs only a lower bound: entry k at least 1 and at most the
+    length of the descending run w[k], w[k] - 1, ... from k, each entry
+    exceeding the next by at most one.
+
+    The round keeps the table exact through each deletion.  Deleting
+    runs[lo:hi] leaves the entries from lo on those of the same runs
+    after hi.  The entries before lo are re-derived from lo - 1 down by
+    runs[k] = runs[k + 1] + 1 if w[k] == w[k + 1] + 1 else 1, up to the
+    first that keeps its value (`words._rerun`): the letters before lo
+    did not change, so neither do the entries before that one.  The
+    round also keeps its cuts (`_recut`), the positions lo whose pair
+    w[lo - 1], w[lo] a deletion joined and left a descent, moved back by
+    the later deletions before them and dropped when one breaks their
+    pair; the list came sorted, so no other pair is a descent.  Its
+    closing sort, commute_sort(w, cuts, runs), visits only the cuts and
+    the letter after each slide, gives the list and the moves of the
+    full pass and leaves the table run_lengths of the sorted list (the
+    proof is in its docstring).  So every round starts on run_lengths of
+    its list, and a reduction builds the table once.
+
+    A round that has deleted more than 1/16 of its letters would repair
+    long spans, so from that deletion on it keeps the table a lower bound
+    only: it caps each entry k < lo whose run reached lo (k + runs[k] >
+    lo) to lo - k, as w[lo] is now another letter.  Those are the entries
+    from lo - 1 down to the first that does not reach lo: an entry
+    exceeds the next by at most one (true of the exact table, and kept by
+    the deletion and the cap), so below it none reaches lo.  It then
+    sorts by the full pass and empties the table, which the next round
+    rebuilds.
     """
-    runs = _ONES if len(w) < RUN_TABLE_MIN else run_lengths(w)
+    n = len(w)
     deleted = 0
-    s = scan(w, runs, 0, len(w))
+    if n < RUN_TABLE_MIN:
+        s = scan(w, _ONES, 0, n)
+        while s.__class__ is not int:
+            start, lo, hi = s
+            del w[lo:hi]
+            deleted += 1
+            s = scan(w, _ONES, start, len(w))
+        return deleted and deleted + commute_sort(w)
+    if runs is None:
+        runs = run_lengths(w)
+    elif not runs:
+        runs += run_lengths(w)
+    cuts = []
+    room = n >> 4  # the letters it deletes keeping the table exact
+    s = scan(w, runs, 0, n)
     while s.__class__ is not int:
         start, lo, hi = s
         del w[lo:hi]
-        if runs is not _ONES:
-            del runs[lo:hi]
+        del runs[lo:hi]
+        deleted += 1
+        room -= hi - lo
+        if room >= 0:
+            _rerun(w, runs, lo - 1, lo)
+            _recut(cuts, w, lo, hi)
+        else:
             k = lo - 1
             while k >= 0 and runs[k] > lo - k:
                 runs[k] = lo - k
                 k -= 1
-        deleted += 1
         s = scan(w, runs, start, len(w))
-    return deleted and deleted + commute_sort(w)
+    if not deleted:
+        return 0
+    if room < 0:
+        del runs[:]
+        return deleted + commute_sort(w)
+    return deleted + commute_sort(w, cuts, runs)
+
+
+def _recut(cuts, w, lo, hi) -> None:
+    """Update a round's increasing cuts for its deletion of w[lo:hi], now
+    done: drop those in [lo, hi], whose pairs it broke, move those after
+    hi back by hi - lo, and add lo if w[lo - 1], w[lo] is a descent."""
+    moved = []
+    while cuts and cuts[-1] >= lo:
+        c = cuts.pop()
+        if c > hi:
+            moved.append(c - hi + lo)
+    if 0 < lo < len(w) and w[lo - 1] - w[lo] >= 2:
+        cuts.append(lo)
+    if moved:
+        cuts += reversed(moved)
 
 
 def reduce_steps(scan, word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it:
-    commute-sort w, then run rounds (`_round`) until one deletes nothing."""
+    commute-sort w, then run rounds (`_round`) until one deletes nothing.
+
+    The rounds share one run table.  The first round on RUN_TABLE_MIN
+    letters or more builds it (`run_lengths`), and every round leaves it
+    run_lengths of its list, or empty after a round that deleted more
+    than 1/16 of its letters, for the next round to rebuild: a deletion
+    re-derives the entries before it up to the first that keeps its
+    value, and the closing sort, which moves letters only next to the
+    cuts the deletions made, re-derives the entries of the spans it moved
+    (proofs in `_round` and `commute_sort`).  So no round starts on a
+    table other than run_lengths of its list, and the steps and the normal
+    form are those of rounds that each build their own.
+    """
     w = list(validate_word(word))
     steps = commute_sort(w)
+    runs = []
     while True:
-        taken = _round(scan, w)
+        taken = _round(scan, w, runs)
         if not taken:
             return tuple(w), steps
         steps += taken
@@ -157,10 +220,12 @@ def equal(scan, u, v) -> bool:
     answer True.  Once both sides have reached their normal forms, the
     answer is whether those are equal.
 
-    Proof.  A round reads nothing but the list (it builds its run table
-    from the list, the scanner reads both, the deletions cut them,
-    commute_sort sorts the list in place) and leaves nothing for the next
-    round but the list, so once a round has started, all that follows
+    Proof.  A round reads the list and its table, and that table is
+    `run_lengths` of the list (see `_round`: each side keeps its own, built
+    at its first round on RUN_TABLE_MIN letters or more, and a shorter
+    round reads the all-ones table); the scanner reads both, the deletions
+    cut them, and commute_sort sorts the list in place and leaves the table
+    run_lengths of it again.  So once a round has started, all that follows
     depends only on the list at that moment.  Every list compared is one
     that its side has commute-sorted: the current list just after a
     commute_sort, or its normal form, and u's list before its last round,
@@ -180,16 +245,17 @@ def equal(scan, u, v) -> bool:
     commute_sort(a)
     commute_sort(b)
     a_more = b_more = True
+    a_runs, b_runs = [], []
     while a != b:
         if not (a_more or b_more):
             return False
         if a_more:
             before = a[:]
-            a_more = _round(scan, a) > 0
+            a_more = _round(scan, a, a_runs) > 0
             if a == b:
                 return True
         if b_more:
-            b_more = _round(scan, b) > 0
+            b_more = _round(scan, b, b_runs) > 0
             if b == before:
                 return True
     return True

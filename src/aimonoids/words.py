@@ -99,7 +99,44 @@ def descent_inversions(word) -> int:
     )
 
 
-def commute_sort(w: list[int]) -> int:
+def run_lengths(w) -> list:
+    """The run table of w: entry k is the length of the descending run
+    w[k], w[k] - 1, ... from k."""
+    runs = []
+    r = below = 0
+    for x in reversed(w):
+        r = r + 1 if x == below + 1 else 1
+        runs.append(r)
+        below = x
+    runs.reverse()
+    return runs
+
+
+def _rerun(w, runs, k, lo) -> None:
+    """Re-derive the run table entries k, k - 1, ... of w in place, down
+    to lo and on below lo up to the first entry that keeps its value.
+
+    runs must hold the entries after k of w's table, and below lo those
+    of a word whose letters up to lo - 1 are w's (only letters from lo
+    on changed).  Entry k is runs[k + 1] + 1 when w[k] == w[k + 1] + 1
+    and 1 otherwise (1 for the last letter), so an entry below lo that
+    keeps its value leaves every entry before it right.
+    """
+    if k + 1 < len(w):
+        r, below = runs[k + 1], w[k + 1]
+    else:
+        r = below = 0  # the last entry is 1 whatever below is
+    while k >= 0:
+        x = w[k]
+        r = r + 1 if x == below + 1 else 1
+        if k < lo and runs[k] == r:
+            return
+        runs[k] = r
+        below = x
+        k -= 1
+
+
+def commute_sort(w: list[int], cuts=None, runs=None) -> int:
     """Commutation-normalize a letter list in place; returns the move count.
 
     Insertion sort restricted to legal swaps: a letter may slide left past a
@@ -122,7 +159,30 @@ def commute_sort(w: list[int]) -> int:
     entries below with value x or x + 1 (x now follows them), and makes x
     an entry, as everything after it is >= x + 2.  The walk is at most
     one step per distinct letter, and ``list.insert`` shifts in C.
+
+    Given cuts, the increasing positions c >= 1 whose pair w[c - 1], w[c]
+    may be a descent (where a round's deletions joined two letters), w
+    must be sorted at every other pair and runs must be its run table
+    (`run_lengths`).  The pass then visits only the cuts and the position
+    after each slide, and gives the list and the move count of the full
+    pass, as it meets every pair that can be a descent: a slide at i moves
+    letters within [j, i] only, so at a position i that is no cut and
+    follows no slide, w[i - 1] and w[i] are still the letters the list
+    came with, a sorted pair, at which the full pass moves nothing either.
+    The moves so far agree at every i, so the switch to the stack falls at
+    the same i.  runs is then left the run table of the sorted list.  An
+    entry reads only its letter and those after it, and the slides from
+    one cut up to the first visit that moves nothing move letters within
+    [lo, i], lo their least j and i the last slide's, so no entry after
+    that i changes.  From the last such span to the first, the entries
+    from its i down to its lo are re-derived, and the ones before lo up to
+    the first that keeps its value (`_rerun`): the entries after i are
+    exact by then, the letters before lo are the list's own up to the next
+    earlier span, and every entry of that span is re-derived in its turn.
+    When the stack ran, the table is rebuilt.
     """
+    if cuts is not None:
+        return _cut_sort(w, cuts, runs)
     moves = 0
     for i in range(1, len(w)):
         x = w[i]
@@ -136,9 +196,48 @@ def commute_sort(w: list[int]) -> int:
         w[j] = x
         moves += i - j
         if moves > 8 * i:
-            break
-    else:
-        return moves
+            return _stack_sort(w, i, moves)
+    return moves
+
+
+def _cut_sort(w, cuts, runs) -> int:
+    """commute_sort(w) for w sorted but at its cuts, keeping runs its
+    run table (see commute_sort)."""
+    n = len(w)
+    moves = i = 0
+    spans = []
+    for c in cuts:
+        if c <= i:  # visited after a slide
+            continue
+        i = lo = c
+        while i < n:
+            x = w[i]
+            if w[i - 1] - x < 2:
+                break
+            j = i - 1
+            while j and w[j - 1] - x >= 2:
+                w[j + 1] = w[j]
+                j -= 1
+            w[j + 1] = w[j]
+            w[j] = x
+            moves += i - j
+            if moves > 8 * i:
+                moves = _stack_sort(w, i, moves)
+                runs[:] = run_lengths(w)
+                return moves
+            if j < lo:
+                lo = j
+            i += 1
+        if lo < c:  # the slides from c on moved letters within [lo, i - 1]
+            spans.append((lo, i - 1))
+    for lo, hi in reversed(spans):
+        _rerun(w, runs, hi, lo)
+    return moves
+
+
+def _stack_sort(w, i, moves) -> int:
+    """The moves of commute_sort once the letters up to i are sorted and
+    the rest are placed through the stack of suffix minima."""
     rest = w[i + 1:]
     del w[i + 1:]
     vals, poss = [w[i]], [i]

@@ -88,9 +88,9 @@ def test_default_audit_reports_a_broken_join(system, failures, monkeypatch):
     _, _, _, audit, size, triples = AUDITS[system]
     real_round = rewrite._round
 
-    def unsorted_round(scan, w):
-        with mock.patch.object(rewrite, "commute_sort", lambda w: 0):
-            return real_round(scan, w)
+    def unsorted_round(scan, w, *args):
+        with mock.patch.object(rewrite, "commute_sort", lambda w, *args: 0):
+            return real_round(scan, w, *args)
     monkeypatch.setattr(rewrite, "_round", unsorted_round)
     rep = audit(*size, random_words=0)
     assert rep.checks_run == triples and len(rep.failures) == failures

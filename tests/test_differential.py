@@ -45,6 +45,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimonoids import rewrite, rewrite_a, rewrite_m
+from aimonoids.rewrite import run_lengths
 from aimonoids.cube import cube_presentation
 from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
                                    Presentation, ai_presentation, bfs_equal,
@@ -59,7 +60,7 @@ from aimonoids.rewrite_m import (_deletion_at, _interleave_assignments,
                                  _stair_segments, m_apply, m_critical_pairs,
                                  m_equal, m_match_at, m_reduce,
                                  m_reduce_random, m_reduce_steps, m_step)
-from aimonoids.words import (alternating, b_reduced_form, commute_sort,
+from aimonoids.words import (_rerun, alternating, b_reduced_form, commute_sort,
                              descending_run, descent_inversions, nabla,
                              random_word)
 
@@ -140,9 +141,9 @@ def counted_reduce(reduce_steps, word):
     """(normal form, steps, rounds), counting the driver's commute_sort calls."""
     calls = []
 
-    def counting(w):
+    def counting(w, *args):
         calls.append(None)
-        return commute_sort(w)
+        return commute_sort(w, *args)
 
     with mock.patch.object(rewrite, "commute_sort", counting):
         nf, steps = reduce_steps(word)
@@ -264,8 +265,8 @@ def test_reducing_calls_the_scanner_once_per_deletion_and_per_round(system, monk
         calls.append(s.__class__ is not int)
         return s
 
-    def counting_sort(w):
-        moves = commute_sort(w)
+    def counting_sort(w, *args):
+        moves = commute_sort(w, *args)
         sorts.append(moves)
         return moves
 
@@ -514,6 +515,61 @@ def sort_words(draw):
 @given(w=sort_words())
 def test_commute_sort_matches_insertion_sort(w):
     check_commute_sort(w)
+
+
+def cut_word(word, picks):
+    """The commute-sorted word cut as a round cuts it: for each pick
+    (position, width), w[lo:lo + width] is deleted (lo the position mod
+    the length), its run table kept by `words._rerun` and its cuts by
+    `rewrite._recut`; (list, cuts, table)."""
+    w = list(word)
+    commute_sort(w)
+    runs = run_lengths(w)
+    cuts = []
+    for pos, width in picks:
+        if not w:
+            break
+        lo = pos % len(w)
+        hi = min(lo + width, len(w))
+        del w[lo:hi]
+        del runs[lo:hi]
+        _rerun(w, runs, lo - 1, lo)
+        rewrite._recut(cuts, w, lo, hi)
+    return w, cuts, runs
+
+
+def check_cut_sort(word, picks):
+    """The cut path of commute_sort against the full pass: same list and
+    moves, and it leaves the table run_lengths of the sorted list; the
+    switch to the stack is reported."""
+    w, cuts, runs = cut_word(word, picks)
+    # a round's upkeep: the exact table, and a cut at every descent
+    assert runs == run_lengths(w)
+    assert cuts == [c for c in range(1, len(w)) if w[c - 1] - w[c] >= 2]
+    before, expected = list(w), list(w)
+    moves = commute_sort(expected)
+    assert (commute_sort(w, cuts, runs), w) == (moves, expected)
+    assert runs == run_lengths(w)
+    return insertion_commute_sort(before)[1]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(word=sort_words(),
+       picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 3)), max_size=40))
+# a slide that leaves the next pair a descent: 5 3 2 -> 3 5 2 -> 3 2 5
+@example(word=(5, 4, 3, 2), picks=[(1, 1)])
+# a deletion before a cut moves it back, and one over a cut drops it
+@example(word=(3, 2, 1, 6, 5, 4, 9, 8, 7), picks=[(4, 1), (1, 1), (2, 2)])
+# the cut joins 9 to fifteen 2s, which slide past twenty 9s: the moves
+# pass eight per letter seen, and the stack places the rest
+@example(word=(9,) * 20 + (8, 7, 6, 5, 4, 3) + (2,) * 15, picks=[(20, 6)])
+def test_the_cut_sort_is_the_full_sort(word, picks):
+    check_cut_sort(word, picks)
+
+
+def test_the_cut_sort_examples_reach_both_sides_of_the_switch():
+    assert check_cut_sort((9,) * 20 + (8, 7, 6, 5, 4, 3) + (2,) * 15, [(20, 6)])
+    assert not check_cut_sort((5, 4, 3, 2), [(1, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Both systems' scanners cross descending runs in one step, from the round's run table.
+"""Both systems' scanners cross descending runs in one step, from the reduction's run table.
 
 `rewrite._round` hands the scanner a table whose entry k is a lower bound
 on the length of the descending run from k.  At every start and stop each
 scanner must give exactly what its scan that reads letter by letter gives
 (copies of both are kept here), with the exact table, an all-ones table
-or any lower bound.  The round must keep its table a lower bound through
-every deletion, and A and M reductions of the benchmark's ops must keep
-their normal form, steps, commute_sort calls and scanner calls.
-`rewrite.equal` also meets pairs whose second word lags the first by one
-round.
+or any lower bound.  A reduction builds its table once: every round must
+start on `run_lengths` of its list, every scanner call must get a lower
+bound, and `run_lengths` may run again only after a round that deleted
+more than 1/16 of its letters or a sort that took the stack.  A and M
+reductions of the benchmark's ops must keep their normal form, steps,
+commute_sort calls and scanner calls.  `rewrite.equal` also meets pairs
+whose second word lags the first by one round.
 """
 
 import random
@@ -18,10 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_differential import descending_word, sweep_words
 
-from aimonoids import rewrite, rewrite_a, rewrite_m
+from aimonoids import rewrite, rewrite_a, rewrite_m, words
 from aimonoids.rewrite import run_lengths
 from aimonoids.rewrite_m import _scan_run, m_equal, m_reduce_steps
-from aimonoids.words import commute_sort
+from aimonoids.words import commute_sort, descending_run
 
 
 def letter_scan(w, i, stop):
@@ -234,6 +236,83 @@ def test_the_round_keeps_its_table_a_lower_bound_through_every_deletion():
         assert seen[1] > least[system] and seen[1] > 10 * seen[0], (system, seen)
 
 
+def kept_table_reduce(system, word, monkeypatch):
+    """The system's reduce_steps of word, checking that each round starts
+    on run_lengths of its list and that each scanner call gets a lower
+    bound whose entries exceed the next by at most one; (result, counts)
+    with the counts of run_lengths calls ("built"), dense rounds (rounds
+    on RUN_TABLE_MIN letters or more that sort by the full pass), sorts
+    that took the stack and round starts checked."""
+    module, _, reduce_steps = SYSTEMS[system]
+    scan_run, real_round, stack_sort = module._scan_run, rewrite._round, words._stack_sort
+    counts = {"built": 0, "dense": 0, "stack": 0, "starts": 0}
+    state = {"fresh": False, "long": False}
+
+    def round_(scan, w, runs=None):
+        state["fresh"], state["long"] = True, len(w) >= rewrite.RUN_TABLE_MIN
+        return real_round(scan, w, runs)
+
+    def scan(w, runs, i, stop):
+        exact = run_lengths(w)
+        if state["fresh"] and state["long"]:
+            assert runs == exact
+            counts["starts"] += 1
+        state["fresh"] = False
+        assert len(runs) >= len(w)
+        assert all(1 <= r <= e for r, e in zip(runs, exact))
+        assert all(a <= b + 1 for a, b in zip(runs, runs[1:len(w)]))
+        return scan_run(w, runs, i, stop)
+
+    def sort(w, *args):
+        counts["dense"] += state["long"] and not args
+        return commute_sort(w, *args)
+
+    def stack(*args):
+        counts["stack"] += 1
+        return stack_sort(*args)
+
+    def built(w):
+        counts["built"] += 1
+        return run_lengths(w)
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_round", round_)
+        m.setattr(module, "_scan_run", scan)
+        m.setattr(rewrite, "commute_sort", sort)
+        m.setattr(words, "_stack_sort", stack)
+        m.setattr(rewrite, "run_lengths", built)
+        m.setattr(words, "run_lengths", built)
+        result = reduce_steps(word)
+    return result, counts
+
+
+@pytest.mark.parametrize("system", ["A", "M"])
+def test_a_reduction_keeps_one_exact_table(system, wordproblem_pool, monkeypatch):
+    rng = random.Random(17)
+    # the words of 64-1600 letters of every fourth reduce op of the system
+    # in the seed-0 pool, and random, run-concatenated and descending words
+    cases = [op.args[0] for op in wordproblem_pool
+             if op.kind == system.lower() + "_reduce"][::4]
+    cases = [w for w in cases if 64 <= len(w) <= 1600]
+    for length in (64, 200, 1600):
+        cases += [letters(rng, rank, length) for rank in (6, 20)]
+        cases.append(sum((descending_run(a, 1) for a in
+                           rng.choices(range(2, 40), k=length // 20)), ())[:length])
+        cases += [descending_word(length), descending_word(length, 49)]
+    totals = {"built": 0, "dense": 0, "stack": 0, "starts": 0}
+    for w in cases:
+        result, counts = kept_table_reduce(system, w, monkeypatch)
+        assert result == SYSTEMS[system][2](w)
+        # built once per reduction on a long word, and again only after a
+        # dense round or a sort that took the stack
+        assert counts["built"] <= (len(w) >= rewrite.RUN_TABLE_MIN) + counts["dense"] + \
+            counts["stack"], (len(w), counts)
+        for key in totals:
+            totals[key] += counts[key]
+    # most round starts read a kept table, not a rebuilt one
+    assert totals["starts"] > 200 and totals["built"] < totals["starts"] / 2, totals
+
+
 def counted_reduce(system, word, monkeypatch):
     """(normal form, steps, commute_sort calls, scanner calls) of the
     system's reduce_steps."""
@@ -241,9 +320,9 @@ def counted_reduce(system, word, monkeypatch):
     scan_run = module._scan_run
     counts = [0, 0]
 
-    def sort(w):
+    def sort(w, *args):
         counts[0] += 1
-        return commute_sort(w)
+        return commute_sort(w, *args)
 
     def scan(w, runs, i, stop):
         counts[1] += 1
@@ -291,9 +370,9 @@ def test_equal_meets_the_lagging_descending_pairs_of_the_benchmark(
     assert len(pairs) == 16
     sorts = [0]
 
-    def sort(w):
+    def sort(w, *args):
         sorts[0] += 1
-        return commute_sort(w)
+        return commute_sort(w, *args)
     monkeypatch.setattr(rewrite, "commute_sort", sort)
     assert all(m_equal(u, v) for u, v in pairs)
     lockstep = sorts[0]

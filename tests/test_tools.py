@@ -82,7 +82,7 @@ def test_a_workload_or_trace_named_twice_is_refused_before_any_run(
 
 @pytest.mark.parametrize("note", ["workloads=x", "topic=x", "parent_commit=x", "command=x",
                                   "machine=x", "scaling=x", "traced_verify=x",
-                                  "traced_=x", "foo", "change"])
+                                  "traced_=x", "digests=x", "foo", "change"])
 def test_a_note_that_would_overwrite_results_is_refused_before_any_run(
         note, monkeypatch, capsys):
     def no_run(*args):
@@ -387,3 +387,59 @@ def test_a_note_key_given_twice_is_refused_before_any_run(monkeypatch, capsys):
         bench_pairs.main(argv)
     assert exc.value.code == 2
     assert "error: --note why=second: 'why' is named twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["", "5-3", "x", "1,", "0-"])
+def test_a_malformed_digest_is_refused_before_anything_runs(seeds, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a digest or a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    monkeypatch.setattr(bench_pairs, "run_digest", no_run)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=1", "--digest", seeds]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "error: --digest " + seeds in capsys.readouterr().err
+
+
+def fake_digests(changed_seed):
+    """A run_digest whose change side differs from the parent at changed_seed."""
+    calls = []
+
+    def digest(checkout, seed):
+        side = "change" if len(calls) % 2 else "parent"
+        calls.append((side, seed))
+        return "1280 %s" % ("bb" if side == "change" and seed == changed_seed else "aa")
+    return digest, calls
+
+
+def test_a_digest_mismatch_stops_the_run_before_any_timed_run(tmp_path, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+    digest, calls = fake_digests(1)
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    monkeypatch.setattr(bench_pairs, "run_digest", digest)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "wordproblem=7", "--digest", "0-2"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert str(exc.value.code) == ("error: digest seed 1: the parent and the change "
+                                   "computed different results or counts (1280 aa and "
+                                   "1280 bb)")
+    assert calls == [("parent", 0), ("change", 0), ("parent", 1), ("change", 1)]
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_matching_digests_are_stored(tmp_path, monkeypatch):
+    run, _ = fake_runs(["aa", "aa"])
+    digest, _ = fake_digests(None)
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.setattr(bench_pairs, "run_digest", digest)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--topic", "t",
+            "--workload", "verify=7", "--digest", "0,1"]
+    assert bench_pairs.main(argv) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["digests"] == {"0": "1280 aa", "1": "1280 aa"}

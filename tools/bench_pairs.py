@@ -3,7 +3,7 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --topic NAME \\
         --workload wordproblem=1701-1710 --workload verify=1711,1712 \\
         [--trace oracle=S] [--scale aimonoids.words:commute_sort] \\
-        [--note change=TEXT] [--note KEY=TEXT ...]
+        [--digest SEEDS] [--note change=TEXT] [--note KEY=TEXT ...]
 
 DIR is a source checkout holding ``perfbench/run.py`` and ``src/``.  Each
 ``--workload NAME=SEEDS`` gives one pair per seed (SEEDS is a list of
@@ -14,10 +14,10 @@ Every run compiles the package from source (see ``run_from_source``), as
 a fresh checkout does.
 A NAME missing from BENCHMARK.json, a NAME given twice to ``--workload``
 or twice to ``--trace`` (the second would replace the first's results),
-an empty SEEDS, a range whose end precedes its start, a ``--trace`` whose
-NAME is unknown or whose SEED is not one seed, or a ``--scale``
-MODULE:FUNC that does not import in both checkouts is refused before
-anything runs.
+an empty or malformed SEEDS (of ``--workload`` or ``--digest``), a range
+whose end precedes its start, a ``--trace`` whose NAME is unknown or
+whose SEED is not one seed, or a ``--scale`` MODULE:FUNC that does not
+import in both checkouts is refused before anything runs.
 The file keeps every pair and, for each end-to-end metric of
 BENCHMARK.json, the quartiles of each side, the ratio of the medians, the
 number of pairs in which the change was better and a verdict (see
@@ -46,12 +46,21 @@ process and its moment (cells of one checkout swing up to 1.5x between
 processes).  ``src_lines`` holds the
 physical lines of ``src/**/*.py`` in each checkout, the size that ROADMAP
 aim 2 counts.
+``--digest SEEDS`` checks, before any timed run, that the change computes
+what the parent does: for each seed, each checkout generates that seed's
+``wordproblem`` pool from its own ``perfbench/workloads.py``, runs every
+op and reduces every op word by its op's system, with
+``rewrite.commute_sort`` and both systems' ``_scan_run`` wrapped in call
+counters, and prints one sha256 over every (result, commute_sort calls,
+scanner calls) (see ``DIGEST_PROBE``).  Two digests that differ stop the
+tool with an error naming the seed; equal ones are stored under
+``digests``.
 ``--note`` stores a line of text under its key; ``change`` describes the
 change.  A note without ``=``, or one whose key is another key the file
 fills in itself (``topic``, ``parent_commit``, ``command``, ``machine``,
-``src_lines``, ``workloads``, ``scaling``, ``traced_*``), or one whose
-key is given twice (the second text would replace the first), is
-refused before anything runs.  Exits non-zero if a run fails or an op
+``src_lines``, ``workloads``, ``scaling``, ``digests``, ``traced_*``), or
+one whose key is given twice (the second text would replace the first),
+is refused before anything runs.  Exits non-zero if a run fails or an op
 fails, and stops with an error naming the workload and seed when the two
 sides of a pair print different ``inputs_sha256`` digests of their op
 pools, since their numbers would then measure different inputs, or when
@@ -74,7 +83,7 @@ from pathlib import Path
 #: keys the file fills in itself, besides ``traced_<NAME>``; a note may not
 #: replace them (``change`` is left to a note)
 OWN_KEYS = ("topic", "parent_commit", "command", "machine", "src_lines", "workloads",
-            "scaling")
+            "scaling", "digests")
 
 SCALE_RANKS = "6,20,50"
 SCALE_LENGTHS = "400,800,1600,3200"
@@ -149,6 +158,42 @@ if not callable(getattr(importlib.import_module(module), name)):
 """
 
 
+# Run in a fresh interpreter in a checkout: argv is one seed.  Generates
+# that seed's wordproblem pool from the checkout's perfbench/workloads.py,
+# then runs every op and reduces every op word by the op's system, with
+# rewrite.commute_sort and both _scan_runs counted per call whatever their
+# arguments; prints the pool size and one sha256 over (result, counts).
+DIGEST_PROBE = """
+import hashlib, sys
+sys.path[:0] = ["src", "perfbench"]
+from aimonoids import rewrite, rewrite_a, rewrite_m
+from workloads import WordProblem
+workload = WordProblem()
+workload.setup()
+ops = workload.generate(int(sys.argv[1]))
+counts = [0, 0]
+
+def counted(k, fn):
+    def call(*args):
+        counts[k] += 1
+        return fn(*args)
+    return call
+
+rewrite.commute_sort = counted(0, rewrite.commute_sort)
+rewrite_a._scan_run = counted(1, rewrite_a._scan_run)
+rewrite_m._scan_run = counted(1, rewrite_m._scan_run)
+reduce = {"a": rewrite_a.a_reduce_steps, "m": rewrite_m.m_reduce_steps}
+digest = hashlib.sha256()
+for op in ops:
+    counts[:] = [0, 0]
+    digest.update(repr((op.kind, workload.execute(op), counts)).encode())
+    for w in op.args:
+        counts[:] = [0, 0]
+        digest.update(repr((reduce[op.kind[0]](w), counts)).encode())
+print(len(ops), digest.hexdigest())
+"""
+
+
 def parse_seeds(text: str) -> list:
     """The seeds of "a,b-c,..."; ValueError for a part that is not a seed
     or a range "a-b" with b < a."""
@@ -208,6 +253,29 @@ def inputs_digest(stdout: str) -> str | None:
     """The inputs_sha256 digest that perfbench/run.py prints, or None."""
     match = INPUTS_LINE.search(stdout)
     return match.group(1) if match else None
+
+
+def run_digest(checkout: Path, seed: int) -> str:
+    """The DIGEST_PROBE line of `checkout` for `seed`, run from source."""
+    proc = run_from_source([sys.executable, "-c", DIGEST_PROBE, str(seed)], cwd=checkout)
+    if proc.returncode != 0:
+        sys.exit("error: %s digest seed %d exited %d:\n%s"
+                 % (checkout, seed, proc.returncode, proc.stderr))
+    return proc.stdout.strip()
+
+
+def check_digests(parent: Path, change: Path, seeds: list) -> dict:
+    """Each seed's digest line, the same on both sides, or exit naming the
+    first seed whose two lines differ."""
+    digests = {}
+    for seed in seeds:
+        sides = [run_digest(checkout, seed) for checkout in (parent, change)]
+        if sides[0] != sides[1]:
+            sys.exit("error: digest seed %d: the parent and the change computed "
+                     "different results or counts (%s and %s)" % (seed, *sides))
+        digests[str(seed)] = sides[0]
+        print("digest seed %d: %s" % (seed, sides[0]), file=sys.stderr)
+    return digests
 
 
 def values(result: dict) -> dict:
@@ -361,6 +429,7 @@ def main(argv=None) -> int:
                         metavar="NAME=SEEDS")
     parser.add_argument("--trace", action="append", default=[], metavar="NAME=SEED")
     parser.add_argument("--scale", metavar="MODULE:FUNC")
+    parser.add_argument("--digest", metavar="SEEDS")
     parser.add_argument("--note", action="append", default=[], metavar="KEY=TEXT")
     args = parser.parse_args(argv)
     for checkout in (args.parent, args.change):
@@ -393,6 +462,12 @@ def main(argv=None) -> int:
         if name in dict(traces):
             parser.error("--trace %s: %r is named twice" % (entry, name))
         traces.append((name, int(seed)))
+    digest_seeds = []
+    if args.digest is not None:
+        try:
+            digest_seeds = parse_seeds(args.digest)
+        except ValueError as exc:
+            parser.error("--digest %s: %s" % (args.digest, exc))
     if args.scale:
         for checkout in (parent, change):
             error = scale_error(checkout, args.scale)
@@ -422,6 +497,8 @@ def main(argv=None) -> int:
         "src_lines": {"parent": src_lines(parent), "change": src_lines(change)},
         "workloads": {},
     }
+    if digest_seeds:
+        out["digests"] = check_digests(parent, change, digest_seeds)
     failed = 0
     for name, seeds in plan:
         pairs = run_pairs(parent, change, name, seeds, seconds)
