@@ -11,16 +11,19 @@ scanner runs over the starts itself and reports the first deletion as
 square run); only the match-at functions parse one.  Normalizing
 commute-sorts the word, then runs rounds that delete left to right and
 commute-sort again; each round hands the scanner a table of the word's
-descending runs, which both systems' scanners cross in one step.  A
-reduction builds that table once: its rounds keep it exact through their
-deletions, and their closing sort visits only the pairs those deletions
-joined and repairs the table where it moved letters.  The
-word problem (`equal`) runs the rounds of both words in lockstep and
-stops as soon as the two words agree, as from then on they reduce
-alike.  For the overlap audit this module lists the commutation
-left-hand sides and the overlaps of two lists of left-hand sides; the
-audit joins each critical pair's two reducts in the same lockstep, and
-reduces each reduct of a random word once.
+descending runs, which both systems' scanners cross in one step: the
+exact table, or the shared all-ones table, which holds for every word.
+A reduction builds the exact table once: its rounds keep it exact through
+their deletions, and their closing sort visits only the pairs those
+deletions joined and repairs the table where it moved letters.  Short
+rounds, and a long round from the deletion that passes 1/16 of its
+letters on, scan with the all-ones table.  The word problem (`equal`)
+runs the rounds of both words in lockstep and stops as soon as the two
+words agree, as from then on they reduce alike.  For the overlap audit
+this module lists the commutation left-hand sides and the overlaps of
+two lists of left-hand sides; the audit joins each critical pair's two
+reducts in the same lockstep, and reduces each reduct of a random word
+once.
 """
 
 from __future__ import annotations
@@ -75,37 +78,41 @@ RUN_TABLE_MIN = 64
 _ONES = [1] * RUN_TABLE_MIN
 
 
+def _ones(n) -> list:
+    """The shared all-ones run table, grown to at least n entries."""
+    if len(_ONES) < n:
+        _ONES.extend([1] * (n - len(_ONES)))
+    return _ONES
+
+
 def scan_at(scan, w, i):
     """scan at the one start i: its span (lo, hi), else its next start,
-    read with the shared all-ones table grown to w's length."""
-    if len(_ONES) < len(w):
-        _ONES.extend([1] * (len(w) - len(_ONES)))
-    s = scan(w, _ONES, i, i + 1)
+    read with the shared all-ones table."""
+    s = scan(w, _ones(len(w)), i, i + 1)
     return s if s.__class__ is int else s[1:]
 
 
-def _round(scan, w, runs=None) -> int:
+def _round(scan, w, runs) -> int:
     """One round on the commute-sorted list w, in place: delete left to
     right, then commute-sort for the next round; the steps taken, 0 iff w
     is its normal form.
 
-    scan(w, runs, i, stop) returns (start, lo, hi) for the first deletion
+    scan(w, table, i, stop) returns (start, lo, hi) for the first deletion
     at a start in [i, stop), else the next start (an int >= stop),
     skipping only starts that provably start none.  The round deletes
     w[lo:hi] and scans on from start, one call per deletion and one more;
     a deletion may uncover one to its left, for the next round.  A round
     that deletes nothing certifies the normal form and sorts nothing.
 
-    runs is the run table of w, which the round hands the scanner and
-    keeps for the next round: `run_lengths` of w, or an empty list that
-    the round fills first (None: a table of the round's own).  A round on
-    fewer than RUN_TABLE_MIN letters leaves it alone and gets the shared
-    all-ones table, which holds for every word and is never written.  The
-    scanner needs only a lower bound: entry k at least 1 and at most the
-    length of the descending run w[k], w[k] - 1, ... from k, each entry
-    exceeding the next by at most one.
+    The table is one of two, and each scanner gives the same result with
+    either (see its docstring): runs, the exact run table of w, or the
+    shared all-ones table, which holds for every word and is never
+    written.  runs comes as `run_lengths` of w, or empty for the round to
+    fill.  A round on fewer than RUN_TABLE_MIN letters scans with the
+    all-ones table and leaves runs alone; a longer one scans with runs and
+    keeps it for the next round.
 
-    The round keeps the table exact through each deletion.  Deleting
+    The round keeps runs exact through each deletion.  Deleting
     runs[lo:hi] leaves the entries from lo on those of the same runs
     after hi.  The entries before lo are re-derived from lo - 1 down by
     runs[k] = runs[k + 1] + 1 if w[k] == w[k + 1] + 1 else 1, up to the
@@ -117,58 +124,42 @@ def _round(scan, w, runs=None) -> int:
     pair; the list came sorted, so no other pair is a descent.  Its
     closing sort, commute_sort(w, cuts, runs), visits only the cuts and
     the letter after each slide, gives the list and the moves of the
-    full pass and leaves the table run_lengths of the sorted list (the
-    proof is in its docstring).  So every round starts on run_lengths of
-    its list, and a reduction builds the table once.
+    full pass and leaves runs run_lengths of the sorted list (the proof
+    is in its docstring).  So every round starts on run_lengths of its
+    list, and a reduction builds the table once.
 
     A round that has deleted more than 1/16 of its letters would repair
-    long spans, so from that deletion on it keeps the table a lower bound
-    only: it caps each entry k < lo whose run reached lo (k + runs[k] >
-    lo) to lo - k, as w[lo] is now another letter.  Those are the entries
-    from lo - 1 down to the first that does not reach lo: an entry
-    exceeds the next by at most one (true of the exact table, and kept by
-    the deletion and the cap), so below it none reaches lo.  It then
-    sorts by the full pass and empties the table, which the next round
-    rebuilds.
+    long spans, so at that deletion it empties runs and scans the rest of
+    the round with the all-ones table.  It then sorts by the full pass,
+    and the next round rebuilds runs.
     """
     n = len(w)
     deleted = 0
     if n < RUN_TABLE_MIN:
-        s = scan(w, _ONES, 0, n)
-        while s.__class__ is not int:
-            start, lo, hi = s
-            del w[lo:hi]
-            deleted += 1
-            s = scan(w, _ONES, start, len(w))
-        return deleted and deleted + commute_sort(w)
-    if runs is None:
-        runs = run_lengths(w)
-    elif not runs:
-        runs += run_lengths(w)
-    cuts = []
-    room = n >> 4  # the letters it deletes keeping the table exact
-    s = scan(w, runs, 0, n)
+        table, room = _ONES, -1  # no table to keep
+    else:
+        if not runs:
+            runs += run_lengths(w)
+        table, room = runs, n >> 4  # the letters it deletes keeping runs exact
+        cuts = []
+    s = scan(w, table, 0, n)
     while s.__class__ is not int:
         start, lo, hi = s
         del w[lo:hi]
-        del runs[lo:hi]
         deleted += 1
-        room -= hi - lo
         if room >= 0:
-            _rerun(w, runs, lo - 1, lo)
-            _recut(cuts, w, lo, hi)
-        else:
-            k = lo - 1
-            while k >= 0 and runs[k] > lo - k:
-                runs[k] = lo - k
-                k -= 1
-        s = scan(w, runs, start, len(w))
-    if not deleted:
-        return 0
+            room -= hi - lo
+            if room >= 0:
+                del runs[lo:hi]
+                _rerun(w, runs, lo - 1, lo)
+                _recut(cuts, w, lo, hi)
+            else:
+                del runs[:]
+                table = _ones(len(w))
+        s = scan(w, table, start, len(w))
     if room < 0:
-        del runs[:]
-        return deleted + commute_sort(w)
-    return deleted + commute_sort(w, cuts, runs)
+        return deleted and deleted + commute_sort(w)
+    return deleted and deleted + commute_sort(w, cuts, runs)
 
 
 def _recut(cuts, w, lo, hi) -> None:
@@ -197,9 +188,10 @@ def reduce_steps(scan, word) -> tuple:
     re-derives the entries before it up to the first that keeps its
     value, and the closing sort, which moves letters only next to the
     cuts the deletions made, re-derives the entries of the spans it moved
-    (proofs in `_round` and `commute_sort`).  So no round starts on a
-    table other than run_lengths of its list, and the steps and the normal
-    form are those of rounds that each build their own.
+    (proofs in `_round` and `commute_sort`).  So every scanner call reads
+    either run_lengths of its list or the all-ones table, and as a scan's
+    result is the same with either, the steps and the normal form are
+    those of rounds that scan with the all-ones table throughout.
     """
     w = list(validate_word(word))
     steps = commute_sort(w)
@@ -220,26 +212,26 @@ def equal(scan, u, v) -> bool:
     answer True.  Once both sides have reached their normal forms, the
     answer is whether those are equal.
 
-    Proof.  A round reads the list and its table, and that table is
-    `run_lengths` of the list (see `_round`: each side keeps its own, built
-    at its first round on RUN_TABLE_MIN letters or more, and a shorter
-    round reads the all-ones table); the scanner reads both, the deletions
-    cut them, and commute_sort sorts the list in place and leaves the table
-    run_lengths of it again.  So once a round has started, all that follows
-    depends only on the list at that moment.  Every list compared is one
-    that its side has commute-sorted: the current list just after a
-    commute_sort, or its normal form, and u's list before its last round,
-    which the commute_sort before that round sorted.  commute_sort moves
-    nothing on a list it has sorted, so reduce_steps from a compared list
-    runs, after a first commute_sort that moves nothing, the rounds that
-    its side ran or has still to run from there, and reaches that side's
-    normal form.  Two equal lists therefore have one normal form, that of
-    u and that of v; and if the lists never agree, both sides end on
-    their normal forms, which are compared.  No step appeals to
-    confluence: the answer is the comparison of the two reductions for
-    any scanner.  A pair meets early when its reductions agree at the
-    same round, when v's is one round ahead of u's, or when it is one
-    round behind; the last costs a copy of u's list per round of u.
+    Proof.  A round reads the list and a table, the exact table or the
+    all-ones one (see `_round`: each side keeps its own exact table, built
+    at its first round on RUN_TABLE_MIN letters or more and left
+    run_lengths of its list or empty by each round), and the scanner gives
+    the same result with either.  So once a round has started, all that
+    follows depends only on the list at that moment.  Every list compared
+    is one that its side has commute-sorted: the current list just after
+    a commute_sort, or its normal form, and u's list before its last
+    round, which the commute_sort before that round sorted.
+    commute_sort moves nothing on a list it has sorted, so reduce_steps
+    from a compared list runs, after a first commute_sort that moves
+    nothing, the rounds that its side ran or has still to run from there,
+    and reaches that side's normal form.  Two equal lists therefore have
+    one normal form, that of u and that of v; and if the lists never
+    agree, both sides end on their normal forms, which are compared.  No
+    step appeals to confluence: the answer is the comparison of the two
+    reductions for any scanner.  A pair meets early when its reductions
+    agree at the same round, when v's is one round ahead of u's, or when
+    it is one round behind; the last costs a copy of u's list per round
+    of u.
     """
     a, b = list(u), list(v)
     commute_sort(a)

@@ -72,15 +72,16 @@ def _scan_run(w, runs, i, stop):
     leftmost such start, the first w[j] after i, as the chain descends.
     Otherwise nothing starts before j.
 
-    The scan uses an entry of runs, a lower-bound run table of w (see
-    `rewrite._round`), only to cross in one step letters that reading one
-    by one would cross: where the chain's next block starts with v = cur -
-    1, the letters from j to j + runs[j] - 1 descend, so each is a block
-    of one and the reading reaches j + runs[j] - 1 with cur = w[j] there;
-    and the run (x_a, x_{a-b}] sought at j starts with h, so its first
-    min(runs[j], run_len) letters are those of the run from j.  The
-    chain's end (j, cur, v) and every scan result are so the same for any
-    lower-bound table, and an all-ones table reads every letter.
+    The scan uses an entry of runs, a lower-bound run table of w (the
+    exact one or all ones, see `rewrite._round`), only to cross in one
+    step letters that reading one by one would cross: where the chain's
+    next block starts with v = cur - 1, the letters from j to j + runs[j]
+    - 1 descend, so each is a block of one and the reading reaches j +
+    runs[j] - 1 with cur = w[j] there; and the run (x_a, x_{a-b}] sought
+    at j starts with h, so its first min(runs[j], run_len) letters are
+    those of the run from j.  The chain's end (j, cur, v) and every scan
+    result are so the same for any lower-bound table, and an all-ones
+    table reads every letter.
     """
     n = len(w)
     while i < stop:

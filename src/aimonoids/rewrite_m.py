@@ -81,9 +81,10 @@ def _scan_run(w, runs, i, stop):
     staircase can start inside the stretch it read, so no later start is
     skipped.
 
-    The scan uses an entry of runs, a lower-bound run table of w (see
-    `rewrite._round`), only to cross in one step letters that reading one
-    by one would cross, and reads on one by one from there:
+    The scan uses an entry of runs, a lower-bound run table of w (the
+    exact one or all ones, see `rewrite._round`), only to cross in one
+    step letters that reading one by one would cross, and reads on one by
+    one from there:
     * a y-stretch at level seg runs to the first letter <= seg.  At its
       letter c = w[j] > seg the run from j holds c, c - 1, ..., so its
       first min(runs[j], c - seg) letters are above seg; when runs[j] >
@@ -308,8 +309,8 @@ def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
     which answers m_reduce(v) == m_reduce(w) exactly, and reduces each
     random reduct by `rewrite.reduce_steps` on it, as m_reduce does;
     _scan_run is read at call time, so rebinding it is seen here.  The
-    audit's words are far shorter than rewrite.RUN_TABLE_MIN, so its
-    rounds use the all-ones table, and no table changes a scan's result.
+    audit's words are far shorter than rewrite.RUN_TABLE_MIN, so every
+    round scans with the all-ones table, which changes no scan's result.
     """
     Report.require_nonnegative("random_words", random_words)
     return rewrite.confluence_audit(

@@ -51,7 +51,7 @@ def ahead(module, w):
     """The commute-sorted w after the first round of its reduction."""
     w = list(w)
     commute_sort(w)
-    rewrite._round(module._scan_run, w)
+    rewrite._round(module._scan_run, w, [])
     return tuple(w)
 
 

@@ -5,12 +5,15 @@ on the length of the descending run from k.  At every start and stop each
 scanner must give exactly what its scan that reads letter by letter gives
 (copies of both are kept here), with the exact table, an all-ones table
 or any lower bound.  A reduction builds its table once: every round must
-start on `run_lengths` of its list, every scanner call must get a lower
-bound, and `run_lengths` may run again only after a round that deleted
-more than 1/16 of its letters or a sort that took the stack.  A and M
-reductions of the benchmark's ops must keep their normal form, steps,
-commute_sort calls and scanner calls.  `rewrite.equal` also meets pairs
-whose second word lags the first by one round.
+start on `run_lengths` of its list, every scanner call must get exactly
+`run_lengths` of its list or the shared all-ones table `rewrite._ONES`,
+and `run_lengths` may run again only after a round that deleted more
+than 1/16 of its letters or a sort that took the stack.  A round that
+passes 1/16 must switch from the exact table to the all-ones one at that
+deletion.  A and M reductions of the benchmark's ops must keep their
+normal form, steps, commute_sort calls and scanner calls.
+`rewrite.equal` also meets pairs whose second word lags the first by one
+round.
 """
 
 import random
@@ -205,41 +208,94 @@ def test_a_table_scan_is_the_letter_scan_at_every_start_and_stop(w, seed):
     scans_alike(rewrite_a._scan_run, a_letter_scan, w, seed)
 
 
+def table_read(w, runs):
+    """Which table a scanner call on w got: "ones" for the shared
+    all-ones table, "exact" for run_lengths of w; any other fails."""
+    if runs is rewrite._ONES:
+        assert len(runs) >= len(w) and set(runs) == {1}
+        return "ones"
+    assert runs == run_lengths(w)
+    return "exact"
+
+
 def checking_scan(seen, scan_run):
-    """scan_run, after checking that the round's table is a lower bound
-    on the list's runs in which each entry exceeds the next by at most
-    one; counts the calls in `seen` that got the round's own table."""
+    """scan_run, after checking that the round's table is run_lengths of
+    the list or the all-ones table; counts the calls that got each in
+    `seen`."""
     def scan(w, runs, i, stop):
-        exact = run_lengths(w)
-        assert len(runs) >= len(w)
-        assert all(1 <= r <= e for r, e in zip(runs, exact))
-        assert all(a <= b + 1 for a, b in zip(runs, runs[1:len(w)]))
-        seen[runs is not rewrite._ONES] += 1
+        seen[table_read(w, runs)] += 1
         return scan_run(w, runs, i, stop)
     return scan
 
 
 def test_the_round_keeps_its_table_a_lower_bound_through_every_deletion():
     rng = random.Random(11)
-    words = [descending_word(length) for length in (200, 400, 800, 1600)]
-    words += [descending_word(length, 49) for length in (250, 900)]
-    words += [letters(rng, rank, length) for rank in (6, 20)
-              for length in (64, 100, 400, 1600)]
-    # A deletes less often than M, so makes fewer scanner calls
-    least = {"A": 1000, "M": 3000}
+    descending = [descending_word(length) for length in (200, 400, 800, 1600)]
+    descending += [descending_word(length, 49) for length in (250, 900)]
+    randoms = [letters(rng, rank, length) for rank in (6, 20)
+               for length in (64, 100, 400, 1600)]
     for system, (module, _, reduce_steps) in SYSTEMS.items():
-        seen = [0, 0]
-        for w in words:
-            nf, steps = rewrite.reduce_steps(checking_scan(seen, module._scan_run), w)
-            assert (nf, steps) == reduce_steps(w), system
-        # most calls got a table of the round's own, cut by its deletions
-        assert seen[1] > least[system] and seen[1] > 10 * seen[0], (system, seen)
+        seen = {}
+        for family, words in (("descending", descending), ("random", randoms)):
+            seen[family] = {"exact": 0, "ones": 0}
+            for w in words:
+                scan = checking_scan(seen[family], module._scan_run)
+                assert rewrite.reduce_steps(scan, w) == reduce_steps(w), system
+        # no descending round passes 1/16 or shrinks below RUN_TABLE_MIN,
+        # so each call reads the exact table, kept through every deletion
+        assert seen["descending"] == {"exact": 813, "ones": 0}, (system, seen)
+        # the random words' long rounds read the exact table, their short
+        # and dense ones the all-ones table
+        assert min(seen["random"].values()) > 0, (system, seen)
+
+
+@pytest.mark.parametrize("system", ["A", "M"])
+def test_a_dense_round_switches_to_the_all_ones_table(system, monkeypatch):
+    module = SYSTEMS[system][0]
+    scan_run = module._scan_run
+    w = list(letters(random.Random(23), 6, 1600))
+    commute_sort(w)
+    n = len(w)
+    reads, sorts = [], []
+
+    def scan(w, runs, i, stop):
+        reads.append((n - len(w), table_read(w, runs)))
+        return scan_run(w, runs, i, stop)
+
+    def sort(w, *args):
+        sorts.append(args)
+        return commute_sort(w, *args)
+
+    monkeypatch.setattr(rewrite, "commute_sort", sort)
+    runs = []
+    assert rewrite._round(scan, w, runs) > 0
+    # the exact table until the deletions pass 1/16 of the letters, then
+    # the all-ones table for the rest of the round
+    assert reads[-1][0] > n >> 4
+    assert [read for _, read in reads] == [
+        "exact" if deleted <= n >> 4 else "ones" for deleted, _ in reads]
+    assert sorts == [()] and runs == []
+    # the next round starts on the table it rebuilds
+    del reads[:]
+    rewrite._round(scan, w, runs)
+    assert reads[0][1] == "exact"
+
+
+def test_the_all_ones_table_stays_all_ones(wordproblem_pool):
+    reduce = {"a": rewrite_a.a_reduce_steps, "m": m_reduce_steps}
+    for op in wordproblem_pool:
+        for w in op.args:
+            reduce[op.kind[0]](w)
+    w = descending_word(3200)
+    assert rewrite.scan_at(_scan_run, w, 0) == _scan_run(w, run_lengths(w), 0, 1)[1:]
+    assert len(rewrite._ONES) >= max(3200, rewrite.RUN_TABLE_MIN)
+    assert set(rewrite._ONES) == {1}
 
 
 def kept_table_reduce(system, word, monkeypatch):
     """The system's reduce_steps of word, checking that each round starts
-    on run_lengths of its list and that each scanner call gets a lower
-    bound whose entries exceed the next by at most one; (result, counts)
+    on run_lengths of its list and that each scanner call gets
+    run_lengths of its list or the all-ones table; (result, counts)
     with the counts of run_lengths calls ("built"), dense rounds (rounds
     on RUN_TABLE_MIN letters or more that sort by the full pass), sorts
     that took the stack and round starts checked."""
@@ -248,19 +304,16 @@ def kept_table_reduce(system, word, monkeypatch):
     counts = {"built": 0, "dense": 0, "stack": 0, "starts": 0}
     state = {"fresh": False, "long": False}
 
-    def round_(scan, w, runs=None):
+    def round_(scan, w, runs):
         state["fresh"], state["long"] = True, len(w) >= rewrite.RUN_TABLE_MIN
         return real_round(scan, w, runs)
 
     def scan(w, runs, i, stop):
-        exact = run_lengths(w)
+        read = table_read(w, runs)
         if state["fresh"] and state["long"]:
-            assert runs == exact
+            assert read == "exact"
             counts["starts"] += 1
         state["fresh"] = False
-        assert len(runs) >= len(w)
-        assert all(1 <= r <= e for r, e in zip(runs, exact))
-        assert all(a <= b + 1 for a, b in zip(runs, runs[1:len(w)]))
         return scan_run(w, runs, i, stop)
 
     def sort(w, *args):
