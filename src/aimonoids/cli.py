@@ -15,7 +15,9 @@ details.  The only harness-specific code here is I/O: linrep reads
 --matrix (in place of --rank) and rank2 writes --dot.  `_OPTIONS` declares
 each verify option once; one not given is absent from the parsed namespace,
 and the harness default stands in for it.  A harness refuses every other
-option given, as a usage error.  One parser serves every call in a process.
+option given, as a usage error.  Integer options take ASCII numerals, as
+letters do, the signed ones with a leading "-".  One parser serves every
+call in a process.
 Exit codes: 0 for pass or "equal", 1 for a property failure or "distinct",
 2 for usage and parse errors and for a harness that ran no checks.
 `--json` prints a verification report as a single object with the fields
@@ -39,7 +41,7 @@ from .monoid_core import (action_harness, chain_ci_matrix, hasse_dot,
                           load_ci_matrix, rank2_harness)
 from .rewrite_a import a_confluence_audit, a_equal, a_reduce
 from .rewrite_m import m_confluence_audit, m_equal, m_reduce, verify_sink
-from .words import format_word, parse_word
+from .words import format_word, is_numeral, parse_word
 
 
 def _letters(word) -> str:
@@ -50,8 +52,15 @@ def _letters(word) -> str:
     return " ".join("abc"[x - 1] for x in word)
 
 
+def _integer(text: str) -> int:
+    """An ASCII numeral with an optional leading "-", as an int."""
+    if not is_numeral(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError("not an integer: %s" % text)
+    return int(text)
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive: %s" % text)
     return value
@@ -131,16 +140,16 @@ _FILE_OPTION = {"linrep": "matrix", "rank2": "dot"}
 _OPTIONS = {
     "rank": (_positive, "letter cap (default depends on the harness)"),
     "samples": (_positive, "random sample count (default per harness)"),
-    "seed": (int, None),
-    "max_exp": (int, "exponent cap for the confluence-a families"),
-    "max_interleave": (int, "interleave cap for the confluence-m families"),
-    "k": (int, "rank2: first label"),
-    "l": (int, "rank2: second label"),
+    "seed": (_integer, None),
+    "max_exp": (_integer, "exponent cap for the confluence-a families"),
+    "max_interleave": (_integer, "interleave cap for the confluence-m families"),
+    "k": (_integer, "rank2: first label"),
+    "l": (_integer, "rank2: second label"),
     "dot": (str, "rank2: write the Hasse diagram as DOT"),
     "matrix": (str, "linrep: verify the matrix in this file "
                     "instead of the chain diagram of --rank"),
-    "budget": (int, "cube: reversing step budget"),
-    "max_len": (int, "cube: census length bound"),
+    "budget": (_integer, "cube: reversing step budget"),
+    "max_len": (_integer, "cube: census length bound"),
     "carrier": (_positive, "action: carrier set size"),
 }
 

@@ -13,17 +13,20 @@ commute-sorts the word, then runs rounds that delete left to right and
 commute-sort again; each round hands the scanner a table of the word's
 descending runs, which both systems' scanners cross in one step: the
 exact table, or the shared all-ones table, which holds for every word.
-A reduction builds the exact table once: its rounds keep it exact through
-their deletions, and their closing sort visits only the pairs those
-deletions joined and repairs the table where it moved letters.  Short
-rounds, and a long round from the deletion that passes 1/16 of its
-letters on, scan with the all-ones table.  The word problem (`equal`)
-runs the rounds of both words in lockstep and stops as soon as the two
-words agree, as from then on they reduce alike.  For the overlap audit
-this module lists the commutation left-hand sides and the overlaps of
-two lists of left-hand sides; the audit joins each critical pair's two
-reducts in the same lockstep, and reduces each reduct of a random word
-once.
+A reduction's rounds share one exact table: `run_lengths` of its list,
+or empty after a round that left the exact path, for the next long
+round to build.  A round keeps it exact through its deletions, and its
+closing sort visits only the pairs those deletions joined and repairs
+the table where it moved letters, or empties it when it takes the
+stack.  A long round leaves the exact path at the deletion that passes
+1/16 of its letters or lands at or before a pair an earlier one joined,
+and scans on with the all-ones table, as short rounds do throughout.
+The word problem (`equal`) runs the rounds of both words in lockstep
+and stops as soon as the two words agree, as from then on they reduce
+alike.  For the overlap audit this module lists the commutation
+left-hand sides and the overlaps of two lists of left-hand sides; the
+audit joins each critical pair's two reducts in the same lockstep, and
+reduces each reduct of a random word once.
 """
 
 from __future__ import annotations
@@ -107,10 +110,11 @@ def _round(scan, w, runs) -> int:
     The table is one of two, and each scanner gives the same result with
     either (see its docstring): runs, the exact run table of w, or the
     shared all-ones table, which holds for every word and is never
-    written.  runs comes as `run_lengths` of w, or empty for the round to
-    fill.  A round on fewer than RUN_TABLE_MIN letters scans with the
-    all-ones table and leaves runs alone; a longer one scans with runs and
-    keeps it for the next round.
+    written.  runs comes as `run_lengths` of w, or empty after a round
+    that left the exact path, for this round to build.  A round on fewer
+    than RUN_TABLE_MIN letters scans with the all-ones table and leaves
+    runs alone (no later round reads it, as rounds never lengthen the
+    list); a longer one scans with runs and keeps it for the next round.
 
     The round keeps runs exact through each deletion.  Deleting
     runs[lo:hi] leaves the entries from lo on those of the same runs
@@ -118,20 +122,22 @@ def _round(scan, w, runs) -> int:
     runs[k] = runs[k + 1] + 1 if w[k] == w[k + 1] + 1 else 1, up to the
     first that keeps its value (`words._rerun`): the letters before lo
     did not change, so neither do the entries before that one.  The
-    round also keeps its cuts (`_recut`), the positions lo whose pair
-    w[lo - 1], w[lo] a deletion joined and left a descent, moved back by
-    the later deletions before them and dropped when one breaks their
-    pair; the list came sorted, so no other pair is a descent.  Its
-    closing sort, commute_sort(w, cuts, runs), visits only the cuts and
-    the letter after each slide, gives the list and the moves of the
-    full pass and leaves runs run_lengths of the sorted list (the proof
-    is in its docstring).  So every round starts on run_lengths of its
-    list, and a reduction builds the table once.
+    round also appends to its cuts each lo whose pair w[lo - 1], w[lo]
+    the deletion joined and left a descent.  A deletion after the last
+    cut moves no cut and changes no cut's pair, and the list came
+    sorted, so the cuts are the descents of the list.  Its closing sort,
+    commute_sort(w, cuts, runs), visits only the cuts and the letter
+    after each slide, gives the list and the moves of the full pass and
+    leaves runs run_lengths of the sorted list, or empty when it took
+    the stack (the proof is in its docstring).
 
-    A round that has deleted more than 1/16 of its letters would repair
-    long spans, so at that deletion it empties runs and scans the rest of
-    the round with the all-ones table.  It then sorts by the full pass,
-    and the next round rebuilds runs.
+    The round leaves the exact path at the deletion that takes it past
+    1/16 of its letters, which would repair long spans, and at a
+    deletion at or before its last cut, which may break or move cuts.
+    There it empties runs, scans the rest of the round with the all-ones
+    table and sorts by the full pass, and the next long round builds
+    runs again.  The scan contract allows a deletion at or before a cut;
+    whether either system's scanner makes one is not proven.
     """
     n = len(w)
     deleted = 0
@@ -148,12 +154,13 @@ def _round(scan, w, runs) -> int:
         del w[lo:hi]
         deleted += 1
         if room >= 0:
-            room -= hi - lo
+            room = -1 if cuts and cuts[-1] >= lo else room - (hi - lo)
             if room >= 0:
                 del runs[lo:hi]
                 _rerun(w, runs, lo - 1, lo)
-                _recut(cuts, w, lo, hi)
-            else:
+                if 0 < lo < len(w) and w[lo - 1] - w[lo] >= 2:
+                    cuts.append(lo)
+            else:  # leave the exact path
                 del runs[:]
                 table = _ones(len(w))
         s = scan(w, table, start, len(w))
@@ -162,36 +169,18 @@ def _round(scan, w, runs) -> int:
     return deleted and deleted + commute_sort(w, cuts, runs)
 
 
-def _recut(cuts, w, lo, hi) -> None:
-    """Update a round's increasing cuts for its deletion of w[lo:hi], now
-    done: drop those in [lo, hi], whose pairs it broke, move those after
-    hi back by hi - lo, and add lo if w[lo - 1], w[lo] is a descent."""
-    moved = []
-    while cuts and cuts[-1] >= lo:
-        c = cuts.pop()
-        if c > hi:
-            moved.append(c - hi + lo)
-    if 0 < lo < len(w) and w[lo - 1] - w[lo] >= 2:
-        cuts.append(lo)
-    if moved:
-        cuts += reversed(moved)
-
-
 def reduce_steps(scan, word) -> tuple:
     """Normal form and the number of single-rule steps taken to reach it:
     commute-sort w, then run rounds (`_round`) until one deletes nothing.
 
-    The rounds share one run table.  The first round on RUN_TABLE_MIN
-    letters or more builds it (`run_lengths`), and every round leaves it
-    run_lengths of its list, or empty after a round that deleted more
-    than 1/16 of its letters, for the next round to rebuild: a deletion
-    re-derives the entries before it up to the first that keeps its
-    value, and the closing sort, which moves letters only next to the
-    cuts the deletions made, re-derives the entries of the spans it moved
-    (proofs in `_round` and `commute_sort`).  So every scanner call reads
-    either run_lengths of its list or the all-ones table, and as a scan's
-    result is the same with either, the steps and the normal form are
-    those of rounds that scan with the all-ones table throughout.
+    The rounds share one run table (see `_round`): the first round on
+    RUN_TABLE_MIN letters or more builds it, and every round that long
+    leaves it run_lengths of its list, or empty after a round that left
+    the exact path, for the next long round to build.  So every scanner
+    call reads either run_lengths of its list or the all-ones table, and
+    as a scan's result is the same with either, the steps and the normal
+    form are those of rounds that scan with the all-ones table
+    throughout.
     """
     w = list(validate_word(word))
     steps = commute_sort(w)
@@ -214,10 +203,11 @@ def equal(scan, u, v) -> bool:
 
     Proof.  A round reads the list and a table, the exact table or the
     all-ones one (see `_round`: each side keeps its own exact table, built
-    at its first round on RUN_TABLE_MIN letters or more and left
-    run_lengths of its list or empty by each round), and the scanner gives
-    the same result with either.  So once a round has started, all that
-    follows depends only on the list at that moment.  Every list compared
+    at its first round on RUN_TABLE_MIN letters or more; the table is
+    run_lengths of its list, or empty after a round that left the exact
+    path), and the scanner gives the same result with either.  So once
+    a round has started, all that follows depends only on the list at
+    that moment.  Every list compared
     is one that its side has commute-sorted: the current list just after
     a commute_sort, or its normal form, and u's list before its last
     round, which the commute_sort before that round sorted.

@@ -179,7 +179,7 @@ def commute_sort(w: list[int], cuts=None, runs=None) -> int:
     the first that keeps its value (`_rerun`): the entries after i are
     exact by then, the letters before lo are the list's own up to the next
     earlier span, and every entry of that span is re-derived in its turn.
-    When the stack ran, the table is rebuilt.
+    When the stack ran, the table is emptied, for the next round to build.
     """
     if cuts is not None:
         return _cut_sort(w, cuts, runs)
@@ -202,7 +202,7 @@ def commute_sort(w: list[int], cuts=None, runs=None) -> int:
 
 def _cut_sort(w, cuts, runs) -> int:
     """commute_sort(w) for w sorted but at its cuts, keeping runs its
-    run table (see commute_sort)."""
+    run table, or emptying it when the stack runs (see commute_sort)."""
     n = len(w)
     moves = i = 0
     spans = []
@@ -222,9 +222,8 @@ def _cut_sort(w, cuts, runs) -> int:
             w[j] = x
             moves += i - j
             if moves > 8 * i:
-                moves = _stack_sort(w, i, moves)
-                runs[:] = run_lengths(w)
-                return moves
+                del runs[:]  # for the next round to build
+                return _stack_sort(w, i, moves)
             if j < lo:
                 lo = j
             i += 1

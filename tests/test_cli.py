@@ -241,6 +241,25 @@ def test_nonpositive_counts_exit_2(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_integer_options_take_ascii_numerals_only(capsys):
+    # as letters do: no other digits, no "_", no "+"
+    for argv in (["reduce", "--system", "A", "--rank", "\u0663", "1"],
+                 ["equal", "--system", "M", "--rank", "3 ", "1", "1"],
+                 ["verify", "sink", "--samples", "1_0", "--json"],
+                 ["verify", "rank2", "--k", "\u00b2", "--l", "3"],
+                 ["verify", "rank2", "--k", "1_0", "--l", "10"],
+                 ["verify", "cancel", "--seed", "+3"],
+                 ["verify", "cube", "--budget", "--5"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+    # the signed options keep a leading "-"
+    code, out, _ = run(capsys, "verify", "cancel", "--seed", "-1", "--samples", "5",
+                       "--json")
+    assert code == 0 and json.loads(out)["params"]["seed"] == -1
+
+
 def test_verify_cube_budget_exceeded(capsys):
     for budget in ("1", "2", "3", "4", "5"):
         code, out, err = run(capsys, "verify", "cube", "--budget", budget)

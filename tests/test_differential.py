@@ -520,8 +520,10 @@ def test_commute_sort_matches_insertion_sort(w):
 def cut_word(word, picks):
     """The commute-sorted word cut as a round cuts it: for each pick
     (position, width), w[lo:lo + width] is deleted (lo the position mod
-    the length), its run table kept by `words._rerun` and its cuts by
-    `rewrite._recut`; (list, cuts, table)."""
+    the length), its run table kept by `words._rerun`, and lo appended to
+    the cuts when the pair it joined is a descent; the picks stop at the
+    first whose lo is at or before the last cut, where a round leaves
+    the cut path; (list, cuts, table)."""
     w = list(word)
     commute_sort(w)
     runs = run_lengths(w)
@@ -530,18 +532,21 @@ def cut_word(word, picks):
         if not w:
             break
         lo = pos % len(w)
+        if cuts and cuts[-1] >= lo:
+            break
         hi = min(lo + width, len(w))
         del w[lo:hi]
         del runs[lo:hi]
         _rerun(w, runs, lo - 1, lo)
-        rewrite._recut(cuts, w, lo, hi)
+        if 0 < lo < len(w) and w[lo - 1] - w[lo] >= 2:
+            cuts.append(lo)
     return w, cuts, runs
 
 
 def check_cut_sort(word, picks):
     """The cut path of commute_sort against the full pass: same list and
-    moves, and it leaves the table run_lengths of the sorted list; the
-    switch to the stack is reported."""
+    moves, and it leaves the table run_lengths of the sorted list, or
+    empty when it took the stack, which is reported."""
     w, cuts, runs = cut_word(word, picks)
     # a round's upkeep: the exact table, and a cut at every descent
     assert runs == run_lengths(w)
@@ -549,8 +554,9 @@ def check_cut_sort(word, picks):
     before, expected = list(w), list(w)
     moves = commute_sort(expected)
     assert (commute_sort(w, cuts, runs), w) == (moves, expected)
-    assert runs == run_lengths(w)
-    return insertion_commute_sort(before)[1]
+    stacked = insertion_commute_sort(before)[1]
+    assert runs == ([] if stacked else run_lengths(w))
+    return stacked
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -558,8 +564,8 @@ def check_cut_sort(word, picks):
        picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 3)), max_size=40))
 # a slide that leaves the next pair a descent: 5 3 2 -> 3 5 2 -> 3 2 5
 @example(word=(5, 4, 3, 2), picks=[(1, 1)])
-# a deletion before a cut moves it back, and one over a cut drops it
-@example(word=(3, 2, 1, 6, 5, 4, 9, 8, 7), picks=[(4, 1), (1, 1), (2, 2)])
+# cuts at 1 and 3 (3 1 6 4 9 8 7), then a deletion at 2, where the picks stop
+@example(word=(3, 2, 1, 6, 5, 4, 9, 8, 7), picks=[(1, 1), (3, 1), (2, 2)])
 # the cut joins 9 to fifteen 2s, which slide past twenty 9s: the moves
 # pass eight per letter seen, and the stack places the rest
 @example(word=(9,) * 20 + (8, 7, 6, 5, 4, 3) + (2,) * 15, picks=[(20, 6)])

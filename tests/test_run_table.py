@@ -7,11 +7,13 @@ scanner must give exactly what its scan that reads letter by letter gives
 or any lower bound.  A reduction builds its table once: every round must
 start on `run_lengths` of its list, every scanner call must get exactly
 `run_lengths` of its list or the shared all-ones table `rewrite._ONES`,
-and `run_lengths` may run again only after a round that deleted more
-than 1/16 of its letters or a sort that took the stack.  A round that
-passes 1/16 must switch from the exact table to the all-ones one at that
-deletion.  A and M reductions of the benchmark's ops must keep their
-normal form, steps, commute_sort calls and scanner calls.
+and `run_lengths` may run again only after a round that left the exact
+path: at a deletion at or before one of its cuts, at one that passes
+1/16 of its letters, or at a sort that took the stack.  Such a round
+must switch from the exact table to the all-ones one at that deletion,
+and no round of the benchmark's ops takes the exit at a cut.  A and M
+reductions of the benchmark's ops must keep their normal form, steps,
+commute_sort calls and scanner calls.
 `rewrite.equal` also meets pairs whose second word lags the first by one
 round.
 """
@@ -279,6 +281,82 @@ def test_a_dense_round_switches_to_the_all_ones_table(system, monkeypatch):
     del reads[:]
     rewrite._round(scan, w, runs)
     assert reads[0][1] == "exact"
+
+
+def test_a_deletion_at_or_before_a_cut_leaves_the_exact_path(monkeypatch):
+    # a scripted scanner: its first deletion joins 44 and 42 into a descent,
+    # a cut at 8, and its second deletion lands before that cut, at 6
+    w = list(descending_word(200))
+    commute_sort(w)
+    assert w[6:10] == [45, 44, 43, 42]
+    script = iter([(5, 8, 9), (5, 6, 7), 198])
+    reads, sorts = [], []
+
+    def scan(w, runs, i, stop):
+        reads.append(table_read(w, runs))
+        return next(script)
+
+    def sort(w, *args):
+        sorts.append(args)
+        return commute_sort(w, *args)
+
+    monkeypatch.setattr(rewrite, "commute_sort", sort)
+    after = w[:6] + w[7:8] + w[9:]
+    expected = list(after)
+    moves = commute_sort(expected)
+    assert moves > 0
+    runs = run_lengths(w)
+    assert rewrite._round(scan, w, runs) == 2 + moves
+    # the exact table up to the deletion at or before the cut, then the
+    # all-ones table and the full pass, and an empty table
+    assert reads == ["exact", "exact", "ones"]
+    assert sorts[-1] == () and w == expected and runs == []
+    # the next round starts on the table it builds
+    reads.clear()
+    script = iter([len(w)])
+    assert rewrite._round(scan, w, runs) == 0
+    assert reads == ["exact"] and runs == run_lengths(w)
+
+
+def test_no_benchmark_round_deletes_at_or_before_a_cut(wordproblem_pool, monkeypatch):
+    # every third op per system, kind and family in the seed-0 pool, both
+    # words of the equal ops; each long round's scanner calls read the
+    # exact table while its deletions are within n >> 4 letters, and the
+    # all-ones table after, so no round leaves the exact path at a cut
+    groups = {}
+    for op in wordproblem_pool:
+        groups.setdefault((op.kind, op.info["family"]), []).append(op)
+    ops = [op for group in groups.values() for op in group[::3]]
+    real_round = rewrite._round
+    rounds = []
+
+    def round_(scan, w, runs):
+        rounds.append((len(w), []) if len(w) >= rewrite.RUN_TABLE_MIN else None)
+        return real_round(scan, w, runs)
+
+    def reading(scan_run):
+        def scan(w, runs, i, stop):
+            if rounds[-1] is not None:
+                n, reads = rounds[-1]
+                reads.append((n - len(w), table_read(w, runs)))
+            return scan_run(w, runs, i, stop)
+        return scan
+
+    reduce = {"a": rewrite_a.a_reduce_steps, "m": m_reduce_steps}
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_round", round_)
+        for module in (rewrite_a, rewrite_m):
+            m.setattr(module, "_scan_run", reading(module._scan_run))
+        for op in ops:
+            for w in op.args:
+                reduce[op.kind[0]](w)
+    seen = {"exact": 0, "ones": 0}
+    for n, reads in filter(None, rounds):
+        assert [read for _, read in reads] == [
+            "exact" if deleted <= n >> 4 else "ones" for deleted, _ in reads], n
+        for _, read in reads:
+            seen[read] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_the_all_ones_table_stays_all_ones(wordproblem_pool):

@@ -357,6 +357,91 @@ def test_scale_probe_times_the_descending_words(tmp_path):
         ("parent", "change"), ("change", "parent")] * 9
 
 
+STAND_IN_WORKLOADS = """
+import json
+from aimonoids import rewrite
+
+
+class Op:
+    def __init__(self, kind, args):
+        self.kind, self.args = kind, args
+
+
+class WordProblem:
+    def setup(self):
+        pass
+
+    def generate(self, seed):
+        return [Op("a_reduce", ((2, 1),))]
+
+    def execute(self, op):
+        return rewrite.normal_form(op.args[0])
+
+
+class Verify:
+    def setup(self):
+        pass
+
+    def generate(self, seed):
+        return [Op("verify", ("verify", "h%d" % k, "--seed", str(seed)))
+                for k in range(12)]
+
+    def execute(self, op):
+        rewrite.commute_sort([3, 1])
+        return FAILED.get(op.args[1], 0), json.dumps({
+            "command": "verify " + op.args[1], "checks_run": 5,
+            "failures": ["f"] * FAILED.get(op.args[1], 0), "elapsed_ms": ELAPSED})
+"""
+
+STAND_IN_REWRITE = """
+def commute_sort(w, *args):
+    w.sort()
+    return 0
+
+
+def normal_form(w):
+    return sorted(w)
+"""
+
+STAND_IN_SYSTEM = """
+def _scan_run(w, runs, i, stop):
+    return stop
+
+
+def %s_reduce_steps(w):
+    return tuple(w), 0
+"""
+
+
+def stand_in_digest(checkout, elapsed, failed):
+    """The DIGEST_PROBE line of a stand-in checkout whose verify ops report
+    `elapsed` ms and fail as `failed` says (harness -> failures)."""
+    package = checkout / "src" / "aimonoids"
+    package.mkdir(parents=True)
+    (package / "__init__.py").touch()
+    (package / "rewrite.py").write_text(STAND_IN_REWRITE)
+    for system in "am":
+        (package / ("rewrite_%s.py" % system)).write_text(STAND_IN_SYSTEM % system)
+    (checkout / "perfbench").mkdir()
+    (checkout / "perfbench" / "workloads.py").write_text(
+        "FAILED = %r\nELAPSED = %d\n" % (failed, elapsed) + STAND_IN_WORKLOADS)
+    proc = bench_pairs.subprocess.run(
+        [bench_pairs.sys.executable, "-c", bench_pairs.DIGEST_PROBE, "4"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_the_digest_covers_the_first_verify_pass(tmp_path):
+    parent = stand_in_digest(tmp_path / "parent", 3, {})
+    # the one wordproblem op and the first nine verify ops
+    assert parent[0] == "10"
+    # reports that differ only in elapsed_ms hash alike
+    assert stand_in_digest(tmp_path / "slower", 250, {}) == parent
+    # one more failure, in the pass or past it
+    assert stand_in_digest(tmp_path / "failing", 3, {"h8": 1}) != parent
+    assert stand_in_digest(tmp_path / "later", 3, {"h9": 1}) == parent
+
+
 def test_scale_keeps_the_least_time_of_each_side_over_its_processes(monkeypatch):
     runs = iter([{"parent": {"desc L 7": 2.0}, "change": {"desc L 7": 1.5}},
                  {"parent": {"desc L 7": 1.0}, "change": {"desc L 7": 3.0}},

@@ -49,12 +49,14 @@ aim 2 counts.
 ``--digest SEEDS`` checks, before any timed run, that the change computes
 what the parent does: for each seed, each checkout generates that seed's
 ``wordproblem`` pool from its own ``perfbench/workloads.py``, runs every
-op and reduces every op word by its op's system, with
-``rewrite.commute_sort`` and both systems' ``_scan_run`` wrapped in call
-counters, and prints one sha256 over every (result, commute_sort calls,
-scanner calls) (see ``DIGEST_PROBE``).  Two digests that differ stop the
-tool with an error naming the seed; equal ones are stored under
-``digests``.
+op and reduces every op word by its op's system, then runs the seed's
+first ``verify`` pass (the nine ops of ``Verify().generate(seed)[:9]``),
+with ``rewrite.commute_sort`` and both systems' ``_scan_run`` wrapped in
+call counters, and prints one sha256 over every (result, commute_sort
+calls, scanner calls), a ``verify`` op's result being its exit code and
+its JSON report without ``elapsed_ms`` (see ``DIGEST_PROBE``).  Two
+digests that differ stop the tool with an error naming the seed; equal
+ones are stored under ``digests``.
 ``--note`` stores a line of text under its key; ``change`` describes the
 change.  A note without ``=``, or one whose key is another key the file
 fills in itself (``topic``, ``parent_commit``, ``command``, ``machine``,
@@ -160,17 +162,20 @@ if not callable(getattr(importlib.import_module(module), name)):
 
 # Run in a fresh interpreter in a checkout: argv is one seed.  Generates
 # that seed's wordproblem pool from the checkout's perfbench/workloads.py,
-# then runs every op and reduces every op word by the op's system, with
-# rewrite.commute_sort and both _scan_runs counted per call whatever their
-# arguments; prints the pool size and one sha256 over (result, counts).
+# then runs every op and reduces every op word by the op's system, and runs
+# the seed's first verify pass, with rewrite.commute_sort and both
+# _scan_runs counted per call whatever their arguments; prints the number
+# of ops run and one sha256 over (result, counts), a verify op's result
+# being its exit code and its report without elapsed_ms.
 DIGEST_PROBE = """
-import hashlib, sys
+import hashlib, json, sys
 sys.path[:0] = ["src", "perfbench"]
 from aimonoids import rewrite, rewrite_a, rewrite_m
-from workloads import WordProblem
+from workloads import Verify, WordProblem
+seed = int(sys.argv[1])
 workload = WordProblem()
 workload.setup()
-ops = workload.generate(int(sys.argv[1]))
+ops = workload.generate(seed)
 counts = [0, 0]
 
 def counted(k, fn):
@@ -190,7 +195,16 @@ for op in ops:
     for w in op.args:
         counts[:] = [0, 0]
         digest.update(repr((reduce[op.kind[0]](w), counts)).encode())
-print(len(ops), digest.hexdigest())
+verify = Verify()
+verify.setup()
+passes = verify.generate(seed)[:9]
+for op in passes:
+    counts[:] = [0, 0]
+    code, text = verify.execute(op)
+    report = json.loads(text)
+    del report["elapsed_ms"]
+    digest.update(repr((op.args, code, sorted(report.items()), counts)).encode())
+print(len(ops) + len(passes), digest.hexdigest())
 """
 
 
