@@ -15,16 +15,20 @@ the right by
 with coefficients collecting on the left.  verify_representation checks
 that every defining relation of the monoid acts identically on every basis
 vector, together with the closed-form identities used to prove it.
+Within one verify_representation call each basis vector's action by an
+alternating word is computed once, one letter after the last (see its
+docstring).
 """
 
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from itertools import permutations
 
 from .monoid_core import (CIMatrix, INFINITY, Report, _require_ci,
                           ci_presentation, make_ci_matrix)
-from .words import alternating, validate_word
+from .words import alternating, require_ints, validate_word
 
 # A ring monomial is a tuple of ordered pairs (a, b); a ring element maps
 # normal monomials to nonzero integers; a module vector maps basis indices
@@ -164,6 +168,37 @@ def act_word(v: dict, word, matrix: CIMatrix) -> dict:
     return v
 
 
+#: (matrix, rows) while a verify_representation call runs, else None;
+#: rows maps (s, a, b) to [e_s [a,b;0], e_s [a,b;1], ...] as far as read
+_ROWS = ContextVar("linrep_rows", default=None)
+
+
+def _act_alternating(v: dict, a: int, b: int, n: int, matrix: CIMatrix) -> dict:
+    """act_word(v, alternating(a, b, n), matrix).  Inside a
+    verify_representation call on matrix, the action on a basis vector
+    e_s is read from row (s, a, b), which gains one act_letter per entry
+    it lacks."""
+    scope = _ROWS.get()
+    if scope is not None and scope[0] is matrix and len(v) == 1:
+        (s, coef), = v.items()
+        if coef == ring_one():
+            row = scope[1].setdefault((s, a, b), [v])
+            while len(row) <= n:
+                row.append(act_letter(row[-1], b if len(row) % 2 == 0 else a, matrix))
+            return row[n]
+    return act_word(v, alternating(a, b, n), matrix)
+
+
+def _alternation(w) -> tuple:
+    """(a, b, n) with w = [a,b;n], for a nonempty alternating word w (a
+    single letter a is [a,a;1])."""
+    a = w[0]
+    b = w[1] if len(w) > 1 else a
+    if alternating(a, b, len(w)) != w:
+        raise ValueError(f"not an alternating word: {w}")
+    return a, b, len(w)
+
+
 # ---------------------------------------------------------------------------
 # the identities behind the representation
 
@@ -172,16 +207,35 @@ def _parity_pair(a: int, b: int, n: int) -> tuple:
     return (a, b) if n % 2 == 0 else (b, a)
 
 
+def _require_domain(matrix: CIMatrix, length: tuple, **letters) -> None:
+    """Refuse an identity's arguments outside its domain, naming the
+    first: the length (name, value) unless a positive int, and a letter
+    unless an int in 1..size that differs from the letters before it."""
+    name, n = length
+    require_ints(**{name: n}, **letters)
+    if n < 1:
+        raise ValueError(f"{name} must be positive, got {n}")
+    seen = {}
+    for name, x in letters.items():
+        if not 1 <= x <= matrix.size:
+            raise ValueError(f"{name} must be in 1..{matrix.size}, got {x}")
+        if x in seen:
+            raise ValueError(f"{name} must differ from {seen[x]}, got {x}")
+        seen[x] = name
+
+
 def _difference(e: dict, a: int, b: int, n: int, matrix: CIMatrix) -> dict:
     """The vector e ([T_a,T_b;n] - [T_b,T_a;n])."""
-    return vec_sub(act_word(e, alternating(a, b, n), matrix),
-                   act_word(e, alternating(b, a, n), matrix))
+    return vec_sub(_act_alternating(e, a, b, n, matrix),
+                   _act_alternating(e, b, a, n, matrix))
 
 
 def check_alternating_action(matrix: CIMatrix, a: int, b: int, n: int) -> bool:
     """e_b acted by the alternating word [a,b;n] has the closed form
-    [x_ba,x_ab;n-1] e_{a(n)} + [x_ba,x_ab;n] e_{b(n)}."""
-    lhs = act_word(basis_vector(b), alternating(a, b, n), matrix)
+    [x_ba,x_ab;n-1] e_{a(n)} + [x_ba,x_ab;n] e_{b(n)}, for distinct
+    generators a, b and n >= 1."""
+    _require_domain(matrix, ("n", n), a=a, b=b)
+    lhs = _act_alternating(basis_vector(b), a, b, n, matrix)
     an, bn = _parity_pair(a, b, n)
     rhs = vec_add(
         vec_scale(alternating_coeff(b, a, n - 1, matrix), basis_vector(an), matrix),
@@ -192,7 +246,8 @@ def check_alternating_action(matrix: CIMatrix, a: int, b: int, n: int) -> bool:
 
 def check_difference_recursion(matrix: CIMatrix, a: int, b: int, p: int) -> bool:
     """[T_a,T_b;p+1] - [T_b,T_a;p+1] = ([T_a,T_b;p] - [T_b,T_a;p])(T_a+T_b-1),
-    checked on every basis vector."""
+    checked on every basis vector, for distinct generators a, b and p >= 1."""
+    _require_domain(matrix, ("p", p), a=a, b=b)
     for s in range(1, matrix.size + 1):
         e = basis_vector(s)
         lhs = _difference(e, a, b, p + 1, matrix)
@@ -206,7 +261,9 @@ def check_difference_recursion(matrix: CIMatrix, a: int, b: int, p: int) -> bool
 
 def check_mixed_difference(matrix: CIMatrix, a: int, b: int, c: int, n: int) -> bool:
     """e_c ([T_a,T_b;n] - [T_b,T_a;n]) expands to
-    x_ca [x_ab,x_ba;n-1] e_{b(n)} - x_cb [x_ba,x_ab;n-1] e_{a(n)}."""
+    x_ca [x_ab,x_ba;n-1] e_{b(n)} - x_cb [x_ba,x_ab;n-1] e_{a(n)}, for
+    distinct generators a, b, c and n >= 1."""
+    _require_domain(matrix, ("n", n), a=a, b=b, c=c)
     lhs = _difference(basis_vector(c), a, b, n, matrix)
     an, bn = _parity_pair(a, b, n)
     rhs = vec_sub(
@@ -225,35 +282,52 @@ def verify_representation(matrix: CIMatrix) -> Report:
     and the closed-form identities hold up to length m(a,b)+1.
 
     Pairs with an infinite label contribute no relations and are skipped.
+
+    Every relation side of ci_presentation is an alternating word, and
+    so is every word the three checks and `_difference` act by on a basis
+    vector.  For the length of the call, each e_s [a,b;n] is read from row
+    (s, a, b), which holds e_s [a,b;n] for n = 0, 1, ... and computes
+    each entry by one act_letter on the one before: at chain rank 3 that
+    is 258 act_letter calls or fewer where acting by each word afresh
+    made 1,356.  The rows belong to the call, not to the matrix: they are
+    dropped when it returns, so a later call recomputes them with the
+    module's functions as they are then, a rebound `_vanishes` included.
+    The checks are reached through the module, and outside a call they
+    act by each word afresh.
     """
-    failures = []
-    checks = 0
-    pres = ci_presentation(matrix)
-    for lhs, rhs in pres.relations:
-        for s in range(1, matrix.size + 1):
-            checks += 1
-            e = basis_vector(s)
-            if act_word(e, lhs, matrix) != act_word(e, rhs, matrix):
-                failures.append(("relation", lhs, rhs, s))
-    for a, b in permutations(range(1, matrix.size + 1), 2):
-        k = matrix.m[(a, b)]
-        if k == INFINITY:
-            continue
-        for n in range(1, k + 2):
-            checks += 1
-            if not check_alternating_action(matrix, a, b, n):
-                failures.append(("alternating-action", a, b, n))
-            checks += 1
-            if not check_difference_recursion(matrix, a, b, n):
-                failures.append(("difference-recursion", a, b, n))
-        for c in range(1, matrix.size + 1):
-            if c in (a, b):
+    token = _ROWS.set((matrix, {}))
+    try:
+        failures = []
+        checks = 0
+        pres = ci_presentation(matrix)
+        for lhs, rhs in pres.relations:
+            u, v = _alternation(lhs), _alternation(rhs)
+            for s in range(1, matrix.size + 1):
+                checks += 1
+                e = basis_vector(s)
+                if _act_alternating(e, *u, matrix) != _act_alternating(e, *v, matrix):
+                    failures.append(("relation", lhs, rhs, s))
+        for a, b in permutations(range(1, matrix.size + 1), 2):
+            k = matrix.m[(a, b)]
+            if k == INFINITY:
                 continue
             for n in range(1, k + 2):
                 checks += 1
-                if not check_mixed_difference(matrix, a, b, c, n):
-                    failures.append(("mixed-difference", a, b, c, n))
-    return Report(checks, failures)
+                if not check_alternating_action(matrix, a, b, n):
+                    failures.append(("alternating-action", a, b, n))
+                checks += 1
+                if not check_difference_recursion(matrix, a, b, n):
+                    failures.append(("difference-recursion", a, b, n))
+            for c in range(1, matrix.size + 1):
+                if c in (a, b):
+                    continue
+                for n in range(1, k + 2):
+                    checks += 1
+                    if not check_mixed_difference(matrix, a, b, c, n):
+                        failures.append(("mixed-difference", a, b, c, n))
+        return Report(checks, failures)
+    finally:
+        _ROWS.reset(token)
 
 
 def random_ci_matrix(rng: random.Random, max_size: int = 3,

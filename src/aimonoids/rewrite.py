@@ -4,9 +4,11 @@ In both systems at most one rule occurrence starts at each position; rules
 are the commutation ``x_a x_b -> x_b x_a`` (a - b >= 2) and deletions, each
 removing the span ``match.deleted``.  Each rewriting function takes the
 system's own functions (matcher, deletion scanner, apply) as arguments;
-rewrite_a and rewrite_m pass their module functions on every call, so
-rebinding one is seen here.  Normalizing builds no match: a system's
-scanner runs over the starts itself and reports the first deletion as
+the confluence audit takes the matcher and the scanner, not apply, and
+rewrites each match it has parsed without parsing it again.  rewrite_a
+and rewrite_m pass their module functions on every call, so rebinding
+one is seen here.  Normalizing builds no match: a system's scanner
+runs over the starts itself and reports the first deletion as
 (start, lo, hi), the span w[lo:hi] it removes (in M, lo == start is a
 square run); only the match-at functions parse one.  Normalizing
 commute-sorts the word, then runs rounds that delete left to right and
@@ -35,7 +37,8 @@ import random
 from dataclasses import dataclass
 
 from .monoid_core import Report
-from .words import Word, _rerun, commute_sort, random_word, run_lengths, validate_word
+from .words import (Word, _rerun, commute_sort, random_word, require_ints,
+                    run_lengths, validate_word)
 
 COMMUTATION = "commutation"
 
@@ -54,6 +57,12 @@ def apply(match_at, w, match) -> Word:
     w = tuple(w)
     if match_at(w, match.start) != match:
         raise ValueError(f"match {match} does not occur in {w}")
+    return _rewrite(w, match)
+
+
+def _rewrite(w: Word, match) -> Word:
+    """The tuple w after rewriting `match`, which the caller has parsed
+    from w (apply, unchecked)."""
     if match.kind == COMMUTATION:
         i = match.start
         return w[:i] + (w[i + 1], w[i]) + w[i + 2:]
@@ -281,12 +290,18 @@ def commutations(n: int) -> list:
 def overlaps(family: str, lefts, rights, k: int | None = None) -> list:
     """The triples (l[:-j], l[-j:], r[j:]) for every left-hand side l in
     lefts and r in rights whose last j and first j letters agree, with
-    0 < j < min(len(l), len(r)); only j == k when k is given.
+    0 < j < min(len(l), len(r)); only j == k when k, a positive int, is
+    given.
 
     The rights are indexed by prefix, of length k only when k is given, so
     no l is compared with an r it does not overlap: the cost is that of
     slicing the words plus the size of the output.
     """
+    if k is not None:
+        require_ints(k=k)
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+
     def lengths(w):
         if k is None:
             return range(1, len(w))
@@ -319,7 +334,7 @@ def checked_lefts(match_at, lefts):
     return lefts
 
 
-def confluence_audit(triples, match_at, apply_fn, scan,
+def confluence_audit(triples, match_at, scan,
                      n: int, random_words: int, seed: int) -> Report:
     """Join both one-step reducts of every overlap, plus random disjoint pairs.
 
@@ -329,12 +344,15 @@ def confluence_audit(triples, match_at, apply_fn, scan,
     The rewriting is done once per call: the triples share a few left-hand
     sides (at most one per rule), so each distinct q*r or r*s is parsed
     with `full_span` and rewritten once and its reduct looked up after
-    that.  A triple's two words v = rewritten(q r) s and w = q
-    rewritten(r s) are then decided by `equal(scan, v, w)`, which runs the
-    two reductions in lockstep and stops where they meet; its proof shows
-    the answer is exactly reduce_steps(scan, v)[0] == reduce_steps(scan,
-    w)[0] for any scanner, confluent rules or not, so the audit counts and
-    reports the same failures as if it reduced both.  In a random word
+    that.  Each match is rewritten as parsed (`_rewrite`): `apply` would
+    parse it again to check that it occurs, and the audit has just parsed
+    it from that word, with `full_span` or `matches`.  A triple's two
+    words v = rewritten(q r) s and w = q rewritten(r s) are then decided
+    by `equal(scan, v, w)`, which runs the two reductions in lockstep and
+    stops where they meet; its proof shows the answer is exactly
+    reduce_steps(scan, v)[0] == reduce_steps(scan, w)[0] for any scanner,
+    confluent rules or not, so the audit counts and reports the same
+    failures as if it reduced both.  In a random word
     each match is rewritten, and its reduct reduced once by reduce_steps,
     the first time a disjoint pair needs it, not once per pair: those
     normal forms are shared by the pairs of the word.
@@ -347,7 +365,7 @@ def confluence_audit(triples, match_at, apply_fn, scan,
     def rewritten(lhs):
         v = reduct.get(lhs)
         if v is None:
-            v = reduct[lhs] = apply_fn(lhs, full_span(match_at, lhs))
+            v = reduct[lhs] = _rewrite(lhs, full_span(match_at, lhs))
         return v
 
     for t in triples:
@@ -366,7 +384,7 @@ def confluence_audit(triples, match_at, apply_fn, scan,
                 if ms[x].end <= ms[y].start:
                     for i in (x, y):
                         if reducts[i] is None:
-                            reducts[i] = apply_fn(w0, ms[i])
+                            reducts[i] = _rewrite(w0, ms[i])
                             forms[i] = reduce_steps(scan, reducts[i])[0]
                     by_family["disjoint"] = by_family.get("disjoint", 0) + 1
                     if forms[x] != forms[y]:

@@ -235,11 +235,20 @@ def a_critical_pairs(n: int, max_exponent: int = 2) -> list:
         _blocks(a - 1, a - b, exps) + descending_run(a, a - b)
         for a in range(3, n + 2) for b in range(2, a)
         for exps in _exponent_vectors(b, E)])
-    overlaps = rewrite.overlaps
     # family a stops r at a block boundary of r s; the overlaps whose r ends
     # inside a block (s[0] == r[-1]) are left out like M's longer overlaps:
-    # listing them would change the audit's counts, and a test joins them
-    a = [t for t in overlaps("a", F, F) if t.s[0] != t.r[-1]]
+    # listing them would change the audit's counts, and a test joins them.
+    # As r s is a right word R split at j, s[0] != r[-1] reads R[j] !=
+    # R[j - 1]: only those splits are indexed, so the triples built are
+    # the (F, F) overlaps kept, in the order `rewrite.overlaps` lists them
+    heads = {}
+    for R in F:
+        for j in range(1, len(R)):
+            if R[j - 1] != R[j]:
+                heads.setdefault(R[:j], []).append(R[j:])
+    a = [rewrite.CriticalTriple("a", l[:-j], l[-j:], s)
+         for l in F for j in range(1, len(l)) for s in heads.get(l[-j:], ())]
+    overlaps = rewrite.overlaps
     return a + overlaps("b", C, F, 1) + overlaps("c", F, C, 1) + overlaps("d", C, C, 1)
 
 
@@ -250,9 +259,11 @@ def a_confluence_audit(n: int, max_exponent: int = 2, random_words: int = 200,
     The driver decides each critical pair by `rewrite.equal` on _scan_run,
     which answers a_reduce(v) == a_reduce(w) exactly, and reduces each
     random reduct by `rewrite.reduce_steps` on it, as a_reduce does;
-    _scan_run is read at call time, so rebinding it is seen here.
+    _scan_run is read at call time, so rebinding it is seen here.  The
+    driver rewrites each match as a_match_at parsed it from its word, so
+    a_apply, which would parse it again, is not called.
     """
     Report.require_nonnegative("random_words", random_words)
     return rewrite.confluence_audit(
-        a_critical_pairs(n, max_exponent), a_match_at, a_apply, _scan_run,
+        a_critical_pairs(n, max_exponent), a_match_at, _scan_run,
         n, random_words, seed)

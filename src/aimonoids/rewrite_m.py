@@ -309,12 +309,14 @@ def m_confluence_audit(n: int, max_interleave: int = 1, random_words: int = 200,
     which answers m_reduce(v) == m_reduce(w) exactly, and reduces each
     random reduct by `rewrite.reduce_steps` on it, as m_reduce does;
     _scan_run is read at call time, so rebinding it is seen here.  The
-    audit's words are far shorter than rewrite.RUN_TABLE_MIN, so every
-    round scans with the all-ones table, which changes no scan's result.
+    driver rewrites each match as m_match_at parsed it from its word, so
+    m_apply, which would parse it again, is not called.  The audit's
+    words are far shorter than rewrite.RUN_TABLE_MIN, so every round
+    scans with the all-ones table, which changes no scan's result.
     """
     Report.require_nonnegative("random_words", random_words)
     return rewrite.confluence_audit(
-        m_critical_pairs(n, max_interleave), m_match_at, m_apply, _scan_run,
+        m_critical_pairs(n, max_interleave), m_match_at, _scan_run,
         n, random_words, seed)
 
 

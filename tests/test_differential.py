@@ -1135,7 +1135,7 @@ def test_confluence_audit_matches_the_per_pair_reference(system):
 
 @pytest.mark.parametrize("system", sorted(AUDITS))
 def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
-    _, pairs, match_at, apply_fn, reduce_fn, sizes = AUDITS[system]
+    _, pairs, match_at, _, reduce_fn, sizes = AUDITS[system]
     n, cap = sizes[-1]
     triples = pairs(n, cap)
     log = []
@@ -1145,7 +1145,7 @@ def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
         return full_span(match_at, w)
 
     def rewrite_once(w, m):
-        v = apply_fn(w, m)
+        v = rewrite_match(w, m)
         log.append(("apply", (w, m), v))
         return v
 
@@ -1161,11 +1161,12 @@ def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
     full_span = rewrite.full_span
     reduce_steps = rewrite.reduce_steps
     random_word = rewrite.random_word
+    rewrite_match = rewrite._rewrite
     monkeypatch.setattr(rewrite, "full_span", parse)
     monkeypatch.setattr(rewrite, "reduce_steps", reduce)
     monkeypatch.setattr(rewrite, "random_word", draw)
-    rep = rewrite.confluence_audit(triples, match_at, rewrite_once, SCANS[system],
-                                   n, 200, 7)
+    monkeypatch.setattr(rewrite, "_rewrite", rewrite_once)
+    rep = rewrite.confluence_audit(triples, match_at, SCANS[system], n, 200, 7)
     assert rep.ok
     first_word = next(k for k, e in enumerate(log) if e[0] == "word")
     lefts = {t.q + t.r for t in triples} | {t.r + t.s for t in triples}
@@ -1184,6 +1185,45 @@ def test_confluence_audit_rewrites_each_word_once(system, monkeypatch):
                 == Counter(e[1] for e in log[lo:hi] if e[0] == "reduce"))
         disjoint += bool(applied)
     assert disjoint > 0
+
+
+@pytest.mark.parametrize("system", sorted(AUDITS))
+def test_neither_audit_calls_apply(system, monkeypatch):
+    # the audit rewrites each match it parsed; apply would parse it again
+    def refuse(*args):
+        raise AssertionError("a parsed match went through rewrite.apply")
+    monkeypatch.setattr(rewrite, "apply", refuse)
+    rep = AUDITS[system][0](4, 1, 50, 0)
+    assert rep.ok and rep.by_family["disjoint"] > 0
+
+
+@pytest.mark.parametrize("system, bounds", [("A", (5, 2)), ("M", (4, 1))])
+def test_critical_pairs_build_only_the_triples_they_return(system, bounds, monkeypatch):
+    built = []
+    triple = rewrite.CriticalTriple
+    monkeypatch.setattr(rewrite, "CriticalTriple",
+                        lambda *args: built.append(args) or triple(*args))
+    triples = AUDITS[system][1](*bounds)
+    assert len(built) == len(triples)
+
+
+def test_a_critical_pairs_equal_the_filtered_overlap_list():
+    # family a indexes only the splits it keeps: the list is the one that
+    # built every (F, F) overlap and dropped those with s[0] == r[-1]
+    overlaps = rewrite.overlaps
+    for n, E in [(n, E) for n in range(1, 7) for E in (1, 2)] + [(5, 3)]:
+        C = rewrite.commutations(n)
+        F = a_rule_lefts(n, E)[len(C):]
+        filtered = ([t for t in overlaps("a", F, F) if t.s[0] != t.r[-1]]
+                    + overlaps("b", C, F, 1) + overlaps("c", F, C, 1)
+                    + overlaps("d", C, C, 1))
+        assert a_critical_pairs(n, E) == filtered, (n, E)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 1.5, "1"])
+def test_overlaps_refuse_a_length_that_is_not_a_positive_int(k):
+    with pytest.raises(ValueError, match="^k must be "):
+        rewrite.overlaps("x", [(3, 1)], [(1, 2)], k)
 
 
 @pytest.mark.parametrize("system, n, cap", [("A", 6, 2), ("M", 5, 1)])

@@ -12,7 +12,9 @@ from aimonoids.linrep import (act_letter, act_word, alternating_coeff,
                               ring_mul, ring_one, ring_scale,
                               vec_add, vec_scale, vec_sub,
                               verify_representation)
-from aimonoids.monoid_core import INFINITY, chain_ci_matrix, make_ci_matrix
+from aimonoids.monoid_core import (INFINITY, chain_ci_matrix, ci_presentation,
+                                   make_ci_matrix)
+from aimonoids.words import alternating
 
 import pytest
 
@@ -319,3 +321,137 @@ def test_difference_recursion_fails_on_a_wrong_difference(monkeypatch):
     rep = verify_representation(ASYM2)
     assert rep.failures == [("difference-recursion", 1, 2, p) for p in range(1, 5)] + \
         [("difference-recursion", 2, 1, p) for p in range(1, 6)]
+
+
+@pytest.mark.parametrize("check, args, name", [
+    (check_alternating_action, (1, 2, 0), "n"),
+    (check_difference_recursion, (1, 2, 0), "p"),
+    (check_mixed_difference, (1, 2, 3, 0), "n"),
+    (check_alternating_action, (1, 2, -1), "n"),
+    (check_difference_recursion, (1, 2, -1), "p"),
+    (check_mixed_difference, (1, 2, 3, -1), "n"),
+    (check_alternating_action, (1, 2, True), "n"),
+    (check_difference_recursion, (1, 2, True), "p"),
+    (check_mixed_difference, (1, 2, 3, 1.0), "n"),
+    (check_alternating_action, (1, 1, 2), "b"),
+    (check_difference_recursion, (2, 2, 1), "b"),
+    (check_mixed_difference, (1, 1, 3, 2), "b"),
+    (check_mixed_difference, (1, 2, 1, 2), "c"),
+    (check_mixed_difference, (1, 2, 2, 2), "c"),
+    (check_alternating_action, (0, 2, 1), "a"),
+    (check_alternating_action, (1, 4, 1), "b"),
+    (check_difference_recursion, (4, 1, 1), "a"),
+    (check_mixed_difference, (1, 2, 4, 1), "c"),
+    (check_mixed_difference, (1, 2, True, 1), "c"),
+])
+def test_identity_checks_refuse_arguments_outside_their_domain(check, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        check(CHAIN3, *args)
+
+
+def reference_verify_representation(matrix):
+    """verify_representation with every action computed by act_word alone."""
+    size = matrix.size
+    failures, checks = [], 0
+
+    def parity(a, b, n):
+        return (a, b) if n % 2 == 0 else (b, a)
+
+    def difference(e, a, b, n):
+        return vec_sub(act_word(e, alternating(a, b, n), matrix),
+                       act_word(e, alternating(b, a, n), matrix))
+
+    def scaled(r, s):
+        return vec_scale(r, basis_vector(s), matrix)
+
+    for lhs, rhs in ci_presentation(matrix).relations:
+        for s in range(1, size + 1):
+            checks += 1
+            e = basis_vector(s)
+            if act_word(e, lhs, matrix) != act_word(e, rhs, matrix):
+                failures.append(("relation", lhs, rhs, s))
+    for a, b in permutations(range(1, size + 1), 2):
+        k = matrix.m[(a, b)]
+        if k == INFINITY:
+            continue
+        for n in range(1, k + 2):
+            an, bn = parity(a, b, n)
+            checks += 2
+            if act_word(basis_vector(b), alternating(a, b, n), matrix) != vec_add(
+                    scaled(alternating_coeff(b, a, n - 1, matrix), an),
+                    scaled(alternating_coeff(b, a, n, matrix), bn)):
+                failures.append(("alternating-action", a, b, n))
+            for s in range(1, size + 1):
+                d = difference(basis_vector(s), a, b, n)
+                if difference(basis_vector(s), a, b, n + 1) != vec_sub(
+                        vec_add(act_word(d, (a,), matrix), act_word(d, (b,), matrix)), d):
+                    failures.append(("difference-recursion", a, b, n))
+                    break
+        for c in range(1, size + 1):
+            if c in (a, b):
+                continue
+            for n in range(1, k + 2):
+                an, bn = parity(a, b, n)
+                checks += 1
+                xca = ring_mul(generator(c, a, matrix),
+                               alternating_coeff(a, b, n - 1, matrix), matrix)
+                xcb = ring_mul(generator(c, b, matrix),
+                               alternating_coeff(b, a, n - 1, matrix), matrix)
+                if difference(basis_vector(c), a, b, n) != vec_sub(
+                        scaled(xca, bn), scaled(xcb, an)):
+                    failures.append(("mixed-difference", a, b, c, n))
+    return checks, failures
+
+
+def test_verify_representation_matches_the_act_word_reference(monkeypatch):
+    matrices = [chain_ci_matrix(rank) for rank in range(1, 6)]
+    matrices += [random_ci_matrix(random.Random(seed), max_size=4) for seed in range(20)]
+    for matrix in matrices:
+        rep = verify_representation(matrix)
+        assert (rep.checks_run, rep.failures) == reference_verify_representation(matrix)
+    # injected faults fail the same checks in both: with nothing vanishing
+    # the relations fail, and with the action of x1 doubled every family
+    act = linrep.act_letter
+    faults = [("_vanishes", lambda mono, matrix: False),
+              ("act_letter", lambda v, a, matrix: act(v, a, matrix) if a != 1
+               else vec_add(act(v, a, matrix), act(v, a, matrix)))]
+    for name, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(linrep, name, fault)
+            for matrix in (ASYM2, CHAIN3, chain_ci_matrix(4)):
+                rep = verify_representation(matrix)
+                assert rep.failures
+                assert (rep.checks_run, rep.failures) == \
+                    reference_verify_representation(matrix)
+
+
+def test_verify_representation_acts_once_per_row_entry(monkeypatch):
+    calls = []
+    act = linrep.act_letter
+    monkeypatch.setattr(linrep, "act_letter",
+                        lambda v, a, matrix: calls.append(a) or act(v, a, matrix))
+    for rank, bound in ((3, 258), (4, 632)):
+        calls.clear()
+        assert verify_representation(chain_ci_matrix(rank)).ok
+        assert len(calls) <= bound, rank
+    # outside a verify_representation call each check acts afresh
+    calls.clear()
+    for _ in range(2):
+        assert check_alternating_action(CHAIN3, 1, 2, 3)
+    assert len(calls) == 6
+
+
+def test_no_row_outlives_its_call(monkeypatch):
+    # rows filled under a patched _vanishes are gone when the call returns
+    monkeypatch.setattr(linrep, "_vanishes", lambda mono, matrix: False)
+    assert not verify_representation(ASYM2).ok
+    monkeypatch.undo()
+    assert verify_representation(ASYM2).ok
+    assert linrep._ROWS.get() is None
+
+    def broken(matrix, a, b, n):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(linrep, "check_alternating_action", broken)
+    with pytest.raises(RuntimeError, match="injected"):
+        verify_representation(CHAIN3)
+    assert linrep._ROWS.get() is None

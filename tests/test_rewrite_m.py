@@ -310,7 +310,7 @@ def test_negative_sample_counts_are_refused_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="random_words must be nonnegative, got -1"):
         m_confluence_audit(3, 1, -1)
     with pytest.raises(ValueError, match="random_words must be nonnegative, got -2"):
-        rewrite.confluence_audit([], m_match_at, no_work, no_work, 3, -2, 0)
+        rewrite.confluence_audit([], m_match_at, no_work, 3, -2, 0)
 
 
 @pytest.mark.parametrize("k, rank, name", [(1.5, 3, "k"), (2.0, 3, "k"), (True, 3, "k"),
