@@ -178,6 +178,7 @@ def upper_bound_census(p: Presentation,
     if len(targets) != 2:
         raise ValueError("census expects exactly two target words")
     first, second = (tuple(t) for t in targets)
+    require_ints(max_len=max_len)
     for t in (first, second):
         if max_len < len(t):
             raise ValueError("census max_len %d is below the length %d of the target %s"

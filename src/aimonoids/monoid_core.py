@@ -9,7 +9,10 @@ monoid keeps only the alternating-word relations.
 ``bfs_equal`` is the independent oracle for the word problem: breadth-first
 closure of a word under two-sided relation replacement, bounded in word
 length and state count.  Everything faster in this package is expected to
-agree with it.
+agree with it.  Its search (`_search`) keeps the order of a search that
+builds every neighbour, and builds fewer: a word first reached by rewrite k
+is searched by the rewrites before k only where they can meet what k wrote,
+since every other such neighbour is the top of a diamond reached before.
 """
 
 from __future__ import annotations
@@ -201,6 +204,30 @@ class Presentation:
                       lhs[0] if len(set(lhs + rhs)) == 1 else -1)
                      for lhs, rhs in self.rewrites)
 
+    @cached_property
+    def _search_table(self) -> tuple:
+        """`_search`'s table over `search_rewrites`.  Entry k serves a word
+        first recorded by rewrite k, lhs_k -> rhs_k of growth g_k, and is
+        (need, near, later).  need is the least room max_len - len(w) at
+        which every rewrite before k fits at w and at its parent: their
+        largest growth (0 when there are none), less g_k when g_k < 0.
+        near holds (lhs, rhs, len(lhs), j, `_shifts`) for each rewrite
+        j < k, lhs -> rhs, whose shifts against rewrite k are not empty, and
+        later holds the `search_rewrites` entries of k, k + 1, ... with
+        their index appended.  A last entry, (0, (), every rewrite), serves
+        the start.  The `later` parts hold K (K + 1) / 2 references for K
+        rewrites.  Found on first use by the search, as `pumps` is; only
+        read once `_oracle_words` has checked that `rewrites` is not None."""
+        steps = self.search_rewrites
+        indexed = tuple(step + (k,) for k, step in enumerate(steps))
+        table = []
+        for k, (lhs_k, rhs_k, _, growth, _) in enumerate(steps):
+            near = ((lhs, rhs, m, j, _shifts(lhs, rhs, lhs_k, rhs_k))
+                    for j, (lhs, rhs, m, _, _) in enumerate(steps[:k]))
+            table.append((max((s[3] for s in steps[:k]), default=0) - min(growth, 0),
+                          tuple(s for s in near if s[4]), indexed[k:]))
+        return tuple(table) + ((0, (), indexed),)
+
 
 def _byte_rewrites(generators: int, relations: tuple):
     """lhs -> rhs, then rhs -> lhs, for each relation with distinct sides, in
@@ -210,6 +237,18 @@ def _byte_rewrites(generators: int, relations: tuple):
         return None
     pairs = [(bytes(lhs), bytes(rhs)) for lhs, rhs in relations if lhs != rhs]
     return tuple(sub for pair in pairs for sub in (pair, pair[::-1]))
+
+
+def _shifts(lhs: bytes, rhs: bytes, lhs_k: bytes, rhs_k: bytes) -> tuple:
+    """The shifts d, 1 - len(lhs) <= d < len(rhs_k), at which lhs placed d
+    letters after the start of rhs_k agrees with it wherever the two
+    overlap: where a site of lhs -> rhs can meet rhs_k written by
+    lhs_k -> rhs_k.  d = 0 is left out when lhs -> rhs undoes lhs_k -> rhs_k,
+    since that site gives back the word rhs_k was written over."""
+    m, r = len(lhs), len(rhs_k)
+    return tuple([d for d in range(1 - m, 0) if lhs[-d:r - d] == rhs_k[:m + d]]
+                 + [d for d in range(r) if lhs[:r - d] == rhs_k[d:d + m]
+                    and not (d == 0 and lhs == rhs_k and rhs == lhs_k)])
 
 
 def _pair_relations(matrix: CIMatrix, with_extension: bool):
@@ -289,10 +328,10 @@ def _image(q: tuple, w) -> int:
     return e
 
 
-def _search(steps, start: bytes, max_len: int, max_states: int,
+def _search(table, start: bytes, max_len: int, max_states: int,
             target: bytes | None = None):
-    """Breadth-first closure of `start` under the rewrites `steps`
-    (`Presentation.search_rewrites`).
+    """Breadth-first closure of `start` under the rewrites of `table`
+    (`Presentation._search_table`, over `Presentation.search_rewrites`).
 
     Returns (parent, complete, hit).  parent maps every word reached to the
     word it was first reached from (start to None).  complete is False when
@@ -303,8 +342,8 @@ def _search(steps, start: bytes, max_len: int, max_states: int,
     then by position.  Each is handled as it comes: one longer than max_len
     sets complete False; one reached before is passed over; any other is
     refused at the state cap, else recorded and queued, and the search ends
-    if it is the target.  Two kinds of neighbour are passed over without
-    being built, and neither changes what that order gives:
+    if it is the target.  Three kinds of neighbour are passed over without
+    being built, and none changes what that order gives:
     - A rewrite lhs -> rhs whose growth len(rhs) - len(lhs) exceeds
       max_len - len(w): every one of its neighbours has length
       len(w) + growth > max_len.  If lhs occurs in w, complete turns False
@@ -316,15 +355,57 @@ def _search(steps, start: bytes, max_len: int, max_states: int,
       reached before, or ends the search at the cap or on the target, so
       at each later site of the run it would already be reached.  The
       search resumes after the run; the next site starts the next run.
+    - The top of a diamond.  Each queued word w but the start was first
+      recorded from its parent p by some rewrite k at some position i,
+      which wrote rhs_k over [i, i + len(rhs_k)), the region of w; the
+      queue keeps (k, i) with w.  Let every rewrite k' < k fit at w and at
+      p: its growth g' is at most max_len - len(w) and at most
+      max_len - len(p) = max_len - len(w) + g_k.  A site of k' in w that
+      misses the region is a site of p too, disjoint from (k, i).  p was
+      expanded before w was recorded and took k' before k, and k' fits at
+      p, so q = k'(p) at that site was in `parent` before w was; q is not
+      w, since (k, i) is where w was first recorded.  So q was queued
+      before w and expanded before it, and at q the site of k, shifted,
+      gives k'(w), of length len(w) + g' <= max_len.  That word was
+      recorded then, or reached before, or passed over at q by one of these
+      rules (by induction on the queue): it is in `parent` when w is
+      expanded, and building it would only find it there; being short
+      enough, it would not have turned complete False.  A site of k' at
+      i + d that meets the region overlaps rhs_k, so lhs' agrees with rhs_k
+      on the overlap: d is one of the `_shifts` of k' against k, and the
+      search tries only those, in increasing order, by
+      w.startswith(lhs', i + d).  A k' with no shift is not searched at
+      all.  Where k' undoes k, shift 0 gives p back, which is in `parent`,
+      so the table leaves it out.  For x^m -> x^k, the shifts may find
+      several sites in one run; each gives the word of the run's first
+      site, which only the first can record.  If some rewrite before k does
+      not fit at w or at p, w is searched in full, as the start is.
+      Rewrites k, k + 1, ... are always searched in full.
     """
     parent = {start: None}
-    queue = [start]
+    queue = [(start, -1, 0)]
     complete = True
     # breadth-first: the loop reads the list by index while it grows
-    for w in queue:
+    for w, k, at in queue:
         n = len(w)
         room = max_len - n
-        for lhs, rhs, m, growth, x in steps:
+        need, near, later = table[k]
+        if need > room:
+            # a rewrite before k is too long at w or at its parent
+            near, later = (), table[-1][2]
+        for lhs, rhs, m, j, shifts in near:
+            for d in shifts:
+                i = at + d
+                if i >= 0 and w.startswith(lhs, i):
+                    nw = w[:i] + rhs + w[i + m:]
+                    if nw not in parent:
+                        if len(parent) >= max_states:
+                            return parent, False, False
+                        parent[nw] = w
+                        if nw == target:
+                            return parent, complete, True
+                        queue.append((nw, j, i))
+        for lhs, rhs, m, growth, x, j in later:
             i = w.find(lhs)
             if i == -1:
                 continue
@@ -339,7 +420,7 @@ def _search(steps, start: bytes, max_len: int, max_states: int,
                     parent[nw] = w
                     if nw == target:
                         return parent, complete, True
-                    queue.append(nw)
+                    queue.append((nw, j, i))
                 if x < 0:
                     i = w.find(lhs, i + 1)
                 else:
@@ -371,7 +452,7 @@ def congruence_closure(p: Presentation, start, max_len: int, max_states: int = 1
         raise ValueError("max_len below the start word length")
     if max_states < 1:
         raise ValueError("max_states must be positive")
-    parent, complete, _ = _search(p.search_rewrites, w0, max_len, max_states)
+    parent, complete, _ = _search(p._search_table, w0, max_len, max_states)
     return frozenset(tuple(x) for x in parent), complete
 
 
@@ -422,7 +503,7 @@ def bfs_equal(p: Presentation, u, v, max_len: int | None = None,
             set(bu) != set(bv)
             or any(_image(q, bu) != _image(q, bv) for q in p.quotients)):
         return OracleVerdict(INCONCLUSIVE)
-    parent, complete, hit = _search(p.search_rewrites, bu, max_len, max_states, target=bv)
+    parent, complete, hit = _search(p._search_table, bu, max_len, max_states, target=bv)
     if hit:
         chain = []
         cur = bv
@@ -702,7 +783,11 @@ class TupleAction:
 
 
 def pair_collapse_action(x_size: int, n: int) -> TupleAction:
-    """The standard example f(x, y) = (x, x) on a carrier of the given size."""
+    """The standard example f(x, y) = (x, x) on a carrier of the given size,
+    acting on (n+1)-tuples; n must be a positive int."""
+    require_ints(n=n)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     carrier = tuple(range(x_size))
     f = {(x, y): (x, x) for x in carrier for y in carrier}
     return TupleAction(carrier, f, n)

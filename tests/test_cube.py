@@ -192,6 +192,19 @@ def test_census_refuses_a_bound_below_a_target_before_searching(monkeypatch):
         upper_bound_census(cube_presentation(), max_len=2)
 
 
+@pytest.mark.parametrize("max_len", [2.5, True, "9"])
+def test_census_refuses_a_bound_that_is_not_an_int_before_searching(max_len, monkeypatch):
+    # 2.5 and True were compared first, and refused as "census max_len 2"
+    # and "census max_len 1" below a target's length
+    import aimonoids.cube as cube_module
+
+    def no_search(*args):
+        raise AssertionError("the census searched")
+    monkeypatch.setattr(cube_module, "congruence_closure", no_search)
+    with pytest.raises(ValueError, match=re.escape(f"max_len must be an int, got {max_len!r}")):
+        upper_bound_census(cube_presentation(), max_len=max_len)
+
+
 def rescan_reverse(u, v, table, budget):
     """Reference: rescan from the start for the leftmost s^-1 t at each step."""
     for x in tuple(u) + tuple(v):

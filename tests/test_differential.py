@@ -20,9 +20,10 @@ the relations afresh on every call (relation, direction, position), so
 its statuses, witness chains, closures and random choices stay the same.
 A query the oracle settles without a search, by letter sets or by its
 verified rank-2 quotients, must get the reference search's verdict.
-The neighbours the search does not build, those past the length bound
-and the repeats within one run of x under x^m -> x^k, must leave its
-statuses, witnesses, state counts and closures as the reference's.
+The neighbours the search does not build, those past the length bound,
+the repeats within one run of x under x^m -> x^k and the tops of
+diamonds, must leave its statuses, witnesses, state counts and closures
+as the reference's, and its parent map, in insertion order, too.
 The critical-pair families derived from the rule lists must be, family by
 family, the multiset of triples the hand-written overlap loops gave, and
 every overlap of the bounded rule lists must join, listed or not.
@@ -44,7 +45,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimonoids import rewrite, rewrite_a, rewrite_m
+from aimonoids import monoid_core, rewrite, rewrite_a, rewrite_m
 from aimonoids.rewrite import run_lengths
 from aimonoids.cube import cube_presentation
 from aimonoids.monoid_core import (DISTINCT_WITHIN_BOUND, EQUAL, INCONCLUSIVE,
@@ -840,6 +841,56 @@ def test_search_skips_match_reference_search(seed):
         words, complete = congruence_closure(p, start, 12, 5000)
         parent, ref_complete, _ = reference_search(p, bytes(start), 12, 5000)
         assert (words, complete) == (frozenset(map(tuple, parent)), ref_complete), start
+
+
+def ordered(result):
+    """A search's (parent map as a list in insertion order, complete, hit)."""
+    parent, complete, hit = result
+    return list(parent.items()), complete, hit
+
+
+def search_presentations(rng):
+    """power_presentation and random_presentation, whose repeated relations
+    and shrinking rewrites give words at which a rewrite fits but not at
+    their parents, the chain presentations of both systems at ranks 2-4,
+    the cube and the rank-2 two-idempotent presentations."""
+    yield from (power_presentation(rng) for _ in range(12))
+    yield from (random_presentation(rng) for _ in range(12))
+    for n in range(2, 5):
+        yield ci_presentation(chain_ci_matrix(n))
+        yield ai_presentation(chain_ci_matrix(n))
+    yield cube_presentation()
+    yield from (rank2_idempotent_presentation(k, l) for k in range(2, 5)
+                for l in (k - 1, k, k + 1) if l >= 2)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_search_keeps_the_reference_order(seed):
+    # the neighbours the search passes over as tops of diamonds must leave
+    # its parent map, in insertion order, as the reference's; bounds from
+    # the least to 3 more reach words at exactly max_len, whose rewrites
+    # may fit at them and not at their parents
+    rng = random.Random(seed)
+    for p in search_presentations(rng):
+        for _ in range(2):
+            u = run_word(rng, p.generators)
+            v = (random_rewrite(p, u, rng, rng.randint(1, 4)) if rng.random() < 0.5
+                 else run_word(rng, p.generators))
+            for target in (None, bytes(v)):
+                least = len(u) if target is None else max(len(u), len(v))
+                for cap, extra in product((1, 2, 5, 2000), range(4)):
+                    args = (bytes(u), least + extra, cap, target)
+                    assert (ordered(monoid_core._search(p._search_table, *args))
+                            == ordered(reference_search(p, *args))), (p, u, v, args)
+    # the oracle workload's closures: rank 3, length cap 12, 5,000 states
+    for present, reduce in ((ai_presentation, a_reduce), (ci_presentation, m_reduce)):
+        p = present(chain_ci_matrix(3))
+        forms = sorted({reduce(w) for k in range(6) for w in product((1, 2, 3), repeat=k)},
+                       key=lambda w: (len(w), w))
+        for start in forms[seed::len(forms) // 4][:4]:
+            args = (bytes(start), 12, 5000)
+            assert (ordered(monoid_core._search(p._search_table, *args))
+                    == ordered(reference_search(p, *args))), start
 
 
 # ---------------------------------------------------------------------------

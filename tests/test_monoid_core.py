@@ -783,6 +783,24 @@ def test_action_harness_checks_its_carrier_first():
         action_harness(3, -2)
 
 
+@pytest.mark.parametrize("n, message", [
+    (True, "n must be an int, got True"), (2.0, "n must be an int, got 2.0"),
+    (0, "n must be positive, got 0"), (-1, "n must be positive, got -1")])
+def test_pair_collapse_action_refuses_an_n_that_is_not_a_positive_int(n, message):
+    # -1 built an action on 0-tuples
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pair_collapse_action(2, n)
+
+
+@pytest.mark.parametrize("n, message", [
+    (True, "n must be an int, got True"), (0, "n must be positive, got 0")])
+def test_action_harness_refuses_an_n_that_is_not_a_positive_int(n, message):
+    # action_harness(True, 2) ran 20 checks
+    from aimonoids.monoid_core import action_harness
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        action_harness(n, 2)
+
+
 def test_oracle_bounds_are_refused():
     p = ci_presentation(chain_ci_matrix(3))
     with pytest.raises(ValueError, match="max_states must be positive"):

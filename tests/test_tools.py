@@ -359,7 +359,7 @@ def test_scale_probe_times_the_descending_words(tmp_path):
 
 STAND_IN_WORKLOADS = """
 import json
-from aimonoids import rewrite
+from aimonoids import rewrite, rewrite_a
 
 
 class Op:
@@ -388,9 +388,37 @@ class Verify:
 
     def execute(self, op):
         rewrite.commute_sort([3, 1])
+        for _ in range(SCANS):
+            rewrite_a._scan_run([], [], 0, 0)
         return FAILED.get(op.args[1], 0), json.dumps({
             "command": "verify " + op.args[1], "checks_run": 5,
             "failures": ["f"] * FAILED.get(op.args[1], 0), "elapsed_ms": ELAPSED})
+
+
+class Verdict:
+    def __init__(self, status, witness, states_explored):
+        self.status, self.witness, self.states_explored = status, witness, states_explored
+
+
+class Reversal:
+    def __init__(self, word, complete):
+        self.word, self.complete = word, complete
+
+
+class Oracle:
+    def setup(self):
+        pass
+
+    def generate(self, seed):
+        return [Op("bfs_equal", ("M", 3, (1, 2), (2, 1))), Op("closure", ("M", (1,))),
+                Op("cube", ((1,), (2,)))]
+
+    def execute(self, op):
+        if op.kind == "bfs_equal":
+            return Verdict("distinct-within-bound", None, STATES)
+        if op.kind == "closure":
+            return frozenset(CLOSURE), True
+        return (Reversal(CUBE_WORD, True), Reversal((1,), True)), Verdict("equal", ((1,),), 1)
 """
 
 STAND_IN_REWRITE = """
@@ -413,9 +441,14 @@ def %s_reduce_steps(w):
 """
 
 
-def stand_in_digest(checkout, elapsed, failed):
-    """The DIGEST_PROBE line of a stand-in checkout whose verify ops report
-    `elapsed` ms and fail as `failed` says (harness -> failures)."""
+def stand_in_digest(checkout, elapsed=3, failed={}, scans=1, states=4,
+                    closure=((1,), (1, 1)), cube_word=(2,)):
+    """The DIGEST_PROBE line of a stand-in checkout, split into its op count
+    and a dict of its parts: its verify ops report `elapsed` ms, fail as
+    `failed` says (harness -> failures) and call A's scanner `scans` times,
+    and its three oracle ops find a bfs_equal search of `states` states,
+    the closure `closure` (a set, listed in this order) and a cube
+    reversal to `cube_word`."""
     package = checkout / "src" / "aimonoids"
     package.mkdir(parents=True)
     (package / "__init__.py").touch()
@@ -424,22 +457,50 @@ def stand_in_digest(checkout, elapsed, failed):
         (package / ("rewrite_%s.py" % system)).write_text(STAND_IN_SYSTEM % system)
     (checkout / "perfbench").mkdir()
     (checkout / "perfbench" / "workloads.py").write_text(
-        "FAILED = %r\nELAPSED = %d\n" % (failed, elapsed) + STAND_IN_WORKLOADS)
+        "FAILED = %r\nELAPSED = %d\nSCANS = %d\nSTATES = %d\nCLOSURE = %r\n"
+        "CUBE_WORD = %r\n" % (failed, elapsed, scans, states, closure, cube_word)
+        + STAND_IN_WORKLOADS)
     proc = bench_pairs.subprocess.run(
         [bench_pairs.sys.executable, "-c", bench_pairs.DIGEST_PROBE, "4"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return proc.stdout.split()
+    count, *parts = proc.stdout.split()
+    return count, dict(part.split("=") for part in parts)
+
+
+def differing(one, other):
+    """The names of the parts in which two stand-in digests differ."""
+    assert one[0] == other[0]
+    return sorted(name for name in one[1] if one[1][name] != other[1][name])
 
 
 def test_the_digest_covers_the_first_verify_pass(tmp_path):
-    parent = stand_in_digest(tmp_path / "parent", 3, {})
-    # the one wordproblem op and the first nine verify ops
-    assert parent[0] == "10"
+    parent = stand_in_digest(tmp_path / "parent")
+    # the one wordproblem op, the first nine verify ops and three oracle ops
+    assert parent[0] == "13"
+    assert sorted(parent[1]) == ["oracle", "verify_counts", "verify_reports", "wordproblem"]
     # reports that differ only in elapsed_ms hash alike
-    assert stand_in_digest(tmp_path / "slower", 250, {}) == parent
+    assert stand_in_digest(tmp_path / "slower", elapsed=250) == parent
     # one more failure, in the pass or past it
-    assert stand_in_digest(tmp_path / "failing", 3, {"h8": 1}) != parent
-    assert stand_in_digest(tmp_path / "later", 3, {"h9": 1}) == parent
+    assert differing(stand_in_digest(tmp_path / "failing", failed={"h8": 1}),
+                     parent) == ["verify_reports"]
+    assert stand_in_digest(tmp_path / "later", failed={"h9": 1}) == parent
+
+
+def test_the_digest_hashes_verify_reports_apart_from_their_counts(tmp_path):
+    parent = stand_in_digest(tmp_path / "parent")
+    # the same reports from fewer scanner calls: only the counts differ
+    assert differing(stand_in_digest(tmp_path / "fewer", scans=0), parent) == ["verify_counts"]
+
+
+def test_the_digest_covers_the_oracle_pool(tmp_path):
+    parent = stand_in_digest(tmp_path / "parent")
+    # a closure set listed in another order hashes alike
+    assert stand_in_digest(tmp_path / "reordered", closure=((1, 1), (1,))) == parent
+    # a search of one more state, a closure of one word fewer, another
+    # reversal: each differs in the oracle part only
+    for name, knobs in (("states", {"states": 5}), ("closure", {"closure": ((1,),)}),
+                        ("cube", {"cube_word": (3,)})):
+        assert differing(stand_in_digest(tmp_path / name, **knobs), parent) == ["oracle"]
 
 
 def test_scale_keeps_the_least_time_of_each_side_over_its_processes(monkeypatch):
@@ -488,14 +549,17 @@ def test_a_malformed_digest_is_refused_before_anything_runs(seeds, monkeypatch, 
     assert "error: --digest " + seeds in capsys.readouterr().err
 
 
-def fake_digests(changed_seed):
-    """A run_digest whose change side differs from the parent at changed_seed."""
+def fake_digests(changed_seed, part="oracle"):
+    """A run_digest whose change side differs from the parent at changed_seed
+    in the digest part `part` (or in the op count, when `part` is None)."""
     calls = []
 
     def digest(checkout, seed):
         side = "change" if len(calls) % 2 else "parent"
         calls.append((side, seed))
-        return "1280 %s" % ("bb" if side == "change" and seed == changed_seed else "aa")
+        changed = side == "change" and seed == changed_seed
+        return "%d verify_counts=aa %s=%s" % (1281 if changed and part is None else 1280,
+                                            part or "oracle", "bb" if changed and part else "aa")
     return digest, calls
 
 
@@ -511,10 +575,21 @@ def test_a_digest_mismatch_stops_the_run_before_any_timed_run(tmp_path, monkeypa
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(argv)
     assert str(exc.value.code) == ("error: digest seed 1: the parent and the change "
-                                   "computed different results or counts (1280 aa and "
-                                   "1280 bb)")
+                                   "computed different oracle (1280 verify_counts=aa "
+                                   "oracle=aa and 1280 verify_counts=aa oracle=bb)")
     assert calls == [("parent", 0), ("change", 0), ("parent", 1), ("change", 1)]
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("part, named", [("verify_reports", "verify_reports"),
+                                         (None, "op counts")])
+def test_a_digest_mismatch_names_the_part_that_differs(part, named, monkeypatch):
+    digest, _ = fake_digests(0, part)
+    monkeypatch.setattr(bench_pairs, "run_digest", digest)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.check_digests(ROOT, ROOT, [0])
+    assert str(exc.value.code).startswith(
+        "error: digest seed 0: the parent and the change computed different %s (" % named)
 
 
 def test_matching_digests_are_stored(tmp_path, monkeypatch):
@@ -527,4 +602,5 @@ def test_matching_digests_are_stored(tmp_path, monkeypatch):
             "--workload", "verify=7", "--digest", "0,1"]
     assert bench_pairs.main(argv) == 0
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert out["digests"] == {"0": "1280 aa", "1": "1280 aa"}
+    assert out["digests"] == {"0": "1280 verify_counts=aa oracle=aa",
+                              "1": "1280 verify_counts=aa oracle=aa"}

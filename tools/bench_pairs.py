@@ -52,11 +52,16 @@ what the parent does: for each seed, each checkout generates that seed's
 op and reduces every op word by its op's system, then runs the seed's
 first ``verify`` pass (the nine ops of ``Verify().generate(seed)[:9]``),
 with ``rewrite.commute_sort`` and both systems' ``_scan_run`` wrapped in
-call counters, and prints one sha256 over every (result, commute_sort
-calls, scanner calls), a ``verify`` op's result being its exit code and
-its JSON report without ``elapsed_ms`` (see ``DIGEST_PROBE``).  Two
-digests that differ stop the tool with an error naming the seed; equal
-ones are stored under ``digests``.
+call counters, then runs the seed's ``oracle`` pool.  It prints one
+sha256 per part (see ``DIGEST_PROBE``): ``wordproblem``, every (result,
+commute_sort calls, scanner calls); ``verify_reports``, each ``verify``
+op's exit code and JSON report without ``elapsed_ms``; ``verify_counts``,
+each ``verify`` op's calls; ``oracle``, for each op the status, witness
+and ``states_explored`` of a ``bfs_equal``, the sorted words and
+``complete`` of a closure, and each reversal's word and ``complete`` and
+the verdict of a cube product.  Two digests that differ stop the tool
+with an error naming the seed and the parts that differ; equal ones are
+stored under ``digests``.
 ``--note`` stores a line of text under its key; ``change`` describes the
 change.  A note without ``=``, or one whose key is another key the file
 fills in itself (``topic``, ``parent_commit``, ``command``, ``machine``,
@@ -162,20 +167,19 @@ if not callable(getattr(importlib.import_module(module), name)):
 
 # Run in a fresh interpreter in a checkout: argv is one seed.  Generates
 # that seed's wordproblem pool from the checkout's perfbench/workloads.py,
-# then runs every op and reduces every op word by the op's system, and runs
-# the seed's first verify pass, with rewrite.commute_sort and both
-# _scan_runs counted per call whatever their arguments; prints the number
-# of ops run and one sha256 over (result, counts), a verify op's result
-# being its exit code and its report without elapsed_ms.
+# then runs every op and reduces every op word by the op's system, runs the
+# seed's first verify pass, with rewrite.commute_sort and both _scan_runs
+# counted per call whatever their arguments, and runs the seed's oracle
+# pool.  Prints the number of ops run and one sha256 per part, NAME=HEX:
+# the wordproblem results with their counts, the verify reports (exit code
+# and report without elapsed_ms), the verify ops' counts, and what each
+# oracle op found (see the module docstring).
 DIGEST_PROBE = """
 import hashlib, json, sys
 sys.path[:0] = ["src", "perfbench"]
 from aimonoids import rewrite, rewrite_a, rewrite_m
-from workloads import Verify, WordProblem
+from workloads import Oracle, Verify, WordProblem
 seed = int(sys.argv[1])
-workload = WordProblem()
-workload.setup()
-ops = workload.generate(seed)
 counts = [0, 0]
 
 def counted(k, fn):
@@ -188,13 +192,17 @@ rewrite.commute_sort = counted(0, rewrite.commute_sort)
 rewrite_a._scan_run = counted(1, rewrite_a._scan_run)
 rewrite_m._scan_run = counted(1, rewrite_m._scan_run)
 reduce = {"a": rewrite_a.a_reduce_steps, "m": rewrite_m.m_reduce_steps}
-digest = hashlib.sha256()
+parts = {name: hashlib.sha256()
+         for name in ("wordproblem", "verify_reports", "verify_counts", "oracle")}
+workload = WordProblem()
+workload.setup()
+ops = workload.generate(seed)
 for op in ops:
     counts[:] = [0, 0]
-    digest.update(repr((op.kind, workload.execute(op), counts)).encode())
+    parts["wordproblem"].update(repr((op.kind, workload.execute(op), counts)).encode())
     for w in op.args:
         counts[:] = [0, 0]
-        digest.update(repr((reduce[op.kind[0]](w), counts)).encode())
+        parts["wordproblem"].update(repr((reduce[op.kind[0]](w), counts)).encode())
 verify = Verify()
 verify.setup()
 passes = verify.generate(seed)[:9]
@@ -203,8 +211,26 @@ for op in passes:
     code, text = verify.execute(op)
     report = json.loads(text)
     del report["elapsed_ms"]
-    digest.update(repr((op.args, code, sorted(report.items()), counts)).encode())
-print(len(ops) + len(passes), digest.hexdigest())
+    parts["verify_reports"].update(repr((op.args, code, sorted(report.items()))).encode())
+    parts["verify_counts"].update(repr((op.args, counts)).encode())
+
+def verdict(v):
+    return v and (v.status, v.witness, v.states_explored)
+
+oracle = Oracle()
+oracle.setup()
+searches = oracle.generate(seed)
+for op in searches:
+    result = oracle.execute(op)
+    if op.kind == "bfs_equal":
+        found = verdict(result)
+    elif op.kind == "closure":
+        found = sorted(result[0]), result[1]
+    else:
+        found = [(r.word, r.complete) for r in result[0]], verdict(result[1])
+    parts["oracle"].update(repr((op.kind, op.args, found)).encode())
+print(len(ops) + len(passes) + len(searches),
+      " ".join("%s=%s" % (name, h.hexdigest()) for name, h in parts.items()))
 """
 
 
@@ -280,13 +306,17 @@ def run_digest(checkout: Path, seed: int) -> str:
 
 def check_digests(parent: Path, change: Path, seeds: list) -> dict:
     """Each seed's digest line, the same on both sides, or exit naming the
-    first seed whose two lines differ."""
+    first seed whose two lines differ and the parts that differ in it (the
+    op count when no NAME=HEX part does)."""
     digests = {}
     for seed in seeds:
         sides = [run_digest(checkout, seed) for checkout in (parent, change)]
         if sides[0] != sides[1]:
+            differ = [a.partition("=")[0] for a, b in zip(*(line.split()[1:] for line in sides))
+                      if a != b]
             sys.exit("error: digest seed %d: the parent and the change computed "
-                     "different results or counts (%s and %s)" % (seed, *sides))
+                     "different %s (%s and %s)"
+                     % (seed, ", ".join(differ) or "op counts", *sides))
         digests[str(seed)] = sides[0]
         print("digest seed %d: %s" % (seed, sides[0]), file=sys.stderr)
     return digests
